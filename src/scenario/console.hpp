@@ -1,8 +1,8 @@
 // The scenario console: byte-compatible with the bench_util.hpp table
 // conventions every bench printed before the scenario registry existed
 // (64-column `=` rules, "  [PASS]/[CHECK]" claims, "  note:" remarks).
-// Stdout stays the golden artifact — the parity tests diff `intox run`
-// against the legacy bench output byte for byte — while the console
+// Stdout stays the golden artifact — the golden tests diff `intox run`
+// against tests/golden/<scenario>.txt byte for byte — while the console
 // additionally tallies claims for the driver's Table and supports a
 // quiet mode so `intox validate` can run every scenario silently.
 #pragma once

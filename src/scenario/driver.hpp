@@ -7,10 +7,9 @@
 //   intox validate [scenario...]    throw-mode invariant sweep, quiet
 //   intox help                      usage
 //
-// driver_main returns the process exit code instead of exiting so the
-// legacy bench shims (and tests) can call it in-process; the only path
-// that terminates directly is obs::parse_threads_arg's strict --threads
-// handling, which exits 2 exactly as the pre-registry benches did.
+// driver_main returns the process exit code instead of exiting so tests
+// can call it in-process; the only path that terminates directly is
+// obs::parse_threads_arg's strict --threads handling, which exits 2.
 #pragma once
 
 namespace intox::scenario {

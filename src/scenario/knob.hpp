@@ -1,12 +1,12 @@
 // Typed experiment knobs: the declarative half of a Scenario.
 //
 // Every scenario declares its tunable parameters once — name, type,
-// default, range, help text — and both the `intox` driver's strict
-// `--set`/`--sweep`/`--config` parsing and the legacy bench shims apply
-// values through the same KnobSet. Unknown keys, malformed values and
-// out-of-range numbers are rejected with a one-line diagnostic instead
-// of silently falling through to a default (the same contract
-// obs::parse_threads_arg established for --threads).
+// default, range, help text — and the `intox` driver's strict
+// `--set`/`--sweep`/`--config` parsing applies values through the
+// KnobSet. Unknown keys, malformed values and out-of-range numbers are
+// rejected with a one-line diagnostic instead of silently falling
+// through to a default (the same contract obs::parse_threads_arg
+// established for --threads).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // The Scenario interface: one declarative experiment = a name, a report
-// family, typed knobs, and a run function. Every bench and example in
-// this reproduction registers itself here (see scenarios_*.cpp); the
-// `intox` driver and the legacy bench shims are the only entry points.
+// family, typed knobs, and a run function. Every experiment and
+// walk-through in this reproduction registers itself here (see
+// scenarios_*.cpp); the `intox` driver is the only entry point.
 #pragma once
 
 #include <cstddef>

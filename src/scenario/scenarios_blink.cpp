@@ -285,7 +285,7 @@ Table run_e2e(Ctx& ctx) {
 
   // Time the simulation span and record injected-packets/sec as a perf
   // sweep. Goes to stderr + the BENCH json only, never stdout, so the
-  // scenario's parity golden is unaffected.
+  // scenario's stdout golden is unaffected.
   // intox-lint: allow(determinism)  -- perf timing only, never stdout
   const auto wall_start = std::chrono::steady_clock::now();
   pop.start_all();

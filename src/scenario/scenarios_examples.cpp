@@ -1,7 +1,6 @@
 // The narrated example walk-throughs, registered as scenarios so the
-// `intox` driver runs them too. Each example's stdout is reproduced
-// byte-for-byte via Console::raw; the on-disk examples/*.cpp binaries
-// are thin shims onto these registrations.
+// `intox` driver runs them. Each one prints free-form narration via
+// Console::raw rather than the bench table conventions.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -126,8 +125,8 @@ Table run_hijack(Ctx& ctx) {
 
   ctx.out.raw(
       "launching %zu malicious flows against 2000 legitimate ones "
-      "(t_R = 8.37 s), %zu seeded trials on %zu worker(s)...\n\n",
-      bots, trials, ctx.runner.threads());
+      "(t_R = 8.37 s), %zu seeded trials...\n\n",
+      bots, trials);
   const auto results = ctx.runner.map(trials, [bots](std::size_t trial) {
     blink::Fig2Config cfg;
     cfg.malicious_flows = bots;
@@ -202,7 +201,7 @@ Table run_mitm(Ctx& ctx) {
   cfg.seed = ctx.knobs.u("seed");
   ctx.out.raw("PCC over a 20 Mbps bottleneck, 40 ms RTT — %s\n\n",
               attack ? "MitM ATTACK ACTIVE (pass nothing to disable)"
-                     : "clean run (pass --attack to enable the MitM)");
+                     : "clean run (pass --set attack=true to enable the MitM)");
 
   const auto r = pcc::run_pcc_experiment(cfg);
 
@@ -250,9 +249,10 @@ Table run_streaming(Ctx& ctx) {
   pytheas::PoisonConfig cfg;
   cfg.bot_sessions = ctx.knobs.u("bots");
   ctx.out.raw(
-      "Pytheas group: 200 honest sessions + 40 bots (from epoch 30), "
+      "Pytheas group: 200 honest sessions + %zu bots (from epoch 30), "
       "%s\n\n",
-      defend ? "DEFENSE ON" : "defense off (--defend)");
+      cfg.bot_sessions,
+      defend ? "DEFENSE ON" : "defense off (--set defend=true)");
 
   std::shared_ptr<supervisor::PytheasGuard> guard;
   if (defend) guard = std::make_shared<supervisor::PytheasGuard>();
@@ -495,7 +495,7 @@ Table run_steering(Ctx& ctx) {
       "edge PoP with peering paths: 0 (10 ms), 1 (14 ms), "
       "2 (25 ms, ATTACKER-TAPPED)\n%s\n\n",
       attack ? "MitM degrading paths 0 and 1 from t = 10 s"
-             : "no attack (pass --attack to enable)");
+             : "no attack (pass --set attack=true to enable)");
 
   const auto r = egress::run_egress_attack_experiment(cfg);
 

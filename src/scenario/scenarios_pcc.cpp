@@ -115,7 +115,7 @@ Table run_oscillation(Ctx& ctx) {
   }
   ctx.out.note("epsilon_max bounds the attacker-induced oscillation — the "
                "paper's own countermeasure suggestion (cf. "
-               "bench_defenses).");
+               "defense.guards).");
   return Table{};
 }
 

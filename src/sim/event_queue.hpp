@@ -75,11 +75,6 @@ class Scheduler {
   [[nodiscard]] std::size_t queue_depth_high_water() const {
     return depth_hwm_;
   }
-  /// Cancelled-but-unreclaimed entries. Always 0 on the timing wheel —
-  /// cancel unlinks eagerly — kept so depth accounting reads uniformly
-  /// across scheduler implementations (and tests can pin the guarantee).
-  [[nodiscard]] std::size_t tombstones() const { return 0; }
-
   /// Hands out consecutive ordinals (0, 1, 2, ...) for entities that
   /// need their own RNG stream — links fork their RED AQM stream as
   /// Rng{seed}.fork(ordinal). Construction order is deterministic in a

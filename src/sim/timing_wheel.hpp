@@ -10,7 +10,7 @@
 // cascades toward level 0 as the cursor approaches — each event moves at
 // most 10 times, independent of queue depth.
 //
-// Ordering contract (the one the 17 scenario parity goldens depend on):
+// Ordering contract (the one the stdout goldens in tests/golden/ pin):
 // events fire in (time, scheduling order). Every bucket list is kept
 // sorted by the insertion sequence number:
 //   * direct inserts append at the tail (their seq is globally maximal);

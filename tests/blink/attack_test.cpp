@@ -78,9 +78,10 @@ TEST(PlanAttack, PaperScaleBotnetSuffices) {
 TEST(Fig2PacketLevel, ShortRunTracksTheory) {
   // Paper-scale population (2000 legit + 105 malicious flows) but a
   // shortened 160 s horizon to keep unit tests fast; the full 510 s / 50
-  // run version is bench_blink_fig2. Note the malicious flow *count*
-  // cannot be scaled down with the legit population: with fewer flows
-  // than cells the capturable-cell ceiling, not q_m, dominates.
+  // run version is `intox run blink.fig2 --set runs=50`. Note the
+  // malicious flow *count* cannot be scaled down with the legit
+  // population: with fewer flows than cells the capturable-cell ceiling,
+  // not q_m, dominates.
   Fig2Config cfg;
   cfg.trace.horizon = sim::seconds(160);
   cfg.seed = 7;

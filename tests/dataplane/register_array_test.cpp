@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dataplane/match_action.hpp"
-
 namespace intox::dataplane {
 namespace {
 
@@ -47,23 +45,6 @@ TEST(RegisterArray, ResetRestoresInitial) {
   r.write(2, 9);
   r.reset();
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(r.read(i), -1);
-}
-
-TEST(MatchActionTable, LookupFallsBackToDefault) {
-  MatchActionTable<int, std::string> t{"default"};
-  t.insert(1, "one");
-  EXPECT_EQ(t.lookup(1), "one");
-  EXPECT_EQ(t.lookup(2), "default");
-  EXPECT_TRUE(t.contains(1));
-  EXPECT_FALSE(t.contains(2));
-}
-
-TEST(MatchActionTable, EraseRemovesEntry) {
-  MatchActionTable<int, int> t{-1};
-  t.insert(5, 50);
-  EXPECT_TRUE(t.erase(5));
-  EXPECT_FALSE(t.erase(5));
-  EXPECT_EQ(t.lookup(5), -1);
 }
 
 }  // namespace

@@ -22,8 +22,6 @@ FINDING_RE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+): \[(?P<check>[a-z-]+)\]
 EXPECTED = {
     ("bench/bench_clock_bad.cpp", 9, "determinism"),
     ("bench/bench_clock_bad.cpp", 10, "determinism"),
-    ("bench/bench_cli_bad.cpp", 11, "cli"),
-    ("bench/bench_cli_bad.cpp", 12, "cli"),
     ("src/net/header_bad.hpp", 1, "header"),       # missing #pragma once
     ("src/net/header_bad.hpp", 4, "header"),       # <iostream>
     ("src/net/header_bad.hpp", 7, "header"),       # using namespace
@@ -91,8 +89,6 @@ def main():
     # Good twins and suppressed cases must be silent.
     noisy = {p for (p, _, _) in got}
     for quiet in [
-        "bench/bench_cli_good.cpp",
-        "bench/bench_cli_suppressed.cpp",
         "src/sim/determinism_good.cpp",
         "src/sim/determinism_suppressed.cpp",
         "src/validate/invariant_good.cpp",

@@ -10,8 +10,6 @@
 #include <initializer_list>
 #include <vector>
 
-#include "scenario/shim.hpp"
-
 namespace intox::scenario {
 namespace {
 
@@ -20,15 +18,6 @@ int run(std::initializer_list<const char*> args) {
   for (const char* a : args) argv.push_back(const_cast<char*>(a));
   argv.push_back(nullptr);
   return driver_main(static_cast<int>(args.size()), argv.data());
-}
-
-int shim(const char* scenario, std::initializer_list<const char*> args,
-         const LegacySpec& spec) {
-  std::vector<char*> argv;
-  for (const char* a : args) argv.push_back(const_cast<char*>(a));
-  argv.push_back(nullptr);
-  return run_legacy_shim(scenario, static_cast<int>(args.size()),
-                         argv.data(), spec);
 }
 
 using CliDeathTest = ::testing::Test;
@@ -138,41 +127,6 @@ TEST(CliDeathTest, KnobsUnknownScenarioExitsTwo) {
   EXPECT_EXIT(std::exit(run({"intox", "knobs", "no.such"})),
               ::testing::ExitedWithCode(2),
               "intox: unknown scenario 'no.such'");
-}
-
-TEST(CliDeathTest, ShimRejectsUnknownArgument) {
-  LegacySpec spec;
-  spec.value_flags = {{"--runs", "runs"}};
-  EXPECT_EXIT(
-      std::exit(shim("blink.fig2", {"bench_blink_fig2", "--frobs", "4"},
-                     spec)),
-      ::testing::ExitedWithCode(2), "intox: unknown argument '--frobs'");
-}
-
-TEST(CliDeathTest, ShimRejectsDanglingValueFlag) {
-  LegacySpec spec;
-  spec.value_flags = {{"--runs", "runs"}};
-  EXPECT_EXIT(
-      std::exit(shim("blink.fig2", {"bench_blink_fig2", "--runs"}, spec)),
-      ::testing::ExitedWithCode(2), "intox: --runs requires a value");
-}
-
-TEST(CliDeathTest, ShimForwardsMalformedValueToKnobParser) {
-  LegacySpec spec;
-  spec.value_flags = {{"--runs", "runs"}};
-  EXPECT_EXIT(std::exit(shim("blink.fig2",
-                             {"bench_blink_fig2", "--runs", "many"},
-                             spec)),
-              ::testing::ExitedWithCode(2),
-              "intox: knob 'runs' expects an unsigned integer");
-}
-
-TEST(CliDeathTest, ShimRejectsSecondPositional) {
-  LegacySpec spec;
-  spec.positional_knob = "bots";
-  EXPECT_EXIT(
-      std::exit(shim("blink.hijack", {"blink_hijack", "50", "60"}, spec)),
-      ::testing::ExitedWithCode(2), "intox: unknown argument '60'");
 }
 
 // --set and --sweep fighting over one knob used to resolve silently in

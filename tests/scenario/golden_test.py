@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Golden-stdout tests for the intox driver.
+
+  golden_test.py INTOX GOLDEN SCENARIO [driver args...]
+      `INTOX run SCENARIO args` must exit 0 and print exactly the bytes
+      of GOLDEN. Stderr, which carries wall-clock perf records, is
+      ignored.
+  golden_test.py --coverage INTOX GOLDEN_DIR [registered goldens...]
+      Every scenario `INTOX list` prints needs GOLDEN_DIR/<scenario>.txt,
+      and every GOLDEN_DIR/*.txt must be a registered golden.
+"""
+
+import shlex
+import subprocess
+import sys
+from itertools import zip_longest
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def shown(path):
+    """PATH relative to the repo root when it lives there."""
+    path = Path(path).resolve()
+    return path.relative_to(ROOT).as_posix() if ROOT in path.parents \
+        else str(path)
+
+
+def check_golden(intox, golden, scenario, args):
+    proc = subprocess.run([intox, "run", scenario, *args],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    if proc.returncode != 0:
+        sys.exit(f"intox run {scenario} exited {proc.returncode}")
+    want = Path(golden).read_bytes()
+    if proc.stdout == want:
+        return
+    pairs = zip_longest(want.splitlines(keepends=True),
+                        proc.stdout.splitlines(keepends=True), fillvalue=b"")
+    lineno, (w, g) = next(
+        (n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
+    binary = shown(intox)
+    if not binary.startswith("/"):
+        binary = "./" + binary
+    regen = shlex.join([binary, "run", scenario, *args])
+    sys.exit(f"stdout diverges from {shown(golden)} at line {lineno}:\n"
+             f"  golden: {w.decode(errors='replace')!r}\n"
+             f"  stdout: {g.decode(errors='replace')!r}\n"
+             f"regenerate from the repo root, then review the diff:\n"
+             f"  {regen} > {shown(golden)}")
+
+
+def check_coverage(intox, golden_dir, registered):
+    listing = subprocess.run([intox, "list"], stdout=subprocess.PIPE,
+                             text=True, check=True).stdout
+    on_disk = {p.name for p in Path(golden_dir).glob("*.txt")}
+    problems = [f"scenario {s} has no golden {s}.txt"
+                for s in (line.split()[0] for line in listing.splitlines())
+                if f"{s}.txt" not in on_disk]
+    problems += [f"{name} has no registered golden test"
+                 for name in sorted(on_disk - set(registered))]
+    if problems:
+        sys.exit("\n".join(problems))
+
+
+def main():
+    args = sys.argv[1:]
+    if len(args) >= 3 and args[0] == "--coverage":
+        check_coverage(args[1], args[2], args[3:])
+    elif len(args) >= 3:
+        check_golden(args[0], args[1], args[2], args[3:])
+    else:
+        sys.exit(__doc__.strip())
+
+
+if __name__ == "__main__":
+    main()

@@ -85,7 +85,7 @@ TEST(TimingWheel, CascadeDescendsThroughAllLevels) {
 TEST(TimingWheel, CascadePreservesFifoWithinInstant) {
   // Many same-timestamp events parked at a high level must replay their
   // insertion order exactly after cascading to level 0 — this is the
-  // property the 17 scenario parity goldens rest on.
+  // property the scenario stdout goldens rest on.
   TimingWheel w;
   const Time t = 70000;  // level 2 from cursor 0
   std::vector<int> order;

@@ -189,30 +189,6 @@ void check_invariants(const FileClass& fc, const TokenStream& toks,
   }
 }
 
-// ---------------------------------------------------------------------------
-// cli
-
-// Bench and example binaries must not parse their command line by hand:
-// the scenario registry owns knob declaration and the intox driver owns
-// strict --set/--sweep/--config validation, so a binary that indexes
-// argv reinvents (and inevitably weakens) that contract. Shim mains
-// forward argc/argv wholesale to intox::scenario::run_legacy_shim.
-void check_cli(const FileClass& fc, const TokenStream& toks,
-               std::vector<Finding>& out) {
-  if (!fc.in_bench && !fc.in_examples) return;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokenKind::kIdentifier || t.text != "argv") continue;
-    if (toks[i + 1].text != "[") continue;
-    out.push_back(
-        {fc.rel_path, t.line, "cli",
-         "hand-rolled argv parsing in a bench/example binary; declare a "
-         "scenario knob and forward the command line through "
-         "intox::scenario::run_legacy_shim (src/scenario/) so strict "
-         "--set/--sweep validation stays in one place"});
-  }
-}
-
 const std::regex& metric_name_regex() {
   // family.name[.more]: lowercase dotted components, digits and
   // underscores allowed after the leading letter.
@@ -264,7 +240,6 @@ FileClass classify(const std::string& rel_path) {
   };
   fc.in_src = starts_with("src/");
   fc.in_bench = starts_with("bench/");
-  fc.in_examples = starts_with("examples/");
   fc.in_tests = starts_with("tests/");
   auto ends_with = [&](std::string_view suffix) {
     return rel_path.size() >= suffix.size() &&
@@ -277,7 +252,7 @@ FileClass classify(const std::string& rel_path) {
 
 const std::vector<std::string>& check_names() {
   static const std::vector<std::string> names = {
-      "determinism", "invariant", "metrics", "header", "cli", "pragma"};
+      "determinism", "invariant", "metrics", "header", "pragma"};
   return names;
 }
 
@@ -287,14 +262,12 @@ void Checker::scan_file(const FileClass& fc, const TokenStream& toks,
   // src/validate/invariant.hpp; every other check still applies there.
   const bool is_macro_home = fc.rel_path == "src/validate/invariant.hpp";
 
-  if (fc.in_src || fc.in_bench || fc.in_examples)
-    check_determinism(fc, toks, out);
+  if (fc.in_src || fc.in_bench) check_determinism(fc, toks, out);
   if (!is_macro_home) check_invariants(fc, toks, out);
   check_headers(fc, toks, out);
-  check_cli(fc, toks, out);
 
   // metrics: record registration sites; duplicates resolve in finish().
-  if (fc.in_src || fc.in_bench || fc.in_examples) {
+  if (fc.in_src || fc.in_bench) {
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
       const Token& t = toks[i];
       if (t.kind != TokenKind::kIdentifier ||

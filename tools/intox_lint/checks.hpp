@@ -4,7 +4,7 @@
 //   determinism  Trial results must be a pure function of the seed.
 //                Bans entropy/wall-clock reads (std::random_device,
 //                rand/srand, time/gettimeofday, <chrono> clock types)
-//                in src/, bench/ and examples/, and literal-seeded
+//                in src/ and bench/, and literal-seeded
 //                Rng construction in src/ (seeds must be forked or
 //                plumbed from config so `--threads` cannot perturb
 //                them). Perf-timing clocks carry a justified
@@ -27,12 +27,6 @@
 //                at header scope, and no <iostream> in src/ headers
 //                (hot-path translation units must not inherit stream
 //                globals and their static initializers).
-//
-//   cli          Bench/example binaries are thin shims onto the
-//                scenario registry; indexing argv there is hand-rolled
-//                argument parsing that bypasses the driver's strict
-//                --set/--sweep validation. Forward argc/argv to
-//                intox::scenario::run_legacy_shim instead.
 //
 //   pragma       Suppressions are themselves linted: an allow(...)
 //                with no `-- justification` trailer, an unknown check
@@ -65,7 +59,6 @@ struct FileClass {
   std::string rel_path;
   bool in_src = false;
   bool in_bench = false;
-  bool in_examples = false;
   bool in_tests = false;
   bool is_header = false;
 };

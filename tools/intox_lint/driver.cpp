@@ -18,8 +18,7 @@ namespace fs = std::filesystem;
 namespace intox::lint {
 namespace {
 
-const std::vector<std::string> kDefaultPaths = {"src", "bench", "examples",
-                                                "tests"};
+const std::vector<std::string> kDefaultPaths = {"src", "bench", "tests"};
 
 bool has_lintable_extension(const fs::path& p) {
   const std::string ext = p.extension().string();

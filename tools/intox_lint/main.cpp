@@ -4,7 +4,7 @@
 //              [--list-checks] [PATH...]
 //
 // PATHs are files or directories relative to --root (default: src,
-// bench, examples, tests). Exit status: 0 clean, 1 findings, 2 usage
+// bench, tests). Exit status: 0 clean, 1 findings, 2 usage
 // or I/O error. Findings print as `path:line: [check] message` on
 // stdout; the summary goes to stderr.
 #include <cstring>
@@ -20,7 +20,7 @@ int usage(std::ostream& out, int status) {
   out << "usage: intox_lint [--root DIR] [--baseline FILE] [--check NAME]...\n"
          "                  [--list-checks] [PATH...]\n"
          "\n"
-         "Scans PATHs (default: src bench examples tests, relative to\n"
+         "Scans PATHs (default: src bench tests, relative to\n"
          "--root) for violations of the project's determinism, invariant,\n"
          "metrics, and header conventions. Suppress a finding with\n"
          "`// intox-lint: allow(<check>)  -- justification` on the same or\n"
