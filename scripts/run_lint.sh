@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # Runs the full static-analysis stack:
 #
-#   1. intox_lint        project-specific checks (determinism, invariant
-#                        hygiene, metric naming, header hygiene); built
-#                        from tools/intox_lint via the `lint` preset
-#   2. intox_analyze     whole-program semantic checks over the exported
-#                        compile database (async-signal-safety,
-#                        determinism taint, lock-order cycles, atomic
-#                        memory-order policy)
-#   3. clang-tidy        curated .clang-tidy profile over every entry in
+#   1. intox_analyze     project-specific checks in one pass: per-file
+#                        conventions (determinism, invariant hygiene,
+#                        metric naming, header hygiene) and whole-program
+#                        checks over the call graph (async-signal-safety,
+#                        hash-order taint, lock-order cycles, atomic
+#                        memory-order policy); built via the `lint` preset
+#   2. clang-tidy        curated .clang-tidy profile over every entry in
 #                        the lint preset's compile_commands.json
-#   4. clang-format      --dry-run -Werror diff gate over tracked C++
+#   3. clang-format      --dry-run -Werror diff gate over tracked C++
 #
-# Tools 3 and 4 are skipped with a warning when the host lacks them
+# Tools 2 and 3 are skipped with a warning when the host lacks them
 # (the container toolchain is gcc-only); CI passes --require-tidy
 # --require-format so the gate cannot silently soften there.
 #
@@ -33,33 +32,18 @@ done
 
 status=0
 
-# --- 1. intox_lint ---------------------------------------------------------
+# --- 1. intox_analyze ------------------------------------------------------
 if [ ! -f build-lint/CMakeCache.txt ]; then
   cmake --preset lint > /dev/null
 fi
-cmake --build build-lint --target intox_lint -j "$(nproc)" > /dev/null
-
-echo "== intox_lint =="
-if ./build-lint/tools/intox_lint/intox_lint \
-    --root . --baseline tools/intox_lint/baseline.txt; then
-  :
-else
-  status=1
-fi
-
-# --- 2. intox_analyze ------------------------------------------------------
 cmake --build build-lint --target intox_analyze -j "$(nproc)" > /dev/null
 
 echo "== intox_analyze =="
-if ./build-lint/tools/intox_analyze/intox_analyze \
-    --root . --compdb build-lint/compile_commands.json \
-    --baseline tools/intox_analyze/baseline.txt; then
-  :
-else
+if ! ./build-lint/tools/intox_analyze/intox_analyze --root .; then
   status=1
 fi
 
-# --- 3. clang-tidy ---------------------------------------------------------
+# --- 2. clang-tidy ---------------------------------------------------------
 echo "== clang-tidy =="
 if command -v clang-tidy > /dev/null; then
   # Files from the compile database only: every TU the build compiles
@@ -98,7 +82,7 @@ else
   echo "clang-tidy not installed; skipping (CI runs it with --require-tidy)"
 fi
 
-# --- 4. clang-format -------------------------------------------------------
+# --- 3. clang-format -------------------------------------------------------
 echo "== clang-format =="
 if command -v clang-format > /dev/null; then
   mapfile -t cxx_files < <(git ls-files '*.cpp' '*.hpp' \

@@ -57,9 +57,9 @@ struct Tracer {
   std::uint32_t next_tid = 1;
   // Trace timestamps measure the host, not the simulation; they never
   // feed back into trial results or stdout.
-  // intox-lint: allow(determinism)  -- host-side trace timestamps only
+  // intox-analyze: allow(determinism, host-side trace timestamps only)
   std::chrono::steady_clock::time_point epoch =
-      // intox-lint: allow(determinism)  -- host-side trace timestamps only
+      // intox-analyze: allow(determinism, host-side trace timestamps only)
       std::chrono::steady_clock::now();
   bool atexit_installed = false;
 };
@@ -130,7 +130,7 @@ std::string trace_path() {
 
 double trace_now_us() {
   // Host-time span timestamps; see Tracer::epoch.
-  // intox-lint: allow(determinism)  -- host-side trace timestamps only
+  // intox-analyze: allow(determinism, host-side trace timestamps only)
   const auto dt = std::chrono::steady_clock::now() - tracer().epoch;
   return std::chrono::duration<double, std::micro>(dt).count();
 }

@@ -286,13 +286,13 @@ Table run_e2e(Ctx& ctx) {
   // Time the simulation span and record injected-packets/sec as a perf
   // sweep. Goes to stderr + the BENCH json only, never stdout, so the
   // scenario's stdout golden is unaffected.
-  // intox-lint: allow(determinism)  -- perf timing only, never stdout
+  // intox-analyze: allow(determinism, perf timing only, never stdout)
   const auto wall_start = std::chrono::steady_clock::now();
   pop.start_all();
   sched.run_until(trace.horizon);
   pop.stop_all();
   const std::chrono::duration<double> wall =
-      // intox-lint: allow(determinism)  -- perf timing only, never stdout
+      // intox-analyze: allow(determinism, perf timing only, never stdout)
       std::chrono::steady_clock::now() - wall_start;
   {
     obs::SweepPerf perf;

@@ -38,7 +38,7 @@ void ParallelRunner::dispatch(std::size_t n_trials,
                               const std::function<void(std::size_t)>& body) {
   // Shard wall-clock timing is perf telemetry (stderr / run report
   // only); trial *results* depend solely on Rng::fork(i).
-  // intox-lint: allow(determinism)  -- perf telemetry, not results
+  // intox-analyze: allow(determinism, perf telemetry, not results)
   const auto start = std::chrono::steady_clock::now();
   obs::TraceSpan span{"runner.dispatch", "runner"};
   INTOX_INVARIANT(threads_ >= 1, "runner resolved to zero workers");
@@ -58,7 +58,7 @@ void ParallelRunner::dispatch(std::size_t n_trials,
 
     auto worker = [&](std::size_t shard) {
       obs::TraceSpan shard_span{"runner.shard", "runner"};
-      // intox-lint: allow(determinism)  -- per-shard perf telemetry
+      // intox-analyze: allow(determinism, per-shard perf telemetry)
       const auto shard_start = std::chrono::steady_clock::now();
       std::size_t claimed = 0;
       for (;;) {
@@ -76,7 +76,7 @@ void ParallelRunner::dispatch(std::size_t n_trials,
         }
       }
       shard_seconds[shard] = std::chrono::duration<double>(
-          // intox-lint: allow(determinism)  -- per-shard perf telemetry
+          // intox-analyze: allow(determinism, per-shard perf telemetry)
           std::chrono::steady_clock::now() - shard_start).count();
       shard_span.arg0("trials", claimed);
     };
@@ -89,7 +89,7 @@ void ParallelRunner::dispatch(std::size_t n_trials,
   }
 
   const auto elapsed = std::chrono::duration<double>(
-      // intox-lint: allow(determinism)  -- dispatch perf telemetry
+      // intox-analyze: allow(determinism, dispatch perf telemetry)
       std::chrono::steady_clock::now() - start);
   if (workers <= 1) shard_seconds.assign(1, elapsed.count());
   report_ = RunReport{n_trials, workers, elapsed.count(),

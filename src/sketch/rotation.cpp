@@ -37,10 +37,10 @@ void RotatingBloom::rotate() {
   // Shared with sketch/attack.cpp on purpose: both paths feed one
   // process-wide saturation signal, whichever sketch variant ran.
   static obs::Counter& collisions =
-      // intox-lint: allow(metrics)  -- shared with attack.cpp on purpose
+      // intox-analyze: allow(metrics, shared with attack.cpp on purpose)
       obs::Registry::global().counter("sketch.collisions");
   static obs::Gauge& fill_hwm =
-      // intox-lint: allow(metrics)  -- shared with attack.cpp on purpose
+      // intox-analyze: allow(metrics, shared with attack.cpp on purpose)
       obs::Registry::global().gauge("sketch.fill_ratio_hwm");
   rotations.add(1);
   if (filter_.collisions()) collisions.add(filter_.collisions());

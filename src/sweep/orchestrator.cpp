@@ -430,7 +430,7 @@ int sweep_main(int argc, char** argv) {
   std::atomic<std::size_t> failed{0};
   // Orchestration wall time is perf telemetry (stderr + BENCH_SWEEP
   // report); point *results* are content-addressed and deterministic.
-  // intox-lint: allow(determinism)  -- perf telemetry, not results
+  // intox-analyze: allow(determinism, perf telemetry, not results)
   const auto start = std::chrono::steady_clock::now();
 
   std::size_t workers = 0;
@@ -510,7 +510,7 @@ int sweep_main(int argc, char** argv) {
   c_failed.add(failed.load(std::memory_order_relaxed));
 
   const double wall = std::chrono::duration<double>(
-      // intox-lint: allow(determinism)  -- orchestration perf telemetry
+      // intox-analyze: allow(determinism, orchestration perf telemetry)
       std::chrono::steady_clock::now() - start).count();
   obs::SweepPerf perf;
   perf.name = "sweep.orchestrator";

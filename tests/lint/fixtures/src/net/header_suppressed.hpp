@@ -4,7 +4,7 @@
 #pragma once
 
 // This fixture header exists to print; the include is the point.
-// intox-lint: allow(header)  -- printing is this header's purpose
+// intox-analyze: allow(header, printing is this header's purpose)
 #include <iostream>
 
 namespace intox::fixture {

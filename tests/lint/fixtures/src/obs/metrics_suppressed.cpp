@@ -11,7 +11,7 @@ void primary_site() {
 
 void secondary_site() {
   // Both call paths feed one aggregate on purpose.
-  // intox-lint: allow(metrics)  -- intentionally shared aggregate
+  // intox-analyze: allow(metrics, intentionally shared aggregate)
   obs::Registry::global().counter("fixture.shared_total");
 }
 

@@ -1,4 +1,4 @@
-// Fixture: every determinism finding must fire (see lint_fixture_test).
+// Fixture: every determinism finding must fire (see analyze_fixture_test).
 #include <chrono>
 #include <cstdlib>
 #include <ctime>

@@ -8,9 +8,9 @@ namespace intox::fixture {
 
 double perf_timer_seconds() {
   // Perf telemetry only, never feeds trial results.
-  // intox-lint: allow(determinism)  -- perf telemetry only
+  // intox-analyze: allow(determinism, perf telemetry only)
   const auto start = std::chrono::steady_clock::now();
-  // intox-lint: allow(determinism)  -- perf telemetry only
+  // intox-analyze: allow(determinism, perf telemetry only)
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(stop - start).count();
 }

@@ -10,7 +10,7 @@ void checked_consume(std::atomic<int>& tokens) {
   // fetch_sub is the point: the invariant asserts the *old* value was
   // positive while consuming one token. Disabled builds accept the
   // skew; documented at the call site.
-  // intox-lint: allow(invariant)  -- consuming check is the point
+  // intox-analyze: allow(invariant, consuming check is the point)
   INTOX_INVARIANT(tokens.fetch_sub(1) > 0, "token bucket underflow");
 }
 

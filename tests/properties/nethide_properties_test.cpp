@@ -15,6 +15,14 @@ struct TopoParam {
   std::size_t size;
 };
 
+// Names the ctest entries (`…/grid_3`); gtest's default byte dump would
+// include the struct's uninitialized padding.
+void PrintTo(const TopoParam& param, std::ostream* os) {
+  static constexpr const char* kNames[] = {"grid", "ring", "leaf_spine",
+                                           "random"};
+  *os << kNames[static_cast<int>(param.family)] << "_" << param.size;
+}
+
 Topology build(const TopoParam& param) {
   switch (param.family) {
     case Family::kGrid:

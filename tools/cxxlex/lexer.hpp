@@ -1,6 +1,6 @@
-// Tokenizer shared by the intox static-analysis tools: comments and
-// literals are handled exactly (including raw strings and line
-// continuations), so checks never fire on commented-out or quoted code.
+// Tokenizer of the intox static analyzer: comments and literals are
+// handled exactly (including raw strings and line continuations), so
+// checks never fire on commented-out or quoted code.
 #pragma once
 
 #include <string_view>

@@ -1,9 +1,9 @@
-// Token model shared by the intox static-analysis tools.
+// Token model of the intox static analyzer.
 //
-// The tools (intox_lint, intox_analyze) do not parse C++ — they scan
-// a token stream plus raw lines, which is exactly enough for the
-// project-specific conventions they enforce and keeps them
-// dependency-free so they build everywhere CI does (no libclang).
+// intox_analyze does not parse C++ — it scans a token stream plus raw
+// lines, which is exactly enough for the project-specific conventions
+// it enforces and keeps it dependency-free so it builds everywhere CI
+// does (no libclang).
 #pragma once
 
 #include <string>

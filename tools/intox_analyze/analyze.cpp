@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <regex>
 #include <set>
@@ -10,14 +11,79 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "compdb.hpp"
+#include "lexer.hpp"
 
 namespace fs = std::filesystem;
 
 namespace intox::analyze {
 namespace {
 
-const std::vector<std::string> kDefaultPaths = {"src", "tools"};
+const std::vector<std::string> kDefaultPaths = {"src", "bench", "tests",
+                                                "tools"};
+
+bool is_cpp_file(const fs::path& p) {
+  const std::string ext = p.extension().string();
+  return ext == ".cpp" || ext == ".cc" || ext == ".cxx" || ext == ".hpp" ||
+         ext == ".h";
+}
+
+// Directories that are never scanned: build trees and the fixture
+// corpora (known-bad on purpose; the tests scan them with an explicit
+// --root).
+bool is_skipped_dir(const fs::path& p) {
+  const std::string name = p.filename().string();
+  return name == ".git" || name == "fixtures" ||
+         name.rfind("build", 0) == 0;
+}
+
+std::string to_rel(const fs::path& p, const fs::path& root) {
+  return p.lexically_relative(root).generic_string();
+}
+
+// Repo-relative paths of every C++ file under the selected paths,
+// sorted so scan order (and with it "first registration" attribution)
+// is deterministic.
+std::vector<std::string> collect_files(const Options& opts) {
+  if (!fs::is_directory(opts.root)) {
+    throw std::runtime_error("intox_analyze: root is not a directory: " +
+                             opts.root);
+  }
+  const fs::path root = fs::absolute(opts.root).lexically_normal();
+  const bool defaults = opts.paths.empty();
+  std::vector<std::string> out;
+  for (const std::string& s : defaults ? kDefaultPaths : opts.paths) {
+    const fs::path base = (root / s).lexically_normal();
+    if (fs::is_regular_file(base)) {
+      if (is_cpp_file(base)) out.push_back(to_rel(base, root));
+      continue;
+    }
+    if (!fs::is_directory(base)) {
+      // A missing default directory is fine (a fixture mini-repo may
+      // only have src/); a path the user named must exist.
+      if (defaults) continue;
+      throw std::runtime_error("intox_analyze: no such file or directory: " +
+                               (fs::path(opts.root) / s).string());
+    }
+    fs::recursive_directory_iterator it(base), end;
+    for (; it != end; ++it) {
+      if (it->is_directory() && is_skipped_dir(it->path())) {
+        it.disable_recursion_pending();
+        continue;
+      }
+      if (it->is_regular_file() && is_cpp_file(it->path()))
+        out.push_back(to_rel(it->path(), root));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  // A gate that scanned nothing proves nothing: a wrong --root must not
+  // pass as a clean run.
+  if (out.empty()) {
+    throw std::runtime_error("intox_analyze: no C++ files to scan under " +
+                             opts.root);
+  }
+  return out;
+}
 
 std::string read_file(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
@@ -28,38 +94,30 @@ std::string read_file(const fs::path& p) {
   return ss.str();
 }
 
-std::vector<std::string> collect_files(const Options& opts) {
-  const std::vector<std::string>& subtrees =
-      opts.paths.empty() ? kDefaultPaths : opts.paths;
-  std::vector<std::string> files = walk_files(opts.root, subtrees);
-  if (!opts.compdb_path.empty()) {
-    // The compile DB is authoritative for translation units: keep its
-    // TU set (validating the export), plus all walked headers.
-    const std::set<std::string> tus = [&] {
-      const auto v = compdb_files(opts.compdb_path, opts.root, subtrees);
-      return std::set<std::string>(v.begin(), v.end());
-    }();
-    auto ends_with = [](const std::string& s, const std::string& suf) {
-      return s.size() >= suf.size() &&
-             s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-    };
-    std::vector<std::string> merged;
-    for (const std::string& f : files) {
-      if (ends_with(f, ".hpp") || ends_with(f, ".h") || tus.count(f))
-        merged.push_back(f);
-    }
-    files = std::move(merged);
+// Reads and tokenizes every selected file once, in scan order, and
+// indexes it; `visit` sees each file before it is indexed.
+Index scan(const Options& opts,
+           const std::function<void(const std::string& rel,
+                                    const std::string& source,
+                                    const cxxlex::TokenStream& toks)>& visit) {
+  Index index;
+  for (const std::string& rel : collect_files(opts)) {
+    const std::string source = read_file(fs::path(opts.root) / rel);
+    const cxxlex::TokenStream toks = cxxlex::tokenize(source);
+    if (visit) visit(rel, source, toks);
+    index_file(rel, source, toks, index);
   }
-  return files;
+  finalize_index(index);
+  return index;
 }
 
-struct Suppression {
-  std::string check;
-  bool justified = false;
-};
+bool is_check(const std::string& name) {
+  const auto& known = check_names();
+  return std::find(known.begin(), known.end(), name) != known.end();
+}
 
-// line -> suppressions declared on that line.
-using SuppressionMap = std::map<int, std::vector<Suppression>>;
+// line -> the check a pragma on that line allows.
+using SuppressionMap = std::map<int, std::string>;
 
 SuppressionMap parse_suppressions(const std::string& source,
                                   const std::string& rel_path,
@@ -78,101 +136,38 @@ SuppressionMap parse_suppressions(const std::string& source,
     std::string check = body.substr(0, comma);
     check.erase(0, check.find_first_not_of(" \t"));
     check.erase(check.find_last_not_of(" \t") + 1);
-    std::string why =
-        comma == std::string::npos ? "" : body.substr(comma + 1);
-    why.erase(0, why.find_first_not_of(" \t"));
-    why.erase(why.find_last_not_of(" \t") + 1);
-    const auto& known = check_names();
-    if (std::find(known.begin(), known.end(), check) == known.end()) {
-      malformed.push_back(
-          {rel_path, lineno, "pragma",
-           "unknown check '" + check +
-               "' in intox-analyze pragma (see --list-checks)"});
-      continue;
-    }
-    if (why.empty()) {
+    const bool justified =
+        comma != std::string::npos &&
+        body.find_first_not_of(" \t", comma + 1) != std::string::npos;
+    if (!is_check(check)) {
+      malformed.push_back({rel_path, lineno, "pragma",
+                           "unknown check '" + check +
+                               "' in pragma (see --list-checks)"});
+    } else if (!justified) {
       malformed.push_back(
           {rel_path, lineno, "pragma",
            "suppression for '" + check +
                "' has no justification; write allow(" + check +
                ", why this is safe here)"});
-      continue;
+    } else {
+      out[lineno] = check;
     }
-    out[lineno].push_back({check, true});
-  }
-  return out;
-}
-
-struct BaselineEntry {
-  std::string path;
-  std::string check;
-  int allowed = 0;
-  int used = 0;
-};
-
-std::vector<BaselineEntry> load_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("intox_analyze: cannot read baseline: " + path);
-  }
-  std::vector<BaselineEntry> out;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line.erase(0, line.find_first_not_of(" \t"));
-    line.erase(line.find_last_not_of(" \t\r") + 1);
-    if (line.empty()) continue;
-    const auto last = line.rfind(':');
-    const auto mid = last == std::string::npos ? std::string::npos
-                                               : line.rfind(':', last - 1);
-    if (mid == std::string::npos) {
-      throw std::runtime_error("intox_analyze: malformed baseline line " +
-                               std::to_string(lineno) +
-                               " (want path:check:count): " + line);
-    }
-    BaselineEntry e;
-    e.path = line.substr(0, mid);
-    e.check = line.substr(mid + 1, last - mid - 1);
-    try {
-      e.allowed = std::stoi(line.substr(last + 1));
-    } catch (const std::exception&) {
-      throw std::runtime_error("intox_analyze: bad count in baseline line " +
-                               std::to_string(lineno) + ": " + line);
-    }
-    out.push_back(std::move(e));
   }
   return out;
 }
 
 }  // namespace
 
-Index build_index(const Options& opts) {
-  const fs::path root(opts.root);
-  if (!fs::is_directory(root)) {
-    throw std::runtime_error("intox_analyze: root is not a directory: " +
-                             opts.root);
-  }
-  Index index;
-  for (const std::string& rel : collect_files(opts)) {
-    index_file(rel, read_file(root / rel), index);
-  }
-  finalize_index(index);
-  return index;
+const std::vector<std::string>& check_names() {
+  static const std::vector<std::string> kNames = {
+      "atomics", "determinism", "header",  "invariant", "lockorder",
+      "metrics", "pragma",      "sigsafe", "taint"};
+  return kNames;
 }
 
+Index build_index(const Options& opts) { return scan(opts, nullptr); }
+
 RunResult run_analyze(const Options& opts, std::ostream& explain_out) {
-  const fs::path root(opts.root);
-  if (!fs::is_directory(root)) {
-    throw std::runtime_error("intox_analyze: root is not a directory: " +
-                             opts.root);
-  }
-
-  std::vector<BaselineEntry> baseline;
-  if (!opts.baseline_path.empty()) baseline = load_baseline(opts.baseline_path);
-
   RunResult result;
   std::vector<Finding> raw;
 
@@ -182,80 +177,57 @@ RunResult run_analyze(const Options& opts, std::ostream& explain_out) {
   };
   std::map<std::string, FileState> files;
 
-  Index index;
-  for (const std::string& rel : collect_files(opts)) {
-    const std::string source = read_file(root / rel);
+  const Index index = scan(opts, [&](const std::string& rel,
+                                     const std::string& source,
+                                     const cxxlex::TokenStream& toks) {
     files[rel].suppressions = parse_suppressions(source, rel, raw);
-    index_file(rel, source, index);
-    ++result.files_scanned;
-  }
-  finalize_index(index);
+    check_tokens(rel, toks, raw);
+  });
+  result.files_scanned = static_cast<int>(files.size());
 
   const CallGraph graph(index);
+  auto explain_for = [&](const std::string& check) -> std::ostream* {
+    return opts.explain_check == check ? &explain_out : nullptr;
+  };
+  check_metrics(index, raw);
+  check_sigsafe(graph, raw, explain_for("sigsafe"));
+  check_taint(graph, raw, explain_for("taint"));
+  check_lockorder(graph, raw, explain_for("lockorder"));
+  check_atomics(graph, raw, explain_for("atomics"));
 
   auto check_enabled = [&](const std::string& check) {
     return opts.only_checks.empty() ||
            std::find(opts.only_checks.begin(), opts.only_checks.end(),
                      check) != opts.only_checks.end();
   };
-  auto explain_for = [&](const std::string& check) -> std::ostream* {
-    return opts.explain_check == check ? &explain_out : nullptr;
-  };
-
-  if (check_enabled("sigsafe") || opts.explain_check == "sigsafe")
-    check_sigsafe(graph, raw, explain_for("sigsafe"));
-  if (check_enabled("taint") || opts.explain_check == "taint")
-    check_taint(graph, raw, explain_for("taint"));
-  if (check_enabled("lockorder") || opts.explain_check == "lockorder")
-    check_lockorder(graph, raw, explain_for("lockorder"));
-  if (check_enabled("atomics") || opts.explain_check == "atomics")
-    check_atomics(graph, raw, explain_for("atomics"));
 
   for (Finding& f : raw) {
     if (!check_enabled(f.check)) continue;
     if (f.check != "pragma") {
       FileState& st = files[f.path];
-      bool suppressed = false;
-      for (int line : {f.line, f.line - 1}) {
+      const auto allowed = [&](int line) {
         const auto it = st.suppressions.find(line);
-        if (it == st.suppressions.end()) continue;
-        for (const Suppression& s : it->second) {
-          if (s.check == f.check) {
-            st.used_pragma_lines.insert(line);
-            suppressed = true;
-            break;
-          }
-        }
-        if (suppressed) break;
-      }
-      if (suppressed) {
+        return it != st.suppressions.end() && it->second == f.check;
+      };
+      const int line = allowed(f.line) ? f.line : f.line - 1;
+      if (allowed(line)) {
+        st.used_pragma_lines.insert(line);
         ++result.suppressed;
         continue;
       }
     }
-    bool baselined = false;
-    for (BaselineEntry& e : baseline) {
-      if (e.path == f.path && e.check == f.check && e.used < e.allowed) {
-        ++e.used;
-        baselined = true;
-        break;
-      }
-    }
-    (baselined ? result.baselined : result.findings).push_back(std::move(f));
+    result.findings.push_back(std::move(f));
   }
 
   // Stale pragmas rot the suppression inventory; only meaningful when
   // every check ran.
   if (opts.only_checks.empty()) {
     for (auto& [path, st] : files) {
-      for (const auto& [line, supps] : st.suppressions) {
+      for (const auto& [line, check] : st.suppressions) {
         if (st.used_pragma_lines.count(line)) continue;
-        std::string joined;
-        for (const Suppression& s : supps)
-          joined += (joined.empty() ? "" : ", ") + s.check;
         result.findings.push_back(
             {path, line, "pragma",
-             "suppression for '" + joined +
+             "suppression for '" + check +
                  "' matches no finding; delete the stale pragma"});
       }
     }

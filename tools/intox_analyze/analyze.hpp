@@ -1,11 +1,12 @@
-// Driver: file collection, indexing, suppression/baseline accounting.
+// Driver: file collection, indexing, suppression accounting.
 //
 // Suppression syntax: an "intox-analyze:" comment with an
 // allow(check, justification) clause on the finding's line or the line
-// directly above it. The justification after the first comma is
-// mandatory; a bare allow(check) is itself a finding, as is a
-// suppression that suppresses nothing (stale) or names an unknown
-// check. (The syntax is spelled indirectly here so the analyzer does
+// directly above it. A pragma names one check, and the justification
+// after the first comma is mandatory; a bare allow(check) is itself a
+// finding, as is a suppression that suppresses nothing (stale) or names
+// an unknown check. A justified pragma is the only way to excuse a
+// finding. (The syntax is spelled indirectly here so the analyzer does
 // not parse this header comment as a pragma.)
 #pragma once
 
@@ -20,28 +21,24 @@ namespace intox::analyze {
 
 struct Options {
   std::string root = ".";
-  /// Optional compile_commands.json; when set, translation units come
-  /// from it (validating that the build actually exports them) and only
-  /// headers are discovered by directory walk.
-  std::string compdb_path;
-  /// Subtrees (relative to root) to analyze; default src/ and tools/.
+  /// Files or subtrees (relative to root) to analyze; default src,
+  /// bench, tests and tools. A named path must exist.
   std::vector<std::string> paths;
   std::vector<std::string> only_checks;
-  std::string baseline_path;
   /// When non-empty, print that check's evidence (reachable sets, lock
   /// edges, pairing tables) to stdout before the findings.
   std::string explain_check;
 };
 
 struct RunResult {
-  std::vector<Finding> findings;   // fail the run
-  std::vector<Finding> baselined;  // matched a baseline allowance
+  std::vector<Finding> findings;  // fail the run
   int files_scanned = 0;
   int suppressed = 0;
 };
 
 /// Builds the index over the configured file set (no checks run). Used
-/// by --dump-metric-names and the tests.
+/// by --dump-metric-names. Throws std::runtime_error on unusable input
+/// (missing root or path, nothing to scan), as run_analyze does.
 Index build_index(const Options& opts);
 
 RunResult run_analyze(const Options& opts, std::ostream& explain_out);

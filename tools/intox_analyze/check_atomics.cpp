@@ -135,10 +135,4 @@ void check_atomics(const CallGraph& graph, std::vector<Finding>& out,
   }
 }
 
-const std::vector<std::string>& check_names() {
-  static const std::vector<std::string> kNames = {"atomics", "lockorder",
-                                                  "sigsafe", "taint"};
-  return kNames;
-}
-
 }  // namespace intox::analyze

@@ -1,5 +1,3 @@
-#include <algorithm>
-#include <array>
 #include <set>
 
 #include "checks.hpp"
@@ -30,20 +28,6 @@ const std::set<std::string>& sigsafe_allowlist() {
       "strncmp",    "strncpy",    "strrchr",     "strstr",     "symlink",
       "time",       "umask",      "uname",       "unlink",     "write"};
   return kAllow;
-}
-
-// DangerEvents fatal on the signal path. Clock mentions are excluded —
-// they are a determinism concern (check_taint), not a safety one.
-bool danger_is_signal_unsafe(const std::string& what) {
-  static const std::array<const char*, 9> kUnsafe = {
-      "new-expression",     "throw",
-      "std::string",        "std::cout",
-      "std::cerr",          "std::clog",
-      "std::ostringstream", "std::stringstream",
-      "std::istringstream"};
-  return std::find_if(kUnsafe.begin(), kUnsafe.end(), [&](const char* k) {
-           return what == k;
-         }) != kUnsafe.end();
 }
 
 std::string strip_qualifiers(const std::string& chain) {
@@ -100,7 +84,6 @@ void check_sigsafe(const CallGraph& graph, std::vector<Finding>& out,
                          c.name + "', which is not async-signal-safe"});
     }
     for (const DangerEvent& d : fn.dangers) {
-      if (!danger_is_signal_unsafe(d.what)) continue;
       out.push_back({fn.file, d.line, "sigsafe",
                      "'" + fn.qname + "' is on the fatal-signal path but uses " +
                          d.what + " (may allocate or throw)"});

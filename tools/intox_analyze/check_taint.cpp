@@ -1,42 +1,8 @@
-#include <algorithm>
-#include <array>
 #include <set>
 
 #include "checks.hpp"
 
 namespace intox::analyze {
-namespace {
-
-// libc entropy and wall-clock sources. Scenario code draws randomness
-// through sim::Rng (explicit seed, fork discipline) and time through the
-// simulated clock, so any of these on a scenario path makes runs
-// unreproducible.
-const std::set<std::string>& banned_calls() {
-  static const std::set<std::string> kBanned = {
-      "rand",     "srand",        "rand_r",     "random",
-      "srandom",  "drand48",      "lrand48",    "mrand48",
-      "time",     "gettimeofday", "clock",      "clock_gettime",
-      "timespec_get",             "getrandom",  "getentropy"};
-  return kBanned;
-}
-
-bool mention_is_nondeterministic(const std::string& what) {
-  static const std::array<const char*, 4> kBanned = {
-      "std::random_device", "std::chrono::system_clock",
-      "std::chrono::steady_clock", "std::chrono::high_resolution_clock"};
-  return std::find_if(kBanned.begin(), kBanned.end(), [&](const char* k) {
-           return what == k;
-         }) != kBanned.end();
-}
-
-std::string strip_qualifiers(const std::string& chain) {
-  std::string s = chain;
-  if (s.rfind("::", 0) == 0) s = s.substr(2);
-  if (s.rfind("std::", 0) == 0) s = s.substr(5);
-  return s;
-}
-
-}  // namespace
 
 void check_taint(const CallGraph& graph, std::vector<Finding>& out,
                  std::ostream* explain) {
@@ -65,27 +31,6 @@ void check_taint(const CallGraph& graph, std::vector<Finding>& out,
 
   for (int f : reach) {
     const FunctionDef& fn = index.functions[f];
-    for (const CallSite& c : fn.calls) {
-      if (!graph.resolve_call(f, c).empty()) continue;
-      if (!c.receiver.empty()) continue;
-      const std::string name = strip_qualifiers(c.name);
-      if (!banned_calls().count(name)) continue;
-      out.push_back({fn.file, c.line, "taint",
-                     "'" + fn.qname +
-                         "' is reachable from a scenario run function but "
-                         "calls '" + c.name +
-                         "' (nondeterministic source; use sim::Rng / the "
-                         "simulated clock)"});
-    }
-    for (const DangerEvent& d : fn.dangers) {
-      if (!mention_is_nondeterministic(d.what)) continue;
-      out.push_back({fn.file, d.line, "taint",
-                     "'" + fn.qname +
-                         "' is reachable from a scenario run function but "
-                         "uses " + d.what +
-                         " (nondeterministic source; use sim::Rng / the "
-                         "simulated clock)"});
-    }
     for (const UnorderedIter& it : fn.unordered_iters) {
       out.push_back({fn.file, it.line, "taint",
                      "'" + fn.qname +

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "lexer.hpp"
+#include "token.hpp"
 
 namespace intox::analyze {
 
@@ -56,15 +56,13 @@ bool is_unordered_type_name(const std::string& s) {
          s == "unordered_multimap" || s == "unordered_multiset";
 }
 
-// Qualified-name mentions the checks watch even when not called.
+// Qualified names that allocate or may throw: sigsafe flags a mention
+// even when it is not called.
 bool is_watched_mention(const std::string& chain) {
-  static const std::array<const char*, 12> kWatched = {
-      "std::string",        "std::cout",
-      "std::cerr",          "std::clog",
-      "std::ostringstream", "std::stringstream",
-      "std::istringstream", "std::random_device",
-      "random_device",      "std::chrono::system_clock",
-      "std::chrono::steady_clock", "std::chrono::high_resolution_clock"};
+  static const std::array<const char*, 7> kWatched = {
+      "std::string",       "std::cout",          "std::cerr",
+      "std::clog",         "std::ostringstream", "std::stringstream",
+      "std::istringstream"};
   return std::find_if(kWatched.begin(), kWatched.end(), [&](const char* k) {
            return chain == k;
          }) != kWatched.end();
@@ -911,10 +909,8 @@ class Indexer {
       return;
     }
 
-    // Watched mentions are recorded whether or not the chain is called:
-    // `std::chrono::steady_clock::now()` must register the clock even
-    // though the full chain is a call expression.
-    record_mentions(chain, line);
+    // Watched mentions are recorded whether or not the chain is called.
+    if (is_watched_mention(chain)) fn().dangers.push_back({chain, line});
     capture_var_decl(start, /*allow_paren_init=*/true);
     // Body-local `std::unordered_map<...> m` declarations: the chain
     // starts at `std`, so the per-token check in scan_body_token never
@@ -992,29 +988,6 @@ class Indexer {
 
     fn().calls.push_back({chain, receiver, line, seq_++});
     i_ = end;
-  }
-
-  // Chains containing a clock or random_device component are watched at
-  // any position ("steady_clock::now" under a using-declaration too);
-  // string/iostream names match the whole chain only.
-  void record_mentions(const std::string& chain, int line) {
-    std::istringstream parts(chain);
-    std::string comp;
-    bool recorded = false;
-    while (std::getline(parts, comp, ':')) {
-      if (comp.empty()) continue;
-      if (comp == "random_device") {
-        fn().dangers.push_back({"std::random_device", line});
-        recorded = true;
-      } else if (comp == "system_clock" || comp == "steady_clock" ||
-                 comp == "high_resolution_clock") {
-        fn().dangers.push_back({"std::chrono::" + comp, line});
-        recorded = true;
-      }
-    }
-    if (!recorded && is_watched_mention(chain)) {
-      fn().dangers.push_back({chain, line});
-    }
   }
 
   void record_scoped_lock(std::size_t j, int line) {
@@ -1200,9 +1173,8 @@ class Indexer {
 }  // namespace
 
 void index_file(const std::string& rel_path, const std::string& source,
-                Index& index) {
+                const cxxlex::TokenStream& toks, Index& index) {
   const std::size_t first_fn = index.functions.size();
-  const cxxlex::TokenStream toks = cxxlex::tokenize(source);
   Indexer(rel_path, toks, index).run();
 
   // Attach hot-lane markers from raw lines: a marker applies to the

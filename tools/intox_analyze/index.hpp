@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "token.hpp"
+
 namespace intox::analyze {
 
 /// One call site inside a function body. `name` is the callee text as
@@ -58,9 +60,8 @@ struct UnorderedIter {
   int line = 0;
 };
 
-/// A non-call token event the checks flag: "new-expression", "throw",
-/// or a mention of a watched qualified name ("std::string",
-/// "std::random_device", "std::chrono::steady_clock", ...).
+/// A non-call token event sigsafe flags: "new-expression", "throw", or
+/// a mention of an allocating name ("std::string", "std::cout", ...).
 struct DangerEvent {
   std::string what;
   int line = 0;
@@ -125,9 +126,10 @@ struct Index {
   std::map<std::string, std::set<std::string>> var_types;
 };
 
-/// Indexes one file's source into `index`. `rel_path` is repo-relative.
+/// Indexes one file into `index`: `toks` is `source` tokenized, and
+/// `rel_path` is repo-relative.
 void index_file(const std::string& rel_path, const std::string& source,
-                Index& index);
+                const cxxlex::TokenStream& toks, Index& index);
 
 /// Second pass after all files are indexed: resolves unordered-iteration
 /// events that were deferred because the container's declaration lives

@@ -1,12 +1,16 @@
-// intox_analyze — whole-program semantic checks over the intox tree.
+// intox_analyze — the intox tree's static analysis: per-file convention
+// checks and whole-program checks over the call graph, in one pass.
 //
 // Usage:
-//   intox_analyze [--root DIR] [--compdb FILE] [--baseline FILE]
-//                 [--check NAME]... [--explain NAME]
+//   intox_analyze [--root DIR] [--check NAME]... [--explain NAME]
 //                 [--dump-metric-names] [--list-checks] [PATH]...
 //
-// PATHs are subtrees relative to --root (default: src tools). Exit 0 on
-// a clean run, 1 when findings remain, 2 on usage/environment errors.
+// PATHs are files or subtrees relative to --root (default: src bench
+// tests tools). Findings print as `path:line: [check] message` on
+// stdout; the summary goes to stderr. Exit 0 on a clean run, 1 when
+// findings remain, 2 on usage/environment errors — including a check
+// name that does not exist, a PATH that does not exist, or a run that
+// finds no C++ files at all.
 #include <algorithm>
 #include <exception>
 #include <iostream>
@@ -19,11 +23,22 @@
 namespace {
 
 int usage(std::ostream& out, int code) {
-  out << "usage: intox_analyze [--root DIR] [--compdb FILE]\n"
-         "                     [--baseline FILE] [--check NAME]...\n"
+  out << "usage: intox_analyze [--root DIR] [--check NAME]...\n"
          "                     [--explain NAME] [--dump-metric-names]\n"
-         "                     [--list-checks] [PATH]...\n";
+         "                     [--list-checks] [PATH]...\n"
+         "\n"
+         "Scans PATHs (default: src bench tests tools, relative to --root).\n"
+         "Suppress a finding with an \"intox-analyze:\" comment holding\n"
+         "allow(<check>, <justification>) on the same or preceding line.\n";
   return code;
+}
+
+bool require_check(const std::string& name) {
+  const auto& known = intox::analyze::check_names();
+  if (std::find(known.begin(), known.end(), name) != known.end()) return true;
+  std::cerr << "intox_analyze: unknown check: " << name
+            << " (see --list-checks)\n";
+  return false;
 }
 
 }  // namespace
@@ -42,14 +57,12 @@ int main(int argc, char** argv) {
     };
     if (arg == "--root") {
       opts.root = next("--root");
-    } else if (arg == "--compdb") {
-      opts.compdb_path = next("--compdb");
-    } else if (arg == "--baseline") {
-      opts.baseline_path = next("--baseline");
     } else if (arg == "--check") {
       opts.only_checks.push_back(next("--check"));
+      if (!require_check(opts.only_checks.back())) return 2;
     } else if (arg == "--explain") {
       opts.explain_check = next("--explain");
+      if (!require_check(opts.explain_check)) return 2;
     } else if (arg == "--dump-metric-names") {
       dump_metric_names = true;
     } else if (arg == "--list-checks") {
@@ -66,28 +79,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto& known = intox::analyze::check_names();
-  for (const std::string& c : opts.only_checks) {
-    if (std::find(known.begin(), known.end(), c) == known.end()) {
-      std::cerr << "intox_analyze: unknown check: " << c
-                << " (see --list-checks)\n";
-      return 2;
-    }
-  }
-  if (!opts.explain_check.empty() &&
-      std::find(known.begin(), known.end(), opts.explain_check) ==
-          known.end()) {
-    std::cerr << "intox_analyze: unknown check: " << opts.explain_check
-              << " (see --list-checks)\n";
-    return 2;
-  }
-
   try {
     if (dump_metric_names) {
+      // The same product-code inventory the metrics check validates.
       const intox::analyze::Index index = intox::analyze::build_index(opts);
       std::set<std::string> names;
       for (const intox::analyze::MetricReg& m : index.metric_regs)
-        names.insert(m.name);
+        if (intox::analyze::in_product_code(m.file)) names.insert(m.name);
       for (const std::string& n : names) std::cout << n << "\n";
       return 0;
     }
@@ -96,9 +94,8 @@ int main(int argc, char** argv) {
         intox::analyze::run_analyze(opts, std::cout);
     intox::analyze::print_findings(std::cout, result.findings);
     std::cerr << "intox_analyze: " << result.files_scanned << " files, "
-              << result.findings.size() << " findings, "
-              << result.baselined.size() << " baselined, "
-              << result.suppressed << " suppressed\n";
+              << result.findings.size() << " findings, " << result.suppressed
+              << " suppressed\n";
     return result.findings.empty() ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
