@@ -62,21 +62,31 @@ void Scheduler::enable_oracle() {
   INTOX_INVARIANT(pending() == 0,
                   "oracle attached to a scheduler with %zu pending events "
                   "(the mirror starts empty)", pending());
-  oracle_ = std::make_unique<validate::SchedulerOracle>();
+  oracle_ = std::make_unique<validate::SchedulerOracle>(wheel_.next_seq());
 }
 
-Scheduler::EventId Scheduler::schedule_at(Time t, Callback cb) {
+Scheduler::EventId Scheduler::schedule(Time t,
+                                       std::optional<std::uint64_t> ticket,
+                                       Callback&& cb) {
   INTOX_INVARIANT(static_cast<bool>(cb),
                   "null callback scheduled at t=%lld would crash at fire "
                   "time", static_cast<long long>(t));
   if (!cb) return EventId{};  // counter-only mode: refuse, return invalid id
   if (t < now_) t = now_;
-  const EventId id = encode_id(wheel_.insert(t, std::move(cb)));
-  if (oracle_) oracle_->mirror_schedule(t, id.value, pending());
+  const EventId id = encode_id(
+      ticket ? wheel_.insert_reserved(t, *ticket, std::move(cb))
+             : wheel_.insert(t, std::move(cb)));
+  if (oracle_) oracle_->mirror_schedule(t, id.value, pending(), ticket);
   if (const std::size_t depth = pending(); depth > depth_hwm_) {
     depth_hwm_ = depth;
   }
   return id;
+}
+
+std::uint64_t Scheduler::reserve(std::uint64_t n) {
+  const std::uint64_t first = wheel_.reserve(n);
+  if (oracle_) oracle_->mirror_reserve(first, n);
+  return first;
 }
 
 Scheduler::EventId Scheduler::schedule_after(Duration d, Callback cb) {

@@ -5,9 +5,11 @@
 // Events scheduled for the same instant fire in scheduling order (FIFO),
 // which keeps runs fully deterministic; runs of same-timestamp events
 // drain straight out of one wheel bucket with no per-event re-ordering
-// work. Cancellation unlinks and reclaims in O(1) — there are no
-// tombstones — and a stale cancel (the event already fired, or its slab
-// slot was reused) is refused via the handle's generation tag.
+// work. A caller that schedules a chain of events lazily can reserve
+// their places in that order up front (reserve / schedule_reserved).
+// Cancellation unlinks and reclaims in O(1) — there are no tombstones —
+// and a stale cancel (the event already fired, or its slab slot was
+// reused) is refused via the handle's generation tag.
 //
 // A differential oracle (validate::SchedulerOracle, a sorted-vector
 // reference queue) can be attached — programmatically or with
@@ -18,6 +20,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "sim/time.hpp"
 #include "sim/timing_wheel.hpp"
@@ -50,13 +54,28 @@ class Scheduler {
   [[nodiscard]] Time now() const { return now_; }
 
   /// Schedules `cb` at absolute time `t` (clamped to now if in the past).
-  EventId schedule_at(Time t, Callback cb);
+  EventId schedule_at(Time t, Callback cb) {
+    return schedule(t, std::nullopt, std::move(cb));
+  }
 
   /// Schedules `cb` after `d` nanoseconds (clamped to >= 0). The add
   /// saturates at kTimeMax — a huge delay parks the event at the end of
   /// time (and raises an INTOX_INVARIANT) instead of wrapping into the
   /// past.
   EventId schedule_after(Duration d, Callback cb);
+
+  /// Reserves `n` consecutive tickets in the same-instant FIFO order and
+  /// returns the first. An event later scheduled with ticket `first + i`
+  /// fires as if it had been the i-th of n events scheduled now: after
+  /// every same-instant event scheduled before this call, and before
+  /// every one scheduled after it.
+  std::uint64_t reserve(std::uint64_t n);
+
+  /// schedule_at under a ticket from reserve(). Each ticket is used at
+  /// most once.
+  EventId schedule_reserved(Time t, std::uint64_t ticket, Callback cb) {
+    return schedule(t, ticket, std::move(cb));
+  }
 
   /// Cancels a pending event. Returns false if it already fired, was
   /// already cancelled, or the id is invalid.
@@ -93,6 +112,9 @@ class Scheduler {
   [[nodiscard]] bool oracle_enabled() const { return oracle_ != nullptr; }
 
  private:
+  // schedule_at (no ticket: a fresh one) and schedule_reserved.
+  EventId schedule(Time t, std::optional<std::uint64_t> ticket,
+                   Callback&& cb);
   // Pops the next due event (time <= bound), fires it, advances now_.
   bool fire_next(Time bound);
 

@@ -44,9 +44,8 @@ void TimingWheel::free_node(std::uint32_t idx) {
   free_head_ = idx;
 }
 
-void TimingWheel::place(std::uint32_t idx) {
-  Node& n = nodes_[idx];
-  const auto ut = static_cast<std::uint64_t>(n.time);
+inline std::uint16_t TimingWheel::bucket_for(Time t) const {
+  const auto ut = static_cast<std::uint64_t>(t);
   INTOX_INVARIANT(ut >= cursor_,
                   "wheel insert behind the cursor: t=%llu cursor=%llu",
                   static_cast<unsigned long long>(ut),
@@ -56,7 +55,12 @@ void TimingWheel::place(std::uint32_t idx) {
       diff == 0 ? 0 : (63 - std::countl_zero(diff)) / kSlotBits;
   const int slot = static_cast<int>((ut >> (level * kSlotBits)) &
                                     (kSlots - 1));
-  const auto b = static_cast<std::uint16_t>(level * kSlots + slot);
+  return static_cast<std::uint16_t>(level * kSlots + slot);
+}
+
+void TimingWheel::place(std::uint32_t idx) {
+  Node& n = nodes_[idx];
+  const std::uint16_t b = bucket_for(n.time);
   n.bucket = b;
   Bucket& bucket = buckets_[b];
   // Tail-append. Direct inserts carry the globally largest seq; cascade
@@ -72,7 +76,7 @@ void TimingWheel::place(std::uint32_t idx) {
   n.next = kNil;
   if (bucket.tail == kNil) {
     bucket.head = idx;
-    occupancy_[level] |= 1ull << slot;
+    occupancy_[b / kSlots] |= 1ull << (b % kSlots);
   } else {
     nodes_[bucket.tail].next = idx;
   }
@@ -107,6 +111,39 @@ TimingWheel::Ref TimingWheel::insert(Time t, Callback cb) {
   n.time = t;
   n.seq = next_seq_++;
   place(idx);
+  ++live_;
+  return Ref{idx, n.gen};
+}
+
+TimingWheel::Ref TimingWheel::insert_reserved(Time t, std::uint64_t seq,
+                                              Callback cb) {
+  INTOX_INVARIANT(seq < next_seq_,
+                  "wheel insert under seq %llu, which reserve() never "
+                  "handed out (next seq %llu)",
+                  static_cast<unsigned long long>(seq),
+                  static_cast<unsigned long long>(next_seq_));
+  // Degraded path (count mode): a fresh seq keeps the bucket sorted.
+  if (seq >= next_seq_) return insert(t, std::move(cb));
+  const std::uint32_t idx = alloc_node();
+  Node& n = nodes_[idx];
+  n.cb = std::move(cb);
+  n.time = t;
+  n.seq = seq;
+  const std::uint16_t b = bucket_for(t);
+  n.bucket = b;
+  Bucket& bucket = buckets_[b];
+  // Only events scheduled before the reservation can precede it: walk
+  // in from the head and link ahead of the first later one.
+  std::uint32_t next = bucket.head;
+  while (next != kNil && nodes_[next].seq <= seq) next = nodes_[next].next;
+  n.next = next;
+  n.prev = next == kNil ? bucket.tail : nodes_[next].prev;
+  INTOX_INVARIANT(n.prev == kNil || nodes_[n.prev].seq < seq,
+                  "wheel bucket %u would lose FIFO order: seq %llu "
+                  "inserted twice", b, static_cast<unsigned long long>(seq));
+  (n.prev == kNil ? bucket.head : nodes_[n.prev].next) = idx;
+  (next == kNil ? bucket.tail : nodes_[next].prev) = idx;
+  occupancy_[b / kSlots] |= 1ull << (b % kSlots);
   ++live_;
   return Ref{idx, n.gen};
 }

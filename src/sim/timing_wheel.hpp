@@ -14,6 +14,9 @@
 // events fire in (time, scheduling order). Every bucket list is kept
 // sorted by the insertion sequence number:
 //   * direct inserts append at the tail (their seq is globally maximal);
+//   * a reserved insert carries a seq handed out earlier by reserve(),
+//     so it walks in from the bucket's head past the events older than
+//     the reservation;
 //   * a cascade empties one source bucket in list order into buckets
 //     that are provably empty (all lower levels have been drained before
 //     a higher-level bucket can cascade), preserving relative order.
@@ -60,6 +63,17 @@ class TimingWheel {
   /// caller (Scheduler) clamps to its clock, which never trails the
   /// cursor. Assigns the next sequence number (FIFO tie-breaker).
   Ref insert(Time t, Callback cb);
+
+  /// Hands out `n` consecutive sequence numbers for later
+  /// insert_reserved calls and returns the first.
+  std::uint64_t reserve(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+  /// insert() under a seq from reserve(): the event orders among
+  /// same-time events as if it had been inserted at reservation time.
+  Ref insert_reserved(Time t, std::uint64_t seq, Callback cb);
 
   /// O(1) unlink + freelist release. Returns false (and does nothing)
   /// when the handle is stale: already fired, already erased, or the
@@ -116,6 +130,9 @@ class TimingWheel {
 
   [[nodiscard]] std::uint32_t alloc_node();
   void free_node(std::uint32_t idx);
+  /// level * kSlots + slot of the bucket owning timestamp `t` relative
+  /// to the current cursor.
+  [[nodiscard]] std::uint16_t bucket_for(Time t) const;
   /// Appends node `idx` (time already set) to the bucket owning its
   /// timestamp relative to the current cursor.
   void place(std::uint32_t idx);

@@ -1,5 +1,7 @@
 #include "trafficgen/driver.hpp"
 
+#include <algorithm>
+
 namespace intox::trafficgen {
 
 LegitFlowDriver::LegitFlowDriver(sim::Scheduler& sched, sim::Rng rng,
@@ -35,6 +37,7 @@ void LegitFlowDriver::send_next() {
   if (sched_.now() >= end) {
     sink_(make_packet(next_seq_, /*fin=*/true));
     finished_ = true;
+    if (on_fin_) on_fin_();
     return;
   }
   last_sent_seq_ = next_seq_;
@@ -122,7 +125,7 @@ FlowPopulation::FlowPopulation(sim::Scheduler& sched, sim::Rng rng,
     : sched_(sched), rng_(rng), sink_(std::move(sink)) {}
 
 void FlowPopulation::add_legit(const FlowSpec& spec) {
-  legit_.emplace_back(sched_, rng_.fork(next_fork_++), spec, sink_);
+  legit_.push_back(Legit{spec, next_fork_++});
 }
 
 void FlowPopulation::add_malicious(const FlowSpec& spec,
@@ -132,16 +135,71 @@ void FlowPopulation::add_malicious(const FlowSpec& spec,
 }
 
 void FlowPopulation::start_all() {
-  for (auto& d : legit_) d.start();
+  for (std::uint32_t i = 0; i < legit_.size(); ++i) {
+    if (legit_[i].slot == kPending) arrivals_.push_back(i);
+  }
+  // (start, add order) is the order an eager start_all's start events
+  // fire in; a start already past clamps to now, as schedule_at would.
+  const sim::Time now = sched_.now();
+  std::stable_sort(arrivals_.begin(), arrivals_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return std::max(legit_[a].spec.start, now) <
+                            std::max(legit_[b].spec.start, now);
+                   });
+  first_ticket_ = sched_.reserve(legit_.size());
+  schedule_arrival();
   for (auto& d : malicious_) d.start();
 }
 
+void FlowPopulation::schedule_arrival() {
+  if (next_arrival_ == arrivals_.size()) return;
+  const std::uint32_t flow = arrivals_[next_arrival_];
+  arrival_ = sched_.schedule_reserved(legit_[flow].spec.start,
+                                      first_ticket_ + flow,
+                                      [this] { arrive(); });
+}
+
+void FlowPopulation::arrive() {
+  const std::uint32_t flow = arrivals_[next_arrival_++];
+  // The next arrival goes first, so a sink that fails or stops the
+  // population from inside this flow's first packet cancels it.
+  schedule_arrival();
+  materialize(flow).send_next();
+}
+
+LegitFlowDriver& FlowPopulation::materialize(std::uint32_t flow) {
+  Legit& f = legit_[flow];
+  if (free_slots_.empty()) {
+    f.slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    f.slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  LegitFlowDriver& d = slots_[f.slot].emplace(sched_, rng_.fork(f.fork),
+                                              f.spec, sink_);
+  d.on_fin_ = [this, flow] {
+    free_slots_.push_back(legit_[flow].slot);
+    legit_[flow].slot = kDone;
+  };
+  return d;
+}
+
 void FlowPopulation::fail_all_legit() {
-  for (auto& d : legit_) d.enter_failure_mode();
+  sched_.cancel(arrival_);  // every flow still to arrive is failed below
+  for (std::uint32_t i = 0; i < legit_.size(); ++i) {
+    const std::uint32_t slot = legit_[i].slot;
+    if (slot == kDone) continue;
+    (slot == kPending ? materialize(i) : *slots_[slot]).enter_failure_mode();
+  }
 }
 
 void FlowPopulation::stop_all() {
-  for (auto& d : legit_) d.stop();
+  sched_.cancel(arrival_);
+  for (Legit& f : legit_) {
+    if (f.slot != kPending && f.slot != kDone) slots_[f.slot]->stop();
+    f.slot = kDone;
+  }
   for (auto& d : malicious_) d.stop();
 }
 

@@ -126,6 +126,20 @@ void ReferenceQueue::schedule_at(sim::Time t, std::uint64_t id) {
   entries_.push_back(Entry{t, next_seq_++, id});
 }
 
+std::uint64_t ReferenceQueue::reserve(std::uint64_t n) {
+  const std::uint64_t first = next_seq_;
+  next_seq_ += n;
+  return first;
+}
+
+bool ReferenceQueue::schedule_reserved(sim::Time t, std::uint64_t ticket,
+                                       std::uint64_t id) {
+  if (ticket >= next_seq_) return false;
+  if (t < now_) t = now_;
+  entries_.push_back(Entry{t, ticket, id});
+  return true;
+}
+
 void SchedulerOracle::check_pending(std::size_t pending, const char* op) {
   INTOX_INVARIANT(ref_.pending() == pending,
                   "scheduler/oracle diverged after %s: wheel pending=%zu "
@@ -133,10 +147,26 @@ void SchedulerOracle::check_pending(std::size_t pending, const char* op) {
 }
 
 void SchedulerOracle::mirror_schedule(sim::Time t, std::uint64_t id,
-                                      std::size_t pending) {
-  ref_.schedule_at(t, id);
+                                      std::size_t pending,
+                                      std::optional<std::uint64_t> ticket) {
+  // A ticket never reserved: the wheel reported it and fell back to a
+  // fresh position, and so does the mirror.
+  if (!ticket || !ref_.schedule_reserved(t, *ticket, id)) {
+    ref_.schedule_at(t, id);
+  }
   ++checks_;
   check_pending(pending, "schedule");
+}
+
+void SchedulerOracle::mirror_reserve(std::uint64_t first, std::uint64_t n) {
+  const std::uint64_t ref_first = ref_.reserve(n);
+  ++checks_;
+  INTOX_INVARIANT(ref_first == first,
+                  "scheduler/oracle diverged on reserve(%llu): wheel "
+                  "first ticket=%llu reference=%llu",
+                  static_cast<unsigned long long>(n),
+                  static_cast<unsigned long long>(first),
+                  static_cast<unsigned long long>(ref_first));
 }
 
 void SchedulerOracle::mirror_cancel(std::uint64_t id, bool cancelled,

@@ -57,7 +57,8 @@ double exact_quantile(std::vector<double> xs, double q);
 // --- Reference event queue --------------------------------------------
 //
 // A sorted-vector mirror of sim::Scheduler's ordering contract: events
-// fire in (time, scheduling order); past times clamp to `now`; cancel
+// fire in (time, scheduling order), where a reserved ticket stands for
+// the place it was reserved at; past times clamp to `now`; cancel
 // removes eagerly (no tombstones to get wrong). Tests drive a Scheduler
 // and a ReferenceQueue with the same operation sequence and compare the
 // firing logs; SchedulerOracle (below) automates exactly that as an
@@ -70,6 +71,11 @@ class ReferenceQueue {
     friend bool operator==(const Fired&, const Fired&) = default;
   };
 
+  /// Starts the scheduling positions at `first_seq` (the oracle passes
+  /// the wheel's, so a reserved ticket means the same on both sides).
+  explicit ReferenceQueue(std::uint64_t first_seq = 0)
+      : next_seq_(first_seq) {}
+
   /// Mirrors Scheduler::schedule_at (including clamp-to-now); returns a
   /// self-assigned event id (ids start at 1 and increment per schedule).
   std::uint64_t schedule_at(sim::Time t);
@@ -77,6 +83,14 @@ class ReferenceQueue {
   /// Same, under a caller-supplied id — the form the SchedulerOracle
   /// uses, since the timing wheel's slab handles are not sequential.
   void schedule_at(sim::Time t, std::uint64_t id);
+
+  /// Mirrors Scheduler::reserve: skips `n` scheduling positions and
+  /// returns the first.
+  std::uint64_t reserve(std::uint64_t n);
+
+  /// Mirrors Scheduler::schedule_reserved under a caller-supplied id.
+  /// Returns false (scheduling nothing) for a ticket never reserved.
+  bool schedule_reserved(sim::Time t, std::uint64_t ticket, std::uint64_t id);
 
   /// Mirrors Scheduler::cancel. Returns false for unknown/fired ids.
   bool cancel(std::uint64_t id);
@@ -114,9 +128,17 @@ class ReferenceQueue {
 // counts. O(n) per fire — for validate runs and tests, not benches.
 class SchedulerOracle {
  public:
+  /// `first_seq` is the wheel's next sequence number at attach time.
+  explicit SchedulerOracle(std::uint64_t first_seq) : ref_(first_seq) {}
+
   /// `t` is the post-clamp timestamp; `pending` the scheduler's live
-  /// count after the operation (likewise for the other hooks).
-  void mirror_schedule(sim::Time t, std::uint64_t id, std::size_t pending);
+  /// count after the operation (likewise for the other hooks); `ticket`
+  /// is set for schedule_reserved.
+  void mirror_schedule(sim::Time t, std::uint64_t id, std::size_t pending,
+                       std::optional<std::uint64_t> ticket);
+  /// Scheduler::reserve(n) returned `first`: the reference must hand out
+  /// the same tickets.
+  void mirror_reserve(std::uint64_t first, std::uint64_t n);
   void mirror_cancel(std::uint64_t id, bool cancelled, std::size_t pending);
   void mirror_fire(std::uint64_t id, sim::Time t, std::size_t pending);
   /// End of Scheduler::run_until(t): the mirror must agree that nothing

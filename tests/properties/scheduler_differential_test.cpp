@@ -1,9 +1,10 @@
 // Randomized differential suite for the timing-wheel scheduler: 1e5-op
-// schedule/schedule_after/cancel/run_until/run workloads executed on the
-// wheel with the SchedulerOracle armed, so every operation is replayed
-// on the sorted-vector ReferenceQueue and compared (fire order,
-// timestamps, cancel results, pending counts) as it happens. Any
-// divergence raises InvariantError (throw mode) and fails the test.
+// schedule/schedule_after/reserve/schedule_reserved/cancel/run_until/run
+// workloads executed on the wheel with the SchedulerOracle armed, so
+// every operation is replayed on the sorted-vector ReferenceQueue and
+// compared (fire order, timestamps, cancel results, pending counts) as
+// it happens. Any divergence raises InvariantError (throw mode) and
+// fails the test.
 //
 // This binary carries the `sanitize` label: the asan-ubsan and tsan
 // presets run it, so the wheel's intrusive-list surgery and slab reuse
@@ -32,10 +33,32 @@ TEST_P(SchedulerDifferential, RandomOpSequenceNeverDivergesFromOracle) {
   ASSERT_TRUE(s.oracle_enabled());
 
   std::vector<Scheduler::EventId> live;
+  std::vector<std::uint64_t> tickets;  // reserved, not yet used
   constexpr int kOps = 25'000;  // x4 seeds = 1e5 ops total
   for (int op = 0; op < kOps; ++op) {
     const double roll = rng.uniform();
-    if (roll < 0.55 || live.empty()) {
+    if (roll < 0.03) {
+      const auto n = rng.uniform_int(1, 8);
+      const std::uint64_t first = s.reserve(n);
+      for (std::uint64_t i = 0; i < n; ++i) tickets.push_back(first + i);
+    } else if (roll < 0.08 && !tickets.empty()) {
+      // Use a random outstanding ticket (so out of reservation order):
+      // exactly at `now`, near (possibly past, clamped), or far enough
+      // ahead to park at wheel level 3 or 4 and cascade down. The id
+      // joins `live`, so some reserved events are cancelled.
+      const auto pick = static_cast<std::ptrdiff_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(tickets.size()) - 1));
+      const std::uint64_t ticket = tickets[static_cast<std::size_t>(pick)];
+      tickets.erase(tickets.begin() + pick);
+      const double where = rng.uniform();
+      Time t = s.now();
+      if (where >= 0.8) {
+        t += static_cast<Time>(rng.uniform_int(1 << 18, 1 << 26));
+      } else if (where >= 0.4) {
+        t += static_cast<Time>(rng.uniform_int(0, 5000)) - 500;
+      }
+      live.push_back(s.schedule_reserved(t, ticket, [] {}));
+    } else if (roll < 0.55 || live.empty()) {
       // Schedule: a mix of absolute times (possibly in the past —
       // clamped) and relative delays.
       if (rng.bernoulli(0.5)) {
@@ -60,6 +83,9 @@ TEST_P(SchedulerDifferential, RandomOpSequenceNeverDivergesFromOracle) {
       s.run(static_cast<std::size_t>(rng.uniform_int(1, 50)));
     }
   }
+  for (const std::uint64_t ticket : tickets) {
+    s.schedule_reserved(s.now(), ticket, [] {});
+  }
   s.run();
   EXPECT_EQ(s.pending(), 0u);
 }
@@ -75,15 +101,23 @@ TEST_P(SchedulerDifferential, NestedSchedulingNeverDivergesFromOracle) {
 
   int remaining = 5'000;
   std::vector<Scheduler::EventId> cancellable;
+  // Tickets reserved before any event, used from inside the drain: a
+  // ticket used at `now` fires this instant ahead of every queued peer
+  // scheduled after the reservation (the lazy arrival-chain pattern).
+  std::uint64_t ticket = s.reserve(1'000);
+  const std::uint64_t last_ticket = ticket + 1'000;
   std::function<void()> spawn = [&] {
     if (--remaining <= 0) return;
     const int children = static_cast<int>(rng.uniform_int(0, 2));
     for (int c = 0; c < children; ++c) {
       // Offset may be negative: clamps to now and fires this instant,
-      // after every already-queued peer.
+      // after every already-queued peer (or ahead of them, reserved).
       const auto d =
           static_cast<Duration>(rng.uniform_int(0, 800)) - 100;
-      const auto id = s.schedule_after(d, spawn);
+      const auto id =
+          ticket < last_ticket && rng.bernoulli(0.2)
+              ? s.schedule_reserved(s.now() + d, ticket++, spawn)
+              : s.schedule_after(d, spawn);
       if (rng.bernoulli(0.2)) cancellable.push_back(id);
     }
     if (!cancellable.empty() && rng.bernoulli(0.3)) {

@@ -98,6 +98,34 @@ TEST(TimingWheel, CascadePreservesFifoWithinInstant) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST(TimingWheel, ReservedInsertLandsBySeqAheadOfTheTail) {
+  // Seqs handed out by reserve() rank before every later insert at the
+  // same instant: they link in ahead of the bucket's tail, whichever
+  // order they are used in, and keep that order through the level-2 ->
+  // level-0 cascade.
+  TimingWheel w;
+  std::vector<int> order;
+  const std::uint64_t first = w.reserve(2);
+  w.insert(70000, [&order] { order.push_back(2); });
+  w.insert_reserved(70000, first + 1, [&order] { order.push_back(1); });
+  w.insert(70000, [&order] { order.push_back(3); });
+  w.insert_reserved(70000, first, [&order] { order.push_back(0); });
+  while (drain_next(w) >= 0) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(TimingWheel, ReusedOrUnreservedSeqIsCaught) {
+  validate::ScopedInvariantMode guard{validate::InvariantMode::kThrow};
+  TimingWheel w;
+  const std::uint64_t first = w.reserve(1);
+  w.insert_reserved(10, first, [] {});
+  EXPECT_THROW(w.insert_reserved(10, first, [] {}),
+               validate::InvariantError);
+  EXPECT_THROW(w.insert_reserved(10, w.next_seq(), [] {}),
+               validate::InvariantError);
+}
+
 TEST(TimingWheel, FarFutureOverflowSlotHoldsAndFires) {
   // kTimeMax lives in level 10 (the overflow range past any realistic
   // horizon) and must still fire exactly once at its timestamp.

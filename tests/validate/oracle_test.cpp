@@ -82,6 +82,21 @@ TEST(ReferenceQueue, ClampsPastAndCancels) {
   EXPECT_EQ(q.pending(), 0u);
 }
 
+TEST(ReferenceQueue, ReservedTicketsKeepTheirPlace) {
+  ReferenceQueue q{100};  // positions start where the wheel's did
+  const auto first = q.reserve(2);
+  EXPECT_EQ(first, 100u);
+  const auto later = q.schedule_at(10);
+  EXPECT_TRUE(q.schedule_reserved(10, first + 1, 7));
+  EXPECT_TRUE(q.schedule_reserved(10, first, 8));
+  EXPECT_FALSE(q.schedule_reserved(10, first + 3, 9));  // never reserved
+  const auto fired = q.run_until(10);
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired[0].id, 8u);
+  EXPECT_EQ(fired[1].id, 7u);
+  EXPECT_EQ(fired[2].id, later);
+}
+
 TEST(ReferenceQueue, RunHonorsLimit) {
   ReferenceQueue q;
   for (int i = 0; i < 5; ++i) q.schedule_at(i * 10);

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <vector>
 
+#include "blink/attacker.hpp"
 #include "blink/cell_process.hpp"
 #include "net/checksum.hpp"
 #include "net/packet.hpp"
@@ -26,6 +27,8 @@
 #include "sim/stats.hpp"
 #include "sketch/attack.hpp"
 #include "sketch/rotation.hpp"
+#include "trafficgen/driver.hpp"
+#include "trafficgen/synth.hpp"
 #include "validate/invariant.hpp"
 #include "validate/oracles.hpp"
 
@@ -101,6 +104,47 @@ TEST(ValidateSweep, BlinkTrSweepParallelMatchesSerial) {
         blink::empirical_success_rate(cfg, 32, runs, base, runner);
     EXPECT_DOUBLE_EQ(parallel, serial) << threads << " threads";
   }
+}
+
+TEST(ValidateSweep, BlinkPopulationUnderSchedulerOracle) {
+  ArmedInvariants armed;
+  // The FIG2 packet-level trial, cut to 20 s, with every schedule,
+  // reserve, cancel and fire mirrored on the reference queue. The mirror
+  // is O(pending) per fire, which lazily built flows keep at ~2.1k.
+  blink::Fig2Config cfg = blink::default_fig2_config(0);
+  cfg.trace.horizon = sim::seconds(20);
+  sim::Scheduler sched;
+  sched.enable_oracle();
+  ASSERT_TRUE(sched.oracle_enabled());
+  sim::Rng rng{cfg.seed};
+  blink::BlinkNode node{cfg.blink};
+  node.monitor_prefix(cfg.trace.victim_prefix, /*primary=*/0, /*backup=*/1);
+  std::uint64_t pkts = 0;
+  trafficgen::FlowPopulation pop{sched, rng.fork("drivers"),
+                                 [&](net::Packet p) {
+                                   ++pkts;
+                                   dataplane::PipelineMetadata meta;
+                                   node.process(p, meta, sched.now());
+                                 }};
+  sim::Rng trace_rng = rng.fork("trace");
+  for (const auto& f : trafficgen::synthesize_trace(cfg.trace, trace_rng)) {
+    pop.add_legit(f);
+  }
+  sim::Rng bot_rng = rng.fork("malicious");
+  trafficgen::MaliciousFlowDriver::Options opts;
+  opts.send_period = cfg.trace.pkt_interval;
+  for (const auto& f : trafficgen::synthesize_malicious_flows(
+           cfg.trace, cfg.malicious_flows, 0, bot_rng,
+           blink::kMaliciousTagBase)) {
+    pop.add_malicious(f, opts);
+  }
+  pop.start_all();
+  sched.run_until(cfg.trace.horizon);
+  pop.stop_all();
+  EXPECT_GT(pkts, 100'000u);
+  EXPECT_GT(node.retx_detections(), 0u);
+  EXPECT_LE(sched.queue_depth_high_water(),
+            2 * (cfg.trace.active_flows + cfg.malicious_flows));
 }
 
 // --- PCC (PCC-OSC / PCC-FLEET configurations) --------------------------
