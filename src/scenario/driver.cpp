@@ -193,74 +193,31 @@ class StdoutCapture {
   bool active_ = false;
 };
 
-bool knob_is_swept(const std::vector<sweep::SweepAxis>& axes,
-                   std::string_view key) {
-  for (const sweep::SweepAxis& axis : axes) {
-    if (axis.key == key) return true;
-  }
-  return false;
-}
-
 int cmd_run(int argc, char** argv) {
   if (argc < 3) return fail("run: missing scenario name");
   std::string error;
   const Scenario* sc = find_or_diagnose(argv[2], &error);
   if (sc == nullptr) return fail(error);
 
-  KnobSet knobs;
-  if (sc->declare_knobs != nullptr) sc->declare_knobs(knobs);
+  KnobFlags flags;
+  if (sc->declare_knobs != nullptr) sc->declare_knobs(flags.knobs);
+  KnobSet& knobs = flags.knobs;
+  const std::vector<sweep::SweepAxis>& axes = flags.axes;
 
-  std::vector<sweep::SweepAxis> axes;
-  std::vector<std::string> set_keys;
   std::optional<std::size_t> point;
   std::string point_record_path;
   for (int i = 3; i < argc; ++i) {
+    if (flags.consume(argc, argv, &i, &error)) {
+      if (!error.empty()) return fail(error);
+      continue;
+    }
     const std::string_view arg = argv[i];
-    if (arg == "--set") {
-      if (i + 1 >= argc) return fail("--set requires key=value");
-      const std::string kv = argv[++i];
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        return fail("--set expects key=value, got '" + kv + "'");
-      }
-      std::string key = kv.substr(0, eq);
-      if (knob_is_swept(axes, key)) {
-        return fail("--set and --sweep both name knob '" + key +
-                    "' (a sweep decides that knob's value)");
-      }
-      std::string err = knobs.set(key, kv.substr(eq + 1));
-      if (!err.empty()) return fail(err);
-      set_keys.push_back(std::move(key));
-    } else if (arg == "--sweep") {
-      if (i + 1 >= argc) return fail("--sweep requires key=a:b:step");
-      sweep::SweepAxis axis;
-      std::string err = sweep::parse_sweep_axis(argv[++i], knobs, &axis);
-      if (!err.empty()) return fail(err);
-      if (std::find(set_keys.begin(), set_keys.end(), axis.key) !=
-          set_keys.end()) {
-        return fail("--set and --sweep both name knob '" + axis.key +
-                    "' (a sweep decides that knob's value)");
-      }
-      if (knob_is_swept(axes, axis.key)) {
-        return fail("--sweep: knob '" + axis.key + "' swept twice");
-      }
-      axes.push_back(std::move(axis));
-    } else if (arg == "--config") {
-      if (i + 1 >= argc) return fail("--config requires a file path");
-      std::string err = apply_config(argv[++i], &knobs);
-      if (!err.empty()) return fail(err);
-    } else if (arg == "--point") {
+    if (arg == "--point") {
       if (i + 1 >= argc) return fail("--point requires an index");
-      const char* s = argv[++i];
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(s, &end, 10);
-      if (s[0] == '\0' || end == s || *end != '\0' || errno == ERANGE ||
-          s[0] == '-') {
-        return fail(std::string("--point expects a non-negative integer, "
-                                "got '") + s + "'");
-      }
-      point = static_cast<std::size_t>(v);
+      std::size_t index = 0;
+      error = parse_count(arg, argv[++i], &index);
+      if (!error.empty()) return fail(error);
+      point = index;
     } else if (arg == "--point-record") {
       if (i + 1 >= argc) return fail("--point-record requires a file path");
       point_record_path = argv[++i];
@@ -460,6 +417,70 @@ int driver_main(int argc, char** argv) {
   if (command == "forensics") return cmd_forensics(argc, argv);
   return fail("unknown command '" + std::string(command) +
               "' (try 'intox help')");
+}
+
+bool KnobFlags::consume(int argc, char** argv, int* i, std::string* error) {
+  const std::string_view flag = argv[*i];
+  if (flag != "--set" && flag != "--sweep" && flag != "--config") {
+    return false;
+  }
+  *error = apply(flag, *i + 1 < argc ? argv[++*i] : nullptr);
+  return true;
+}
+
+std::string KnobFlags::apply(std::string_view flag, const char* value) {
+  const auto swept = [this](std::string_view key) {
+    return std::any_of(axes.begin(), axes.end(),
+                       [&](const sweep::SweepAxis& a) { return a.key == key; });
+  };
+  if (flag == "--set") {
+    if (value == nullptr) return "--set requires key=value";
+    const std::string kv = value;
+    const auto eq = kv.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      return "--set expects key=value, got '" + kv + "'";
+    }
+    std::string key = kv.substr(0, eq);
+    if (swept(key)) {
+      return "--set and --sweep both name knob '" + key +
+             "' (a sweep decides that knob's value)";
+    }
+    std::string err = knobs.set(key, kv.substr(eq + 1));
+    set_keys_.push_back(std::move(key));
+    return err;
+  }
+  if (flag == "--sweep") {
+    if (value == nullptr) return "--sweep requires key=a:b:step";
+    sweep::SweepAxis axis;
+    std::string err = sweep::parse_sweep_axis(value, knobs, &axis);
+    if (!err.empty()) return err;
+    if (std::find(set_keys_.begin(), set_keys_.end(), axis.key) !=
+        set_keys_.end()) {
+      return "--set and --sweep both name knob '" + axis.key +
+             "' (a sweep decides that knob's value)";
+    }
+    if (swept(axis.key)) {
+      return "--sweep: knob '" + axis.key + "' swept twice";
+    }
+    axes.push_back(std::move(axis));
+    return "";
+  }
+  if (value == nullptr) return "--config requires a file path";
+  return apply_config(value, &knobs);
+}
+
+std::string parse_count(std::string_view flag, const char* text,
+                        std::size_t* out) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (text[0] == '\0' || text[0] == '-' || end == text || *end != '\0' ||
+      errno == ERANGE) {
+    return std::string(flag) + " expects a non-negative integer, got '" +
+           text + "'";
+  }
+  *out = static_cast<std::size_t>(v);
+  return "";
 }
 
 }  // namespace intox::scenario

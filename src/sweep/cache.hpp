@@ -48,7 +48,6 @@ CacheKey point_cache_key(
 ///                               failed point (never the record path, so
 ///                               presence-of-record == completion holds)
 ///   <dir>/<key>.trace.json      the worker's Chrome trace (--trace-out)
-///   <dir>/task.*                shared task files (sweep/task_file.hpp)
 class PointCache {
  public:
   explicit PointCache(std::string dir) : dir_(std::move(dir)) {}

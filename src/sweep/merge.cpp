@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 
@@ -75,7 +77,8 @@ void write_aggregate_section(obs::JsonWriter& w, const char* section,
 
 }  // namespace
 
-std::string render_merged_report(const MergeInput& in, std::string* error) {
+std::string render_merged_report(const MergeInput& in, int* worst_exit,
+                                 std::string* error) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("schema").value(kSweepReportSchema);
@@ -95,6 +98,7 @@ std::string render_merged_report(const MergeInput& in, std::string* error) {
   std::map<std::string, MetricAgg> counter_aggs;
   std::map<std::string, MetricAgg> gauge_aggs;
   w.key("records").begin_array();
+  *worst_exit = 0;
   std::string record;
   for (std::size_t i = 0; i < in.record_paths.size(); ++i) {
     if (!read_file(in.record_paths[i], &record)) {
@@ -114,14 +118,23 @@ std::string render_merged_report(const MergeInput& in, std::string* error) {
     }
     w.raw(record);
     // Cross-point aggregates: a record without a parseable metrics
-    // section (foreign or hand-written) simply contributes nothing.
+    // section (foreign or hand-written) simply contributes nothing. One
+    // without an integer exit counts as a failed point.
     obs::JsonValue parsed;
+    int exit_code = 1;
     if (obs::json_parse(record, &parsed, nullptr)) {
       if (const obs::JsonValue* metrics = parsed.find("metrics")) {
         fold_metric_section(*metrics, "counters", &counter_aggs);
         fold_metric_section(*metrics, "gauges", &gauge_aggs);
       }
+      const obs::JsonValue* exit = parsed.find("exit");
+      if (exit != nullptr && exit->is_number() &&
+          exit->number == std::trunc(exit->number) &&
+          std::fabs(exit->number) <= INT_MAX) {
+        exit_code = static_cast<int>(exit->number);
+      }
     }
+    *worst_exit = std::max(*worst_exit, exit_code);
   }
   w.end_array();
   w.key("aggregates").begin_object();
@@ -154,20 +167,6 @@ std::string commit_report(const std::string& path, const std::string& doc) {
     return "cannot commit report to '" + path + "'";
   }
   return "";
-}
-
-int record_exit_code(const std::string& record_json, int fallback) {
-  // Safe as a substring scan: JSON escaping means a raw '"' never
-  // occurs inside a string value, so the first `"exit":` is the key the
-  // known writer emitted.
-  static constexpr char kNeedle[] = "\"exit\":";
-  const auto pos = record_json.find(kNeedle);
-  if (pos == std::string::npos) return fallback;
-  const char* s = record_json.c_str() + pos + sizeof kNeedle - 1;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s) return fallback;
-  return static_cast<int>(v);
 }
 
 }  // namespace intox::sweep

@@ -32,18 +32,14 @@ struct MergeInput {
 };
 
 /// Reads every record and renders the merged report document (with a
-/// trailing newline). Returns empty and sets *error on failure.
-std::string render_merged_report(const MergeInput& in, std::string* error);
+/// trailing newline), setting *worst_exit to the largest point "exit"
+/// (a record without an integer exit counts as 1). Returns empty and
+/// sets *error on failure.
+std::string render_merged_report(const MergeInput& in, int* worst_exit,
+                                 std::string* error);
 
 /// Writes `doc` to `path` via write-temp-then-rename, or to stdout when
 /// `path` is empty. Returns empty on success, else the diagnostic.
 std::string commit_report(const std::string& path, const std::string& doc);
-
-/// Extracts the top-level "exit" field from a point record rendered by
-/// obs::write_point_record. This is a known-writer scan, not a JSON
-/// parser: the writer emits exactly one `"exit":<int>` key at the top
-/// level, before the free-form "stdout" string. Returns `fallback` if
-/// the pattern is absent.
-int record_exit_code(const std::string& record_json, int fallback = 1);
 
 }  // namespace intox::sweep

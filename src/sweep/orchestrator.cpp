@@ -14,25 +14,23 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "net/hash.hpp"
 #include "obs/forensics.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "scenario/driver.hpp"
 #include "scenario/knob.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/merge.hpp"
 #include "sweep/point.hpp"
-#include "sweep/task_file.hpp"
 
 extern char** environ;
 
@@ -48,20 +46,19 @@ int fail(const std::string& message) {
 void sweep_usage(std::FILE* out) {
   std::fprintf(
       out,
-      "usage: intox sweep <scenario> [options]\n"
-      "  --set key=value        override a knob (all points)\n"
-      "  --sweep key=a:b:step   sweep a numeric knob (cross-product)\n"
-      "  --config FILE          key=value lines, '#' comments\n"
-      "  --threads N            per-point worker threads (default 1,\n"
-      "                         which keeps point records byte-exact)\n"
+      "usage: intox sweep <scenario> [run options] [sweep options]\n"
+      "Runs every point of the --sweep cross product in its own\n"
+      "'intox run --point' worker process. Takes the options of\n"
+      "'intox run' (see 'intox help') except --point and --point-record;\n"
+      "--threads defaults to 1, which keeps point records byte-exact,\n"
+      "and --metrics-out / --flightrec-out serve the orchestrator.\n"
+      "Sweep options:\n"
       "  --workers N            concurrent worker processes (0 = auto)\n"
       "  --cache-dir DIR        point cache (default .intox-sweep-cache,\n"
       "                         or $INTOX_SWEEP_CACHE)\n"
       "  --out FILE             merged report path (default: stdout)\n"
-      "  --metrics-out FILE     orchestrator BENCH_SWEEP.json report\n"
       "  --trace-out FILE       merged Chrome trace: orchestrator plus\n"
       "                         every worker, one lane per pid\n"
-      "  --flightrec-out FILE   orchestrator flight-recorder dump path\n"
       "\n"
       "Completed points are cached by (binary, scenario, knob vector);\n"
       "rerunning the same command resumes an interrupted sweep and\n"
@@ -76,73 +73,16 @@ std::string self_exe_path() {
   return buf;
 }
 
-bool knob_is_swept(const std::vector<SweepAxis>& axes, std::string_view key) {
-  for (const SweepAxis& axis : axes) {
-    if (axis.key == key) return true;
-  }
-  return false;
-}
-
-/// Everything cmd_run-compatible that the orchestrator parsed.
+/// The parsed sweep command line: `intox run`'s flags plus its own.
 struct SweepArgs {
   const scenario::Scenario* sc = nullptr;
-  scenario::KnobSet knobs;               // base config: --config + --set
-  std::vector<SweepAxis> axes;           // in flag order
+  scenario::KnobFlags flags;             // base knobs and sweep axes
   std::vector<std::string> child_flags;  // forwarded verbatim to workers
   std::size_t workers = 0;               // 0 = auto
   std::string cache_dir;
   std::string out_path;                  // empty = stdout
   std::string trace_out;                 // empty = no session trace
 };
-
-/// Applies a key=value config file (same semantics as `intox run`).
-std::string apply_config(const std::string& path,
-                         scenario::KnobSet* knobs) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return "--config: cannot open '" + path + "'";
-  std::string line;
-  char buf[4096];
-  int lineno = 0;
-  std::string error;
-  while (error.empty() && std::fgets(buf, sizeof buf, f) != nullptr) {
-    ++lineno;
-    line = buf;
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
-    const auto begin = line.find_first_not_of(" \t");
-    if (begin == std::string::npos) continue;
-    const auto end = line.find_last_not_of(" \t");
-    std::string body = line.substr(begin, end - begin + 1);
-    if (body.empty() || body[0] == '#') continue;
-    const auto eq = body.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      error = path + ":" + std::to_string(lineno) +
-              ": expected key=value, got '" + body + "'";
-      break;
-    }
-    error = knobs->set(body.substr(0, eq), body.substr(eq + 1));
-    if (!error.empty()) {
-      error = path + ":" + std::to_string(lineno) + ": " + error;
-    }
-  }
-  std::fclose(f);
-  return error;
-}
-
-std::string parse_count(std::string_view flag, const char* s,
-                        std::size_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (s[0] == '\0' || s[0] == '-' || end == s || *end != '\0' ||
-      errno == ERANGE) {
-    return std::string(flag) + " expects a non-negative integer, got '" +
-           s + "'";
-  }
-  *out = static_cast<std::size_t>(v);
-  return "";
-}
 
 /// Parses the sweep command line. Returns empty on success, else the
 /// diagnostic (the caller prints and exits 2).
@@ -158,61 +98,32 @@ std::string parse_args(int argc, char** argv, SweepArgs* out) {
     return std::string("unknown scenario '") + argv[2] +
            "' (run 'intox list' to enumerate)";
   }
-  if (out->sc->declare_knobs != nullptr) out->sc->declare_knobs(out->knobs);
+  if (out->sc->declare_knobs != nullptr) {
+    out->sc->declare_knobs(out->flags.knobs);
+  }
 
-  std::vector<std::string> set_keys;
   bool threads_given = false;
+  std::string err;
   for (int i = 3; i < argc; ++i) {
+    const int first = i;
+    if (out->flags.consume(argc, argv, &i, &err)) {
+      if (!err.empty()) return err;
+      out->child_flags.insert(out->child_flags.end(), argv + first,
+                              argv + i + 1);
+      continue;
+    }
     const std::string_view arg = argv[i];
-    if (arg == "--set") {
-      if (i + 1 >= argc) return "--set requires key=value";
-      const std::string kv = argv[++i];
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        return "--set expects key=value, got '" + kv + "'";
-      }
-      std::string key = kv.substr(0, eq);
-      if (knob_is_swept(out->axes, key)) {
-        return "--set and --sweep both name knob '" + key +
-               "' (a sweep decides that knob's value)";
-      }
-      std::string err = out->knobs.set(key, kv.substr(eq + 1));
-      if (!err.empty()) return err;
-      set_keys.push_back(std::move(key));
-      out->child_flags.insert(out->child_flags.end(), {"--set", kv});
-    } else if (arg == "--sweep") {
-      if (i + 1 >= argc) return "--sweep requires key=a:b:step";
-      const std::string spec = argv[++i];
-      SweepAxis axis;
-      std::string err = parse_sweep_axis(spec, out->knobs, &axis);
-      if (!err.empty()) return err;
-      if (std::find(set_keys.begin(), set_keys.end(), axis.key) !=
-          set_keys.end()) {
-        return "--set and --sweep both name knob '" + axis.key +
-               "' (a sweep decides that knob's value)";
-      }
-      if (knob_is_swept(out->axes, axis.key)) {
-        return "--sweep: knob '" + axis.key + "' swept twice";
-      }
-      out->axes.push_back(std::move(axis));
-      out->child_flags.insert(out->child_flags.end(), {"--sweep", spec});
-    } else if (arg == "--config") {
-      if (i + 1 >= argc) return "--config requires a file path";
-      const std::string path = argv[++i];
-      std::string err = apply_config(path, &out->knobs);
-      if (!err.empty()) return err;
-      out->child_flags.insert(out->child_flags.end(), {"--config", path});
-    } else if (arg == "--threads") {
+    if (arg == "--threads") {
       if (i + 1 >= argc) return "--threads requires a value";
       std::size_t threads = 0;
-      std::string err = parse_count(arg, argv[++i], &threads);
+      err = scenario::parse_count(arg, argv[++i], &threads);
       if (!err.empty()) return err;
       threads_given = true;
       out->child_flags.insert(out->child_flags.end(),
                               {"--threads", argv[i]});
     } else if (arg == "--workers") {
       if (i + 1 >= argc) return "--workers requires a value";
-      std::string err = parse_count(arg, argv[++i], &out->workers);
+      err = scenario::parse_count(arg, argv[++i], &out->workers);
       if (!err.empty()) return err;
     } else if (arg == "--cache-dir") {
       if (i + 1 >= argc) return "--cache-dir requires a directory";
@@ -373,7 +284,8 @@ int sweep_main(int argc, char** argv) {
     std::string err = parse_args(argc, argv, &args);
     if (!err.empty()) return fail(err);
   }
-  const std::size_t total = point_count(args.axes);
+  const std::vector<SweepAxis>& axes = args.flags.axes;
+  const std::size_t total = point_count(axes);
   if (total == 0) {
     return fail("--sweep cross product exceeds " +
                 std::to_string(kMaxSweepPoints) + " points");
@@ -385,10 +297,9 @@ int sweep_main(int argc, char** argv) {
   const std::uint64_t fp = binary_fingerprint();
   std::vector<CacheKey> keys;
   keys.reserve(total);
-  std::string key_preimage;
   for (std::size_t i = 0; i < total; ++i) {
-    scenario::KnobSet resolved = args.knobs;
-    for (const auto& [key, value] : point_at(args.axes, i)) {
+    scenario::KnobSet resolved = args.flags.knobs;
+    for (const auto& [key, value] : point_at(axes, i)) {
       std::string err = resolved.set(key, value);
       if (!err.empty()) return fail(err);  // range-rejected sweep point
     }
@@ -398,8 +309,6 @@ int sweep_main(int argc, char** argv) {
       vec.emplace_back(k.name, scenario::render_value(k));
     }
     keys.push_back(point_cache_key(fp, args.sc->name, vec));
-    key_preimage += keys.back().hex();
-    key_preimage += '\n';
   }
 
   PointCache cache{args.cache_dir};
@@ -435,20 +344,6 @@ int sweep_main(int argc, char** argv) {
 
   std::size_t workers = 0;
   if (!pending.empty()) {
-    // The task file is named by the sweep's own content (the point key
-    // list), so a resumed run coordinates through the same file path.
-    const std::uint64_t sweep_hash = net::fnv1a64(
-        std::as_bytes(std::span<const char>{key_preimage.data(),
-                                            key_preimage.size()}));
-    char task_name[64];
-    std::snprintf(task_name, sizeof task_name, "/task.%016llx",
-                  static_cast<unsigned long long>(sweep_hash));
-    TaskFile tasks;
-    {
-      std::string err = tasks.create(args.cache_dir + task_name, pending);
-      if (!err.empty()) return fail(err);
-    }
-
     workers = args.workers;
     if (workers == 0) {
       const unsigned hw = std::thread::hardware_concurrency();
@@ -456,10 +351,16 @@ int sweep_main(int argc, char** argv) {
     }
     workers = std::min(workers, pending.size());
 
+    // Work stealing: each worker claims the next unclaimed pending point.
+    // Only the cache records completion, so a point claimed by a killed
+    // sweep simply stays missing and the next run re-claims it.
+    std::atomic<std::size_t> cursor{0};
     std::mutex stderr_mu;
     auto worker = [&] {
-      std::size_t idx = 0;
-      while (tasks.claim(&idx)) {
+      for (;;) {
+        const std::size_t k = cursor++;
+        if (k >= pending.size()) return;
+        const std::size_t idx = pending[k];
         std::vector<std::string> child{exe, "run", args.sc->name};
         child.insert(child.end(), args.child_flags.begin(),
                      args.child_flags.end());
@@ -541,14 +442,16 @@ int sweep_main(int argc, char** argv) {
   MergeInput in;
   in.scenario = args.sc->name;
   in.family = args.sc->family;
-  in.axes = args.axes;
+  in.axes = axes;
   in.record_paths.reserve(total);
-  int exit_code = 0;
   for (std::size_t i = 0; i < total; ++i) {
     in.record_paths.push_back(cache.record_path(keys[i]));
   }
+  // The sweep's exit is the worst point exit, matching the serial
+  // `intox run --sweep` contract.
+  int exit_code = 0;
   std::string error;
-  const std::string doc = render_merged_report(in, &error);
+  const std::string doc = render_merged_report(in, &exit_code, &error);
   if (doc.empty()) return fail(error);
   {
     std::string err = commit_report(args.out_path, doc);
@@ -557,18 +460,6 @@ int sweep_main(int argc, char** argv) {
   if (!args.out_path.empty()) {
     std::fprintf(stderr, "intox sweep: merged report -> %s\n",
                  args.out_path.c_str());
-  }
-  // The sweep's exit is the worst point exit, matching the serial
-  // `intox run --sweep` contract.
-  for (std::size_t i = 0; i < total; ++i) {
-    std::FILE* f = std::fopen(in.record_paths[i].c_str(), "rb");
-    if (f == nullptr) continue;
-    std::string record;
-    char buf[1 << 16];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) record.append(buf, n);
-    std::fclose(f);
-    exit_code = std::max(exit_code, record_exit_code(record));
   }
   return exit_code;
 }

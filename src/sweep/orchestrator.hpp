@@ -1,18 +1,20 @@
 // `intox sweep`: multi-process, resumable sweep orchestration.
 //
-// Same grammar as `intox run` plus three flags of its own:
+// `intox run`'s grammar (scenario/driver.hpp parses the knob flags for
+// both commands) plus flags of its own:
 //
 //   intox sweep <scenario> [--set k=v] [--config F] [--sweep k=a:b:step]
 //               [--threads N] [--workers N] [--cache-dir DIR] [--out FILE]
-//               [--metrics-out FILE]
+//               [--metrics-out FILE] [--trace-out FILE]
+//               [--flightrec-out FILE]
 //
 // The orchestrator enumerates the sweep cross product (sweep/point.hpp),
-// content-addresses every point (sweep/cache.hpp), writes the missing
-// indices to a flock-shared task file (sweep/task_file.hpp), and runs N
-// worker slots that each claim an index and fork/exec
-// `intox run <scenario> ... --point i --point-record <cache path>`.
-// When every record exists, the per-point records are merged — in point
-// order — into one intox.sweep_report.v1 document (sweep/merge.hpp).
+// content-addresses every point (sweep/cache.hpp), and runs N worker
+// threads that each claim the next missing point from an atomic cursor
+// and fork/exec `intox run <scenario> ... --point i --point-record
+// <cache path>`. When every record exists, the per-point records are
+// merged — in point order — into one intox.sweep_report.v1 document
+// (sweep/merge.hpp).
 //
 // Resume is free: a second invocation rescans the cache, re-runs only
 // the missing points, and produces a byte-identical merged report.

@@ -14,8 +14,10 @@ Pins the dump-on-failure pipeline end to end against the real binary:
      key by design).
   4. With --trace-out, the orchestrator merges its own Chrome trace with
      every surviving worker's into one file with per-pid lanes.
+  5. The merged report, the failure sidecar, the dump and both Chrome
+     traces pass scripts/check_metrics_schema.py.
 
-Usage: crash_forensics_test.py <path-to-intox-binary>
+Usage: crash_forensics_test.py <path-to-intox-binary> <check_metrics_schema.py>
 """
 
 import glob
@@ -54,15 +56,23 @@ def run_sweep(intox, cache, out, *, crash=False, trace=None):
                           timeout=600)
 
 
+def check_schema(checker, *args):
+    res = subprocess.run([sys.executable, checker, *args],
+                         capture_output=True, text=True, timeout=120)
+    if res.returncode != 0:
+        fail(f"schema check failed: {res.stdout}{res.stderr}")
+
+
 def load_json(path):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
 
 
 def main():
-    if len(sys.argv) != 2:
-        fail("usage: crash_forensics_test.py <intox-binary>")
-    intox = sys.argv[1]
+    if len(sys.argv) != 3:
+        fail("usage: crash_forensics_test.py <intox-binary> "
+             "<check_metrics_schema.py>")
+    intox, checker = sys.argv[1:]
     tmp = tempfile.mkdtemp(prefix="intox_crash_forensics_")
 
     # --- Reference: a sweep that never crashes. ---
@@ -72,6 +82,7 @@ def main():
         fail(f"reference sweep exited {res.returncode}: {res.stderr}")
     with open(ref_out, "rb") as f:
         ref_bytes = f.read()
+    check_schema(checker, ref_out)
 
     # --- Crash run: seed 3's worker segfaults at the midpoint. ---
     cache = os.path.join(tmp, "crash-cache")
@@ -102,6 +113,7 @@ def main():
         fail(f"dump names scenario {dump.get('scenario')!r}")
     if dump.get("reason") != "signal:SIGSEGV":
         fail(f"dump reason {dump.get('reason')!r}")
+    check_schema(checker, sidecars[0], dump_path)
 
     # --- The forensics renderer names the last decisions. ---
     res = subprocess.run([intox, "forensics", dump_path],
@@ -122,8 +134,10 @@ def main():
     events = load_json(fr_trace).get("traceEvents")
     if not events:
         fail("forensics trace has no events")
+    check_schema(checker, "--trace", fr_trace)
 
     # --- Merged session trace: orchestrator + surviving workers. ---
+    check_schema(checker, "--trace", trace_out)
     session = load_json(trace_out)
     events = session.get("traceEvents")
     if not events:

@@ -1,6 +1,6 @@
 // Report merging: record order is point order, the envelope is
-// deterministic, and the exit scanner reads what the known writer
-// emits.
+// deterministic, and the worst point exit is read from the parsed
+// records.
 #include "sweep/merge.hpp"
 
 #include <gtest/gtest.h>
@@ -34,9 +34,11 @@ TEST(Merge, ConcatenatesRecordsInPointOrder) {
       write_temp("merge_r0.json", "{\"schema\":\"x\",\"exit\":0}\n"),
       write_temp("merge_r1.json", "{\"schema\":\"y\",\"exit\":3}\n"),
   };
+  int worst_exit = -1;
   std::string error;
-  const std::string doc = render_merged_report(in, &error);
+  const std::string doc = render_merged_report(in, &worst_exit, &error);
   ASSERT_EQ(error, "");
+  EXPECT_EQ(worst_exit, 3);
   EXPECT_NE(doc.find("\"schema\":\"intox.sweep_report.v1.1\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"points\":2"), std::string::npos);
@@ -57,8 +59,9 @@ TEST(Merge, RecordsWithoutMetricsYieldEmptyAggregates) {
   in.record_paths = {
       write_temp("merge_nometrics.json", "{\"schema\":\"x\",\"exit\":0}\n"),
   };
+  int worst_exit = -1;
   std::string error;
-  const std::string doc = render_merged_report(in, &error);
+  const std::string doc = render_merged_report(in, &worst_exit, &error);
   ASSERT_EQ(error, "");
   EXPECT_NE(
       doc.find("\"aggregates\":{\"counters\":{},\"gauges\":{}}"),
@@ -78,8 +81,9 @@ TEST(Merge, AggregatesFoldCountersAndGaugesAcrossPoints) {
                  "{\"exit\":0,\"metrics\":{\"counters\":{\"pkts\":30},"
                  "\"gauges\":{\"rate\":0.5,\"loss\":2}}}\n"),
   };
+  int worst_exit = -1;
   std::string error;
-  const std::string doc = render_merged_report(in, &error);
+  const std::string doc = render_merged_report(in, &worst_exit, &error);
   ASSERT_EQ(error, "");
   // pkts: both points; min 10, max 30, mean 20.
   EXPECT_NE(doc.find("\"pkts\":{\"count\":2,\"min\":10,\"max\":30,"
@@ -103,8 +107,9 @@ TEST(Merge, MissingRecordIsAnError) {
   in.scenario = "s";
   in.family = "F";
   in.record_paths = {"/nonexistent/record.json"};
+  int worst_exit = -1;
   std::string error;
-  EXPECT_EQ(render_merged_report(in, &error), "");
+  EXPECT_EQ(render_merged_report(in, &worst_exit, &error), "");
   EXPECT_NE(error.find("/nonexistent/record.json"), std::string::npos);
 }
 
@@ -113,8 +118,9 @@ TEST(Merge, MalformedRecordIsAnError) {
   in.scenario = "s";
   in.family = "F";
   in.record_paths = {write_temp("merge_bad.json", "not json\n")};
+  int worst_exit = -1;
   std::string error;
-  EXPECT_EQ(render_merged_report(in, &error), "");
+  EXPECT_EQ(render_merged_report(in, &worst_exit, &error), "");
   EXPECT_NE(error.find("not a JSON object"), std::string::npos);
   std::remove(in.record_paths[0].c_str());
 }
@@ -131,39 +137,38 @@ TEST(Merge, CommitReportIsAtomicRename) {
   std::remove(path.c_str());
 }
 
-TEST(Merge, ExitScannerReadsTheTopLevelField) {
-  EXPECT_EQ(record_exit_code("{\"exit\":0}"), 0);
-  EXPECT_EQ(record_exit_code("{\"exit\":3}"), 3);
-  EXPECT_EQ(record_exit_code("{\"banner\":\"k=v\",\"exit\":2}"), 2);
-  // No exit field -> fallback.
-  EXPECT_EQ(record_exit_code("{}", 7), 7);
-  // A *string* containing the text cannot shadow the key: the writer
-  // escapes quotes, so `"exit":` inside a value appears as \"exit\".
-  EXPECT_EQ(record_exit_code(
-                "{\"stdout\":\"fake \\\"exit\\\": 9\",\"exit\":1}"),
-            1);
-}
+TEST(Merge, ReportsTheWorstPointExit) {
+  // Real records from the point-record writer; hostile stdout must not
+  // shadow the top-level exit.
+  MergeInput in;
+  in.scenario = "s";
+  in.family = "F";
+  for (const int exit_code : {0, 4, 2}) {
+    obs::PointRecord record;
+    record.scenario = "s";
+    record.family = "F";
+    record.banner = "k=" + std::to_string(exit_code);
+    record.exit_code = exit_code;
+    record.stdout_text = "tricky \"exit\": 99 text\n";
+    const std::string path = ::testing::TempDir() + "merge_exit" +
+                             std::to_string(exit_code) + ".json";
+    ASSERT_TRUE(obs::write_point_record(path, record));
+    in.record_paths.push_back(path);
+  }
+  int worst_exit = -1;
+  std::string error;
+  ASSERT_NE(render_merged_report(in, &worst_exit, &error), "") << error;
+  EXPECT_EQ(worst_exit, 4);
 
-TEST(Merge, ExitScannerMatchesThePointRecordWriter) {
-  // End-to-end against the real writer: the scanner must find the exit
-  // the record embeds even when stdout carries hostile text.
-  const std::string path = ::testing::TempDir() + "merge_writer.json";
-  obs::PointRecord record;
-  record.scenario = "s";
-  record.family = "F";
-  record.banner = "k=1";
-  record.exit_code = 4;
-  record.stdout_text = "tricky \"exit\": 99 text\n";
-  ASSERT_TRUE(obs::write_point_record(path, record));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string doc;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) doc.append(buf, n);
-  std::fclose(f);
-  EXPECT_EQ(record_exit_code(doc), 4);
-  std::remove(path.c_str());
+  for (const std::string& p : in.record_paths) std::remove(p.c_str());
+
+  // A record without an integer exit counts as a failed point (1).
+  for (const char* body : {"{\"schema\":\"x\"}\n", "{\"exit\":\"0\"}\n"}) {
+    in.record_paths = {write_temp("merge_noexit.json", body)};
+    ASSERT_NE(render_merged_report(in, &worst_exit, &error), "") << error;
+    EXPECT_EQ(worst_exit, 1) << body;
+    std::remove(in.record_paths[0].c_str());
+  }
 }
 
 }  // namespace

@@ -12,12 +12,19 @@ Properties pinned here, straight from the orchestrator's contract:
      sweep.points_cached equals the committed count — zero cached
      points run twice.
   3. A third invocation over the warm cache executes nothing at all.
+  4. The worker count never reaches the output: a --workers 1 sweep
+     writes the same bytes as the --workers 2 reference. That run takes
+     its base knob from a config file whose first line is a
+     5,000-character comment, which `intox run --config` accepts and so
+     `intox sweep --config` must too.
+  5. The merged report and the orchestrator's BENCH_SWEEP.json pass
+     scripts/check_metrics_schema.py.
 
 The worker is killed with SIGKILL (no cleanup handlers), so this also
 exercises the write-temp-then-rename commit: a record path either holds
 a complete record or does not exist.
 
-Usage: sweep_resume_test.py <path-to-intox-binary>
+Usage: sweep_resume_test.py <path-to-intox-binary> <check_metrics_schema.py>
 """
 
 import glob
@@ -32,7 +39,8 @@ import time
 SCENARIO = "sketch.pollution"
 # ~40 ms of real work per point, so the kill below lands mid-sweep on
 # any machine, fast or slow.
-BASE_ARGS = ["--set", "cells=1048576", "--sweep", "seed=1:32:1"]
+SWEEP_ARGS = ["--sweep", "seed=1:32:1"]
+BASE_ARGS = ["--set", "cells=1048576", *SWEEP_ARGS]
 POINTS = 32
 KILL_AFTER_S = 0.35
 
@@ -42,20 +50,28 @@ def fail(msg):
     sys.exit(1)
 
 
-def sweep_cmd(intox, cache, out, metrics=None):
-    cmd = [intox, "sweep", SCENARIO, *BASE_ARGS, "--workers", "2",
+def sweep_cmd(intox, cache, out, metrics=None, knob_args=BASE_ARGS,
+              workers="2"):
+    cmd = [intox, "sweep", SCENARIO, *knob_args, "--workers", workers,
            "--cache-dir", cache, "--out", out]
     if metrics:
         cmd += ["--metrics-out", metrics]
     return cmd
 
 
-def run_sweep(intox, cache, out, metrics=None):
+def run_sweep(intox, cache, out, metrics=None, **kwargs):
     env = dict(os.environ)
     env.pop("INTOX_METRICS", None)  # keep per-point reports out of cwd
-    return subprocess.run(sweep_cmd(intox, cache, out, metrics),
+    return subprocess.run(sweep_cmd(intox, cache, out, metrics, **kwargs),
                           capture_output=True, text=True, env=env,
                           timeout=600)
+
+
+def check_schema(checker, *paths):
+    res = subprocess.run([sys.executable, checker, *paths],
+                         capture_output=True, text=True, timeout=120)
+    if res.returncode != 0:
+        fail(f"schema check failed: {res.stdout}{res.stderr}")
 
 
 def read_counter(metrics_path, name):
@@ -68,17 +84,19 @@ def read_counter(metrics_path, name):
 
 
 def committed_records(cache):
-    # Record files are 32-hex-digit content addresses; the task file and
-    # worker logs share the directory but not the pattern.
+    # Record files are 32-hex-digit content addresses; worker logs,
+    # traces and failure sidecars share the directory but not the
+    # pattern.
     return [p for p in glob.glob(os.path.join(cache, "*.json"))
             if len(os.path.basename(p)) == len("0" * 32 + ".json")
             and ".tmp." not in p]
 
 
 def main():
-    if len(sys.argv) != 2:
-        fail("usage: sweep_resume_test.py <intox-binary>")
-    intox = sys.argv[1]
+    if len(sys.argv) != 3:
+        fail("usage: sweep_resume_test.py <intox-binary> "
+             "<check_metrics_schema.py>")
+    intox, checker = sys.argv[1:]
     tmp = tempfile.mkdtemp(prefix="intox_sweep_resume_")
 
     clean_cache = os.path.join(tmp, "clean-cache")
@@ -100,6 +118,22 @@ def main():
     aggregates = clean_doc.get("aggregates")
     if not isinstance(aggregates, dict) or "counters" not in aggregates:
         fail("merged report lacks cross-point aggregates")
+    check_schema(checker, clean_out)
+
+    # --- One worker, knobs from a config with a 5,000-char comment. ---
+    config = os.path.join(tmp, "long_comment.cfg")
+    with open(config, "w", encoding="utf-8") as f:
+        f.write("#" + "x" * 4999 + "\ncells=1048576\n")
+    serial_out = os.path.join(tmp, "serial.json")
+    res = run_sweep(intox, os.path.join(tmp, "serial-cache"), serial_out,
+                    knob_args=["--config", config, *SWEEP_ARGS],
+                    workers="1")
+    if res.returncode != 0:
+        fail(f"--workers 1 --config sweep exited {res.returncode}: "
+             f"{res.stderr}")
+    with open(serial_out, "rb") as f:
+        if f.read() != clean_bytes:
+            fail("--workers 1 merged report differs from --workers 2")
 
     # --- Kill a second sweep mid-run (SIGKILL: no atexit, no flush). ---
     env = dict(os.environ)
@@ -144,6 +178,12 @@ def main():
     if resumed_bytes != clean_bytes:
         fail("resumed merged report differs from the uninterrupted run")
 
+    check_schema(checker, metrics)
+    total = read_counter(metrics, "sweep.points_total")
+    if total != POINTS:
+        fail(f"resume counted {total} points, expected {POINTS}")
+    if read_counter(metrics, "sweep.points_failed") != 0:
+        fail("resume reported failed points")
     cached = read_counter(metrics, "sweep.points_cached")
     executed = read_counter(metrics, "sweep.points_executed")
     if cached != before:

@@ -8,8 +8,8 @@
 //
 // Rules:
 //  - chains starting with `::` or `std::` are always external (project
-//    code lives under intox::*, so `::open` is the libc symbol even
-//    though TaskFile::open exists);
+//    code lives under intox::*, so `::write` is the libc symbol even
+//    though BenchSession::write exists);
 //  - an unqualified or member call resolves to all functions whose last
 //    name component matches;
 //  - a qualified chain (`validate::invariant_violations`) additionally

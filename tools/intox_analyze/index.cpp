@@ -790,7 +790,7 @@ class Indexer {
     if (chain.rfind("::", 0) == 0) chain = chain.substr(2);
     fn.qname = prefix.empty() ? chain : prefix + "::" + chain;
     fn.name = last_component(chain);
-    // Enclosing class: out-of-line `TaskFile::claim` carries it in the
+    // Enclosing class: out-of-line `PointCache::has` carries it in the
     // chain; in-class definitions take it from the scope stack.
     if (const auto pos = chain.rfind("::"); pos != std::string::npos) {
       const std::string qual = chain.substr(0, pos);

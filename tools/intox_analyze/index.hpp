@@ -38,7 +38,7 @@ struct CallSite {
 /// flock(LOCK_UN) or function end.
 struct LockEvent {
   enum Kind { kScopedAcquire, kAcquire, kRelease, kBlockClose } kind;
-  std::string node;  // normalized lock name ("TaskFile::mu_"); empty for
+  std::string node;  // normalized lock name ("Registry::mu_"); empty for
                      // kBlockClose
   int line = 0;
   int depth = 0;  // brace depth inside the function at the event
