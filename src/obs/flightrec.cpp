@@ -19,9 +19,7 @@ namespace {
 constexpr std::size_t kWordsPerRecord = 5;
 constexpr std::size_t kMaxThreads = 512;
 constexpr std::uint64_t kDecisionCapacity = 1024;
-constexpr std::uint64_t kDefaultHotCapacity = 4096;
-constexpr std::uint64_t kMinCapacity = 64;
-constexpr std::uint64_t kMaxCapacity = 1u << 20;
+constexpr std::uint64_t kHotCapacity = 4096;
 
 const char* const kTypeNames[kFrTypeCount] = {
     "none",           "sched.fire",  "link.drop",  "invariant.raise",
@@ -42,12 +40,6 @@ bool is_hot_lane(FrType type) {
     default:
       return false;
   }
-}
-
-std::uint64_t round_up_pow2(std::uint64_t v) {
-  std::uint64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
 }
 
 // Fixed-capacity text slot readable from a signal handler: bytes are
@@ -127,8 +119,8 @@ struct ThreadSlot {
   Ring hot;
   Ring decision;
 
-  ThreadSlot(std::uint32_t tid_in, std::uint64_t hot_cap)
-      : tid(tid_in), hot(hot_cap), decision(kDecisionCapacity) {}
+  explicit ThreadSlot(std::uint32_t tid_in)
+      : tid(tid_in), hot(kHotCapacity), decision(kDecisionCapacity) {}
 };
 
 // Leaked by design: a signal handler must be able to walk every ring
@@ -139,9 +131,7 @@ std::atomic<std::uint32_t> g_thread_count{0};
 thread_local ThreadSlot* t_slot = nullptr;
 thread_local bool t_rejected = false;
 
-// -1 = unresolved (read INTOX_FLIGHTREC on first use).
-std::atomic<int> g_enabled_state{-1};
-std::atomic<std::uint64_t> g_hot_capacity{0};
+std::atomic<bool> g_enabled{true};
 
 AtomicText g_scenario;
 AtomicText g_dump_path;
@@ -154,27 +144,11 @@ std::atomic<std::uint32_t> g_message_count{0};
 
 std::atomic<bool> g_dumped{false};
 
-std::uint64_t hot_capacity() {
-  std::uint64_t cap = g_hot_capacity.load(std::memory_order_relaxed);
-  if (cap == 0) {
-    cap = kDefaultHotCapacity;
-    if (const char* env = std::getenv("INTOX_FLIGHTREC_CAPACITY")) {
-      const std::uint64_t parsed = std::strtoull(env, nullptr, 10);
-      if (parsed > 0) cap = parsed;
-    }
-    if (cap < kMinCapacity) cap = kMinCapacity;
-    if (cap > kMaxCapacity) cap = kMaxCapacity;
-    cap = round_up_pow2(cap);
-    g_hot_capacity.store(cap, std::memory_order_relaxed);
-  }
-  return cap;
-}
-
 ThreadSlot* register_thread() {
   const std::uint32_t idx =
       g_thread_count.fetch_add(1, std::memory_order_acq_rel);
   if (idx >= kMaxThreads) return nullptr;
-  auto* slot = new ThreadSlot(idx + 1, hot_capacity());
+  auto* slot = new ThreadSlot(idx + 1);
   g_slots[idx].store(slot, std::memory_order_release);
   return slot;
 }
@@ -336,19 +310,11 @@ const char* flightrec_type_name(FrType type) {
 }
 
 bool flightrec_enabled() {
-  int state = g_enabled_state.load(std::memory_order_relaxed);
-  if (state < 0) [[unlikely]] {
-    state = 1;
-    if (const char* env = std::getenv("INTOX_FLIGHTREC")) {
-      if (env[0] == '0' && env[1] == '\0') state = 0;
-    }
-    g_enabled_state.store(state, std::memory_order_relaxed);
-  }
-  return state != 0;
+  return g_enabled.load(std::memory_order_relaxed);
 }
 
 void set_flightrec_enabled(bool enabled) {
-  g_enabled_state.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 void flightrec_record(FrType type, std::uint64_t time, std::uint64_t a,

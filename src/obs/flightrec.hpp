@@ -34,10 +34,10 @@
 // no clock is in scope. `intox forensics <dump>` renders the merged,
 // (time, tid, seq)-sorted timeline and a Chrome-trace view.
 //
-// Environment: INTOX_FLIGHTREC=0 disables recording entirely;
-// INTOX_FLIGHTREC_CAPACITY sets the hot-lane ring size (records,
-// rounded up to a power of two); INTOX_FLIGHTREC_DUMP presets the
-// crash-dump destination (--flightrec-out overrides).
+// Sizes are fixed: 4096 hot-lane and 1024 decision-lane records per
+// thread. Environment: INTOX_FLIGHTREC_DUMP presets the crash-dump
+// destination (--flightrec-out overrides). Recording is always on;
+// only tests switch it off, through set_flightrec_enabled.
 #pragma once
 
 #include <cstddef>
@@ -82,7 +82,8 @@ enum class FrAttackerKind : std::uint64_t {
   kBlinkFig2Start = 2  // b=malicious flows, c=legitimate flows
 };
 
-/// True when recording is active (default; INTOX_FLIGHTREC=0 disables).
+/// True when recording is active: from process start until a test
+/// calls set_flightrec_enabled(false).
 bool flightrec_enabled();
 void set_flightrec_enabled(bool enabled);
 

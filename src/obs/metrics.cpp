@@ -1,20 +1,11 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/json.hpp"
 #include "validate/invariant.hpp"
 
 namespace intox::obs {
-
-std::size_t metric_shard_index() {
-  // intox-analyze: hot-lane
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) & (kMetricShards - 1);
-  return slot;
-}
 
 namespace {
 
@@ -43,92 +34,62 @@ void atomic_max_double(std::atomic<double>& a, double v) {
 HistogramMetric::HistogramMetric(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi),
       width_((hi - lo) / static_cast<double>(buckets ? buckets : 1)),
-      buckets_(buckets) {
+      // Degraded path for buckets == 0: one catch-all bucket.
+      counts_(buckets ? buckets : 1) {
   INTOX_INVARIANT(hi > lo && buckets > 0,
                   "histogram metric needs hi > lo and buckets > 0 "
                   "(got lo=%g hi=%g buckets=%zu)", lo, hi, buckets);
-  if (buckets_ == 0) buckets_ = 1;  // degraded path: one catch-all bucket
-  shards_.reserve(kMetricShards);
-  for (std::size_t i = 0; i < kMetricShards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(buckets_));
-  }
 }
 
 void HistogramMetric::observe(double x) {
   // intox-analyze: hot-lane
-  Shard& s = *shards_[metric_shard_index()];
   if (std::isnan(x)) {
     // NaN carries no bucket; count it as overflow so total stays
     // conserved and the report shows the sample was not lost.
-    s.overflow.fetch_add(1, std::memory_order_relaxed);
+    overflow_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (x < lo_) {
-    s.underflow.fetch_add(1, std::memory_order_relaxed);
+    underflow_.fetch_add(1, std::memory_order_relaxed);
   } else if (x >= hi_) {
-    s.overflow.fetch_add(1, std::memory_order_relaxed);
+    overflow_.fetch_add(1, std::memory_order_relaxed);
   } else {
     auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= buckets_) idx = buckets_ - 1;  // hi-edge rounding guard
-    s.counts[idx].fetch_add(1, std::memory_order_relaxed);
+    if (idx >= counts_.size()) idx = counts_.size() - 1;  // hi-edge rounding
+    counts_[idx].fetch_add(1, std::memory_order_relaxed);
   }
-  atomic_add_double(s.sum, x);
-  atomic_min_double(s.min, x);
-  atomic_max_double(s.max, x);
+  atomic_add_double(sum_, x);
+  atomic_min_double(min_, x);
+  atomic_max_double(max_, x);
 }
 
 HistogramMetric::Snapshot HistogramMetric::snapshot() const {
   Snapshot snap;
   snap.lo = lo_;
   snap.hi = hi_;
-  snap.buckets.assign(buckets_, 0);
-  // Fold in shard-index order — the deterministic reduction the header
-  // promises.
-  for (const auto& shard : shards_) {
-    const Shard& s = *shard;
-    for (std::size_t b = 0; b < buckets_; ++b) {
-      snap.buckets[b] += s.counts[b].load(std::memory_order_relaxed);
-    }
-    snap.underflow += s.underflow.load(std::memory_order_relaxed);
-    snap.overflow += s.overflow.load(std::memory_order_relaxed);
-    snap.sum += s.sum.load(std::memory_order_relaxed);
-    snap.min = std::min(snap.min, s.min.load(std::memory_order_relaxed));
-    snap.max = std::max(snap.max, s.max.load(std::memory_order_relaxed));
-  }
+  snap.underflow = underflow_.load(std::memory_order_relaxed);
+  snap.overflow = overflow_.load(std::memory_order_relaxed);
   snap.total = snap.underflow + snap.overflow;
-  for (std::uint64_t c : snap.buckets) snap.total += c;
+  snap.buckets.reserve(counts_.size());
+  for (const auto& c : counts_) {
+    snap.buckets.push_back(c.load(std::memory_order_relaxed));
+    snap.total += snap.buckets.back();
+  }
+  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.min = min_.load(std::memory_order_relaxed);
+  snap.max = max_.load(std::memory_order_relaxed);
   return snap;
 }
 
 void HistogramMetric::reset() {
-  for (auto& shard : shards_) {
-    Shard& s = *shard;
-    for (auto& c : s.counts) c.store(0, std::memory_order_relaxed);
-    s.underflow.store(0, std::memory_order_relaxed);
-    s.overflow.store(0, std::memory_order_relaxed);
-    s.sum.store(0.0, std::memory_order_relaxed);
-    s.min.store(std::numeric_limits<double>::infinity(),
-                std::memory_order_relaxed);
-    s.max.store(-std::numeric_limits<double>::infinity(),
-                std::memory_order_relaxed);
-  }
-}
-
-void HistogramMetric::Snapshot::merge(const Snapshot& other) {
-  INTOX_INVARIANT(mergeable(other),
-                  "merging mismatched histogram snapshots: [%g,%g)x%zu vs "
-                  "[%g,%g)x%zu", lo, hi, buckets.size(), other.lo, other.hi,
-                  other.buckets.size());
-  if (!mergeable(other)) return;  // degraded path: skip, never mix layouts
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    buckets[b] += other.buckets[b];
-  }
-  underflow += other.underflow;
-  overflow += other.overflow;
-  total += other.total;
-  sum += other.sum;
-  min = std::min(min, other.min);
-  max = std::max(max, other.max);
+  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
+  underflow_.store(0, std::memory_order_relaxed);
+  overflow_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
 }
 
 Registry& Registry::global() {

@@ -2,32 +2,35 @@
 //
 // The §5 supervisor architecture is premised on *watching* the data
 // plane; this registry is the reproduction's own data plane watching
-// itself. Design constraints, in order:
+// itself. It is sized to what it records. Schedulers, links, Blink
+// nodes, PCC senders and Pytheas engines count in plain members and
+// add each total to the registry once, when they retire; the runner
+// adds once per dispatch, the sweep orchestrator once per sweep, and
+// the sketches once per pollution run or filter rotation. The only
+// per-event sites are the two PCC histograms, once per monitor
+// interval. So every metric is one set of relaxed atomics shared by
+// all threads; a new per-event count belongs in a member folded at
+// retirement, not in a registry add.
 //
-//  1. Contention-free recording. Every metric is sharded into
-//     cache-line-aligned per-thread slots (a thread hashes to a slot on
-//     first use and keeps it), so the parallel runner's trial shards
-//     never bounce a cache line between workers. Recording is a relaxed
-//     atomic add to the thread's own slot.
-//  2. Deterministic folding. Reads fold the slots in fixed shard-index
-//     order. Counter and histogram-bucket folds are integer sums —
-//     identical for any thread count, because the *work* is identical
-//     (trials are seeded by index) and only its placement moves.
-//     Gauges expose set / update_max, and instrumentation uses the max
-//     form, which is also placement-invariant. The one exception is a
-//     histogram's running `sum` of double samples: which samples share
-//     a shard depends on scheduling, so the fold can differ in the last
-//     ulp across runs. Bucket counts, totals, and extremes never do.
-//  3. Nothing on stdout. Metrics surface only through the run-report
-//     sink (obs/report.hpp) and the trace layer, so bench stdout stays
-//     byte-identical across `--threads`.
+//  1. Placement-invariant values. Counter and histogram-bucket values
+//     are integer sums, identical for any thread count, because the
+//     *work* is identical (trials are seeded by index) and only its
+//     placement moves. Gauges expose set / update_max, and
+//     instrumentation uses the max form, which is also
+//     placement-invariant. The one exception is a histogram's running
+//     `sum` of double samples: it is added in record order, so one
+//     thread's sum is the serial double sum bit for bit, while
+//     interleaved threads may move it in the last ulp. Bucket counts,
+//     totals, and extremes never move.
+//  2. Nothing on stdout. Metrics surface only through the run-report
+//     sink (obs/report.hpp), so bench stdout stays byte-identical
+//     across `--threads`.
 //
 // Metric handles are stable for the process lifetime once registered;
-// hot paths look them up once (static local or member) and then record
+// callers look them up once (static local or member) and then record
 // lock-free. Registration / snapshot take a mutex — they are cold.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -41,39 +44,20 @@
 
 namespace intox::obs {
 
-/// Number of per-metric slots. A power of two; threads beyond this many
-/// share slots (still correct — slots are atomic — just less private).
-inline constexpr std::size_t kMetricShards = 32;
-
-/// This thread's slot index in [0, kMetricShards). Assigned round-robin
-/// on first use and cached thread-locally.
-std::size_t metric_shard_index();
-
-namespace detail {
-struct alignas(64) ShardedU64 {
-  std::atomic<std::uint64_t> v{0};
-};
-}  // namespace detail
-
-/// Monotonic counter. `add` is a relaxed fetch_add on the calling
-/// thread's shard; `value` folds the shards in index order.
+/// Monotonic counter: one relaxed atomic.
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
     // intox-analyze: hot-lane
-    shards_[metric_shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const auto& s : shards_) total += s.v.load(std::memory_order_relaxed);
-    return total;
+    return value_.load(std::memory_order_relaxed);
   }
-  void reset() {
-    for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
-  }
+  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::array<detail::ShardedU64, kMetricShards> shards_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Point-in-time value. `set` is last-writer-wins (use it only from one
@@ -102,10 +86,11 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Concurrent fixed-width histogram over [lo, hi). Mirrors the
-/// semantics of sim::Histogram (out-of-range samples go to dedicated
-/// under/overflow counters, never clamped into edge buckets) but is
-/// safe to record into from many threads at once.
+/// Fixed-width histogram over [lo, hi), safe to record into from many
+/// threads at once. A sample below lo counts as underflow, one at or
+/// above hi as overflow; neither is clamped into an edge bucket. A NaN
+/// counts as overflow and leaves sum, min and max alone. `total` counts
+/// every sample; `sum`, `min` and `max` cover every non-NaN one.
 class HistogramMetric {
  public:
   HistogramMetric(double lo, double hi, std::size_t buckets);
@@ -114,9 +99,9 @@ class HistogramMetric {
 
   [[nodiscard]] double lo() const { return lo_; }
   [[nodiscard]] double hi() const { return hi_; }
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_; }
+  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
 
-  /// A folded, immutable view — also the merge/serialization unit.
+  /// An immutable view — the serialization unit.
   struct Snapshot {
     double lo = 0.0, hi = 0.0;
     std::vector<std::uint64_t> buckets;
@@ -126,38 +111,18 @@ class HistogramMetric {
     double sum = 0.0;
     double min = std::numeric_limits<double>::infinity();
     double max = -std::numeric_limits<double>::infinity();
-
-    /// Adds another snapshot's counts; layouts must match (callers that
-    /// merge across processes validate with `mergeable`).
-    void merge(const Snapshot& other);
-    [[nodiscard]] bool mergeable(const Snapshot& other) const {
-      return lo == other.lo && hi == other.hi &&
-             buckets.size() == other.buckets.size();
-    }
-    [[nodiscard]] double mean() const {
-      return total ? sum / static_cast<double>(total) : 0.0;
-    }
   };
   [[nodiscard]] Snapshot snapshot() const;
   void reset();
 
  private:
-  struct Shard {
-    explicit Shard(std::size_t buckets)
-        : counts(buckets), underflow{0}, overflow{0}, sum{0.0},
-          min{std::numeric_limits<double>::infinity()},
-          max{-std::numeric_limits<double>::infinity()} {}
-    std::vector<std::atomic<std::uint64_t>> counts;
-    std::atomic<std::uint64_t> underflow;
-    std::atomic<std::uint64_t> overflow;
-    std::atomic<double> sum;
-    std::atomic<double> min;
-    std::atomic<double> max;
-  };
-
   double lo_, hi_, width_;
-  std::size_t buckets_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::atomic<std::uint64_t>> counts_;
+  std::atomic<std::uint64_t> underflow_{0};
+  std::atomic<std::uint64_t> overflow_{0};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// The process-wide registry. Metrics are identified by dotted names

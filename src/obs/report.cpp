@@ -176,7 +176,6 @@ void BenchSession::apply_point_suffix(std::size_t point_index) {
 void BenchSession::record_sweep(SweepPerf sweep) {
   std::lock_guard<std::mutex> lock(mu_);
   sweeps_.push_back(std::move(sweep));
-  dirty_ = true;
 }
 
 std::string BenchSession::to_json() const {
@@ -229,10 +228,6 @@ bool BenchSession::write() {
   const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size() &&
                   std::fputc('\n', f) != EOF;
   std::fclose(f);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    dirty_ = false;
-  }
   return ok;
 }
 

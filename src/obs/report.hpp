@@ -96,7 +96,8 @@ class BenchSession {
   /// The full report document (also what the destructor writes).
   [[nodiscard]] std::string to_json() const;
   /// Serializes and writes now; returns false on I/O failure. The
-  /// destructor will not write again unless more sweeps arrive.
+  /// destructor calls it whenever a destination is configured, so an
+  /// early write is always overwritten by the final document.
   bool write();
 
   /// The process's current session, or nullptr outside any bench.
@@ -108,7 +109,6 @@ class BenchSession {
   std::size_t threads_ = 0;
   mutable std::mutex mu_;
   std::vector<SweepPerf> sweeps_;
-  bool dirty_ = false;
 };
 
 /// One sweep point's deterministic run record (intox.point_record.v1):

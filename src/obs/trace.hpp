@@ -2,22 +2,21 @@
 //
 // Setting INTOX_TRACE=out.json (or calling set_trace_path) makes every
 // instrumented scope — runner dispatches and shards, scheduler drain
-// batches, per-bench phases — record a "complete" (ph:"X") event into a
-// per-thread buffer. trace_flush() (installed via atexit, and called by
-// BenchSession teardown) merges the buffers and writes a file loadable
-// in about://tracing or https://ui.perfetto.dev.
+// batches, per-bench phases — record a "complete" (ph:"X") event.
+// trace_flush() (installed via atexit, and called by BenchSession
+// teardown) writes every event recorded so far to a file loadable in
+// about://tracing or https://ui.perfetto.dev, one lane per thread.
 //
 // Cost model: when tracing is disabled (the default) every entry point
 // is one relaxed atomic load and a branch — cheap enough to leave in
-// the scheduler drain loop. When enabled, recording appends to a
-// thread-local vector under an uncontended spin lock (taken only so a
-// concurrent flush can drain safely).
+// the scheduler drain loop. When enabled, recording appends to one
+// process-wide vector under a mutex. A traced run records a few dozen
+// spans, so the lock is never contended enough to matter.
 //
 // Event names and categories must be string literals (or otherwise
-// outlive the process): buffers store the pointers, not copies.
+// outlive the process): the buffer stores the pointers, not copies.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -29,7 +28,6 @@ bool trace_enabled();
 /// Overrides the INTOX_TRACE environment variable (tests, --trace-out).
 /// An empty path disables tracing. Safe to call before any recording.
 void set_trace_path(std::string path);
-[[nodiscard]] std::string trace_path();
 
 /// Monotonic microseconds since process trace-clock start — the `ts`
 /// domain of emitted events. Meaningful only while tracing is enabled.
@@ -43,16 +41,10 @@ void trace_complete(const char* name, const char* category, double start_us,
                     const char* arg0_name = nullptr, std::uint64_t arg0 = 0,
                     const char* arg1_name = nullptr, std::uint64_t arg1 = 0);
 
-/// Records an instant event (`ph:"i"`). No-op when disabled.
-void trace_instant(const char* name, const char* category);
-
-/// Records a counter event (`ph:"C"`) sampling `value` under `series`.
-void trace_counter(const char* name, const char* series, double value);
-
-/// Writes all buffered events to the configured path. Idempotent per
-/// buffer content (events are drained); returns false on I/O failure or
-/// when tracing is disabled. Registered with atexit on first enable, so
-/// plain benches need not call it explicitly.
+/// Rewrites the configured file with every event recorded so far, so
+/// repeated flushes are cumulative and idempotent. Returns false on I/O
+/// failure or when tracing is disabled. Registered with atexit on first
+/// enable, so plain benches need not call it explicitly.
 bool trace_flush();
 
 /// RAII complete-event span. Construction snapshots the clock;

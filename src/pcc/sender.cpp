@@ -33,7 +33,10 @@ PccSender::PccSender(sim::Scheduler& sched, const PccConfig& config,
       rng_(config.seed), rate_bps_(config.initial_rate_bps),
       base_rate_bps_(config.initial_rate_bps), epsilon_(config.epsilon_min),
       epsilon_cap_(config.epsilon_max),
-      srtt_s_(sim::to_seconds(config.initial_rtt)) {}
+      srtt_s_(sim::to_seconds(config.initial_rtt)) {
+  send_ring_.reserve(kSendRingSize);
+  send_ring_.emplace_back();
+}
 
 PccSender::~PccSender() {
   static obs::Counter& decisions =
@@ -154,8 +157,13 @@ void PccSender::send_packet() {
   // UDP framing (PCC runs its own sequencing above UDP).
   const std::uint32_t seq = next_seq_++;
   p.flow_tag = seq;
-  send_ring_[seq & (kSendRingSize - 1)] =
-      SendRecord{seq, current_.id, sched_.now()};
+  const std::size_t slot = seq & (kSendRingSize - 1);
+  const SendRecord rec{seq, current_.id, sched_.now()};
+  if (slot < send_ring_.size()) {
+    send_ring_[slot] = rec;
+  } else {
+    send_ring_.push_back(rec);
+  }
   ++current_.sent;
   sink_(std::move(p));
   schedule_next_send();
@@ -171,7 +179,9 @@ void PccSender::schedule_next_send() {
 }
 
 void PccSender::on_ack(std::uint32_t seq, sim::Time now) {
-  SendRecord& rec = send_ring_[seq & (kSendRingSize - 1)];
+  const std::size_t slot = seq & (kSendRingSize - 1);
+  if (slot >= send_ring_.size()) return;  // never sent
+  SendRecord& rec = send_ring_[slot];
   if (rec.seq != seq) return;  // never sent, overwritten, or already acked
   const double sample = sim::to_seconds(now - rec.sent_at);
   srtt_s_ = 0.9 * srtt_s_ + 0.1 * sample;

@@ -145,14 +145,19 @@ class PccSender {
   /// are overwritten one ring revolution (~32k packets) later — beyond
   /// any simulated ACK latency, so lookups behave exactly like the old
   /// per-seq hash maps (which additionally leaked lost-packet entries
-  /// forever).
+  /// forever). The ring's 768 KiB are reserved at construction but
+  /// filled in send order over the first revolution (slot 0, seq
+  /// kSendRingSize's, starts empty); a slot past the end was never
+  /// sent. Zeroing them up front made set-up of a 48-flow fleet fault
+  /// in 37 MB, at a cost that depended on which pages the heap still
+  /// held from earlier runs.
   struct SendRecord {
     std::uint32_t seq = 0;  // 0 = empty (sequence numbers start at 1)
     std::uint64_t mi_id = 0;
     sim::Time sent_at = 0;
   };
   static constexpr std::uint32_t kSendRingSize = 1u << 15;
-  std::vector<SendRecord> send_ring_ = std::vector<SendRecord>(kSendRingSize);
+  std::vector<SendRecord> send_ring_;
   /// MIs closed but awaiting their ACK grace period — a handful at a
   /// time, so a flat vector with linear scans beats hashing.
   std::vector<MonitorInterval> pending_mis_;

@@ -11,6 +11,25 @@ namespace intox::pytheas {
 PytheasEngine::PytheasEngine(const EngineConfig& config)
     : config_(config), rng_(config.seed) {}
 
+PytheasEngine::~PytheasEngine() {
+  // report() runs once per QoE report on runner workers, so it only
+  // bumps members; the registry sees one add per counter per engine.
+  // A counter is registered only once an engine has counted into it.
+  if (reports_) {
+    static obs::Counter& reports =
+        obs::Registry::global().counter("pytheas.reports");
+    static obs::Counter& filtered =
+        obs::Registry::global().counter("pytheas.filtered_reports");
+    reports.add(reports_);
+    if (filtered_) filtered.add(filtered_);
+  }
+  if (epochs_ended_) {
+    static obs::Counter& epochs =
+        obs::Registry::global().counter("pytheas.epochs");
+    epochs.add(epochs_ended_);
+  }
+}
+
 void PytheasEngine::join(SessionId session, const SessionFeatures& features) {
   auto it = groups_.find(features);
   if (it == groups_.end()) {
@@ -56,16 +75,11 @@ ArmId PytheasEngine::assignment(SessionId session) const {
 }
 
 void PytheasEngine::report(const QoeReport& r) {
-  static obs::Counter& reports =
-      obs::Registry::global().counter("pytheas.reports");
-  static obs::Counter& filtered =
-      obs::Registry::global().counter("pytheas.filtered_reports");
-  reports.add(1);
+  ++reports_;
   auto it = session_group_.find(r.session);
   if (it == session_group_.end()) return;
   if (filter_ && !filter_->admit(it->second, r)) {
     ++filtered_;
-    filtered.add(1);
     return;
   }
   Group& g = *groups_.at(it->second);
@@ -99,9 +113,6 @@ void PytheasEngine::redeal(Group& group) {
 }
 
 void PytheasEngine::end_epoch() {
-  static obs::Counter& epochs =
-      obs::Registry::global().counter("pytheas.epochs");
-  epochs.add(1);
   ++epochs_ended_;
   // groups_ is an unordered_map, so iterating it directly would feed
   // groups to redeal() — and thus draw from the shared rng_ — in

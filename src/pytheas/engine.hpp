@@ -37,6 +37,11 @@ class ReportFilter {
 class PytheasEngine {
  public:
   explicit PytheasEngine(const EngineConfig& config);
+  /// Publishes lifetime totals (reports, filtered reports, epochs) into
+  /// the obs metrics registry at retirement.
+  ~PytheasEngine();
+  PytheasEngine(const PytheasEngine&) = delete;
+  PytheasEngine& operator=(const PytheasEngine&) = delete;
 
   /// Registers a session; creates its group on first sight.
   void join(SessionId session, const SessionFeatures& features);
@@ -87,6 +92,7 @@ class PytheasEngine {
   std::unordered_map<SessionId, SessionFeatures> session_group_;
   std::unordered_map<SessionId, ArmId> session_arm_;
   std::shared_ptr<ReportFilter> filter_;
+  std::uint64_t reports_ = 0;
   std::uint64_t filtered_ = 0;
   std::uint64_t next_group_id_ = 0;
   std::uint64_t epochs_ended_ = 0;

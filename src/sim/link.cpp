@@ -22,7 +22,7 @@ void record_drop(obs::FrDropCause cause, const sim::Scheduler& sched,
 
 Link::~Link() {
   // Counter handles are resolved once per process; the destructor then
-  // folds this link's totals with relaxed sharded adds. Totals are
+  // folds this link's totals with relaxed atomic adds. Totals are
   // per-trial work, so they are identical for any --threads.
   struct Handles {
     obs::Counter& tx_packets;

@@ -45,17 +45,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 void TimeSeries::record(Time t, double value) {
   INTOX_INVARIANT(points_.empty() || t >= points_.back().first,
                   "TimeSeries::record time went backwards (%lld < %lld); "
@@ -143,91 +132,6 @@ void SeriesStats::merge(const SeriesStats& other) {
     cells_[i].merge(other.cells_[i]);
   }
   series_ += other.series_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi),
-      width_(buckets > 0 ? (hi - lo) / static_cast<double>(buckets) : 0.0),
-      counts_(buckets, 0) {
-  INTOX_INVARIANT(buckets > 0, "Histogram needs at least one bucket");
-  INTOX_INVARIANT(hi > lo, "Histogram range is empty: [%g, %g)", lo, hi);
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (other.counts_.size() != counts_.size() || other.lo_ != lo_ ||
-      other.hi_ != hi_) {
-    INTOX_INVARIANT(false,
-                    "Histogram::merge layout mismatch ([%g, %g) x%zu vs "
-                    "[%g, %g) x%zu) would drop %llu samples",
-                    lo_, hi_, counts_.size(), other.lo_, other.hi_,
-                    other.counts_.size(),
-                    static_cast<unsigned long long>(other.total_));
-    return;  // counter-only mode: keep the old skip rather than mixing layouts
-  }
-  if (other.total_ == 0) return;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  if (total_ == 0) {
-    min_seen_ = other.min_seen_;
-    max_seen_ = other.max_seen_;
-  } else {
-    min_seen_ = std::min(min_seen_, other.min_seen_);
-    max_seen_ = std::max(max_seen_, other.max_seen_);
-  }
-  total_ += other.total_;
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-
-  std::uint64_t in_range = 0;
-  for (std::uint64_t c : counts_) in_range += c;
-  INTOX_INVARIANT(in_range + underflow_ + overflow_ == total_,
-                  "Histogram::merge lost samples: %llu bucketed + %llu "
-                  "under + %llu over != %llu total",
-                  static_cast<unsigned long long>(in_range),
-                  static_cast<unsigned long long>(underflow_),
-                  static_cast<unsigned long long>(overflow_),
-                  static_cast<unsigned long long>(total_));
-}
-
-void Histogram::add(double x) {
-  INTOX_INVARIANT(!std::isnan(x), "Histogram::add(NaN) is unclassifiable");
-  if (std::isnan(x)) return;  // counter-only mode: drop rather than misfile
-  if (total_ == 0) {
-    min_seen_ = max_seen_ = x;
-  } else {
-    min_seen_ = std::min(min_seen_, x);
-    max_seen_ = std::max(max_seen_, x);
-  }
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    auto i = static_cast<std::size_t>((x - lo_) / width_);
-    if (i >= counts_.size()) i = counts_.size() - 1;  // float edge case
-    ++counts_[i];
-  }
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  if (q <= 0.0) return min_seen_;
-  if (q >= 1.0) return max_seen_;
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(total_));
-  // Rank order: underflow mass first, then the buckets, then overflow.
-  if (target < underflow_) return min_seen_;
-  std::uint64_t seen = underflow_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen > target) {
-      const double mid = bucket_lo(i) + width_ / 2.0;
-      return std::clamp(mid, min_seen_, max_seen_);
-    }
-  }
-  return max_seen_;  // target falls in the overflow mass
 }
 
 }  // namespace intox::sim

@@ -1,14 +1,16 @@
-// Lightweight statistics helpers used by tests and benchmark harnesses.
+// Streaming statistics for trial results: running moments, (time,
+// value) series, and the per-grid-point fold of many series that the
+// parallel runner merges across shards.
 //
-// All aggregation paths here raise INTOX_INVARIANT violations instead of
-// silently degrading: mismatched shard merges, non-monotonic series
-// timestamps, NaN samples, and non-conserved histogram totals are the
-// internal equivalent of the paper's "intoxicated inputs" — they corrupt
-// every downstream sweep statistic if allowed through quietly.
+// Aggregation paths raise INTOX_INVARIANT violations instead of
+// silently degrading: NaN samples, non-monotonic series timestamps and
+// mismatched grid merges are the internal equivalent of the paper's
+// "intoxicated inputs" — they corrupt every downstream sweep statistic
+// if allowed through quietly.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -37,9 +39,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Percentile with linear interpolation; `q` in [0, 1]. Sorts a copy.
-double percentile(std::vector<double> values, double q);
 
 /// A (time, value) series sampled during a run, e.g. "number of malicious
 /// flows in Blink's sample" or "PCC sending rate". Timestamps must be
@@ -101,49 +100,6 @@ class SeriesStats {
   Duration step_;
   std::vector<RunningStats> cells_;
   std::size_t series_ = 0;
-};
-
-/// Fixed-width histogram over [lo, hi). Out-of-range samples are counted
-/// in dedicated underflow/overflow counters — NOT clamped into the edge
-/// buckets (clamping used to shift the edge-bucket mass and silently
-/// corrupt tail quantiles). `total()` counts every added sample,
-/// in-range or not, and is conserved across `merge`.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double x);
-  /// Adds another histogram's counts. The bucket layouts must match;
-  /// a mismatch raises an invariant violation (and, in counter-only
-  /// mode, skips the merge rather than mixing layouts).
-  void merge(const Histogram& other);
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const {
-    return counts_;
-  }
-  /// All samples ever added, including under/overflow.
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  /// Samples below lo / at-or-above hi.
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  /// Exact observed extremes (valid when total() > 0).
-  [[nodiscard]] double min() const { return min_seen_; }
-  [[nodiscard]] double max() const { return max_seen_; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const {
-    return lo_ + width_ * static_cast<double>(i);
-  }
-  /// Bucket-resolution quantile over ALL samples (out-of-range mass
-  /// included). q <= 0 returns the observed min, q >= 1 the observed max
-  /// — never a mid-bucket value below the true extreme. Mid-range
-  /// results are bucket centers clamped to the observed range.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  double min_seen_ = 0.0;
-  double max_seen_ = 0.0;
 };
 
 }  // namespace intox::sim

@@ -54,8 +54,7 @@ void sweep_usage(std::FILE* out) {
       "and --metrics-out / --flightrec-out serve the orchestrator.\n"
       "Sweep options:\n"
       "  --workers N            concurrent worker processes (0 = auto)\n"
-      "  --cache-dir DIR        point cache (default .intox-sweep-cache,\n"
-      "                         or $INTOX_SWEEP_CACHE)\n"
+      "  --cache-dir DIR        point cache (default .intox-sweep-cache)\n"
       "  --out FILE             merged report path (default: stdout)\n"
       "  --trace-out FILE       merged Chrome trace: orchestrator plus\n"
       "                         every worker, one lane per pid\n"
@@ -152,11 +151,6 @@ std::string parse_args(int argc, char** argv, SweepArgs* out) {
     // fold in point records is byte-exact, which the resume
     // byte-identity guarantee builds on.
     out->child_flags.insert(out->child_flags.end(), {"--threads", "1"});
-  }
-  if (out->cache_dir.empty()) {
-    if (const char* env = std::getenv("INTOX_SWEEP_CACHE")) {
-      if (env[0] != '\0') out->cache_dir = env;
-    }
   }
   if (out->cache_dir.empty()) out->cache_dir = ".intox-sweep-cache";
   if (out->trace_out.empty()) {
@@ -387,7 +381,8 @@ int sweep_main(int argc, char** argv) {
         const std::string dump = cache.dump_path(keys[idx]);
         const bool have_dump = file_exists(dump);
         write_failure_sidecar(cache.failure_path(keys[idx]), args.sc->name,
-                              idx, err, cache.log_path(keys[idx]),
+                              idx, point_banner(point_at(axes, idx)),
+                              cache.log_path(keys[idx]),
                               have_dump ? dump : std::string{});
         std::lock_guard<std::mutex> lock(stderr_mu);
         std::fprintf(stderr, "intox sweep: point %zu failed%s%s (see %s)\n",

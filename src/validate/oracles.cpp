@@ -55,17 +55,6 @@ ExactStats exact_stats(const std::vector<double>& xs) {
   return out;
 }
 
-double exact_quantile(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-}
-
 std::uint64_t ReferenceQueue::schedule_at(sim::Time t) {
   if (t < now_) t = now_;
   const std::uint64_t id = next_id_++;

@@ -3,10 +3,9 @@
 //
 // Each oracle recomputes a result a second way — byte-at-a-time RFC 1071
 // folding for the internet checksum, a sorted-vector queue for the event
-// scheduler, single-/two-pass recomputation for the streaming statistics,
-// exact sorted quantiles for the histogram — so tests (and the
-// `validate_sweep` binary) can cross-check the fast paths instead of
-// trusting them. None of these are meant for production speed.
+// scheduler, two-pass recomputation for the streaming statistics — so
+// tests (and the `validate_sweep` binary) can cross-check the fast paths
+// instead of trusting them. None of these are meant for production speed.
 #pragma once
 
 #include <cstddef>
@@ -48,11 +47,6 @@ struct ExactStats {
   double max = 0.0;
 };
 ExactStats exact_stats(const std::vector<double>& xs);
-
-/// Exact q-quantile of the raw samples with the same linear-interpolation
-/// convention as `sim::percentile` — the oracle for Histogram::quantile
-/// (which must agree to within one bucket width on in-range data).
-double exact_quantile(std::vector<double> xs, double q);
 
 // --- Reference event queue --------------------------------------------
 //

@@ -120,8 +120,8 @@ TEST(Flightrec, DumpIsSchemaValidAndAccountsForEveryRecord) {
 TEST(Flightrec, RingKeepsTheLastRecordsWhenOverflowed) {
   set_flightrec_enabled(true);
   const std::uint32_t tid = flightrec_this_thread_tid();
-  // Well past the decision-lane capacity (1024 by default): the ring
-  // must keep the *newest* records and account for the evictions.
+  // Well past the decision-lane capacity (1024): the ring must keep
+  // the *newest* records and account for the evictions.
   constexpr std::uint64_t kWrites = 3000;
   for (std::uint64_t i = 0; i < kWrites; ++i) {
     flightrec_record(FrType::kNote, i, i, 0, 0);

@@ -97,6 +97,29 @@ TEST(PccSender, LosslessPathMeansZeroMeasuredLoss) {
   EXPECT_LE(lossy, loop.sender->history().size() / 10);
 }
 
+TEST(PccSender, AckLookupsHoldAcrossTheFirstRingRevolution) {
+  // The send ring fills in send order. ACKs for sequence numbers not sent
+  // yet (slot 0 included) are ignored, and after the ring wraps (~32k
+  // packets) a lossless path still sees its ACKs.
+  Loop loop{100e6, 0, /*max_rate_bps=*/40e6};
+  const double rtt0 = loop.sender->smoothed_rtt_seconds();
+  for (std::uint32_t seq : {1u, 2u, 5000u, 32768u, 32769u}) {
+    loop.sender->on_ack(seq, sim::seconds(1));
+  }
+  EXPECT_EQ(loop.sender->smoothed_rtt_seconds(), rtt0);
+
+  loop.sender->start();
+  loop.sched.run_until(sim::seconds(20));
+  loop.sender->stop();
+  ASSERT_GT(loop.fwd->counters().tx_packets, 40000u);
+  const auto& h = loop.sender->history();
+  std::size_t lossy = 0;
+  for (std::size_t i = h.size() / 2; i < h.size(); ++i) {
+    if (h[i].loss() > 0.02) ++lossy;
+  }
+  EXPECT_LE(lossy, h.size() / 20);
+}
+
 TEST(PccSender, PersistentLossDetected) {
   Loop loop{100e6, /*drop_every_nth=*/10};
   loop.sender->start();

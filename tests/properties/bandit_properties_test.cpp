@@ -14,6 +14,12 @@ struct BanditParam {
   std::uint64_t seed;
 };
 
+// Names the ctest entries (`…/gap0.5_seed1`) instead of gtest's
+// default byte dump.
+void PrintTo(const BanditParam& param, std::ostream* os) {
+  *os << "gap" << param.gap << "_seed" << param.seed;
+}
+
 class BanditProperties : public ::testing::TestWithParam<BanditParam> {};
 
 TEST_P(BanditProperties, ConvergesToBestArmUnderNoise) {

@@ -15,6 +15,13 @@ struct LinkParam {
   std::uint32_t red_min;  // 0 = no RED
 };
 
+// Names the ctest entries (`…/1Mbps_1000us_queue16384_red0`) instead
+// of gtest's default byte dump.
+void PrintTo(const LinkParam& param, std::ostream* os) {
+  *os << param.rate_bps / 1e6 << "Mbps_" << param.prop_delay / kMicrosecond
+      << "us_queue" << param.queue_limit << "_red" << param.red_min;
+}
+
 class LinkProperties : public ::testing::TestWithParam<LinkParam> {};
 
 net::Packet make_pkt(std::uint64_t tag, std::uint32_t payload) {

@@ -13,6 +13,12 @@ struct PccParam {
   std::uint64_t seed;
 };
 
+// Names the ctest entries (`…/10Mbps_seed1`) instead of gtest's
+// default byte dump.
+void PrintTo(const PccParam& param, std::ostream* os) {
+  *os << param.bottleneck_bps / 1e6 << "Mbps_seed" << param.seed;
+}
+
 class PccSweep : public ::testing::TestWithParam<PccParam> {};
 
 PccExperimentConfig config_for(const PccParam& p) {

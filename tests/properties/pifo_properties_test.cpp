@@ -16,6 +16,12 @@ struct BankParam {
   std::size_t capacity;
 };
 
+// Names the ctest entries (`…/queues2_capacity8`) instead of gtest's
+// default byte dump.
+void PrintTo(const BankParam& param, std::ostream* os) {
+  *os << "queues" << param.queues << "_capacity" << param.capacity;
+}
+
 class PifoProperties : public ::testing::TestWithParam<BankParam> {};
 
 TEST_P(PifoProperties, IdealPifoAlwaysSortedOutput) {

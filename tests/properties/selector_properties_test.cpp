@@ -15,6 +15,12 @@ struct SelectorParam {
   std::uint32_t seed;
 };
 
+// Names the ctest entries (`…/cells16_seed0`); gtest's default byte
+// dump would include the struct's uninitialized padding.
+void PrintTo(const SelectorParam& param, std::ostream* os) {
+  *os << "cells" << param.cells << "_seed" << param.seed;
+}
+
 class SelectorProperties : public ::testing::TestWithParam<SelectorParam> {};
 
 net::FiveTuple random_tuple(sim::Rng& rng) {

@@ -19,6 +19,13 @@ struct BloomParam {
   std::uint64_t inserted;
 };
 
+// Names the ctest entries (`…/cells1024_hashes2_keys100`); gtest's
+// default byte dump would include the struct's uninitialized padding.
+void PrintTo(const BloomParam& param, std::ostream* os) {
+  *os << "cells" << param.cells << "_hashes" << param.hashes << "_keys"
+      << param.inserted;
+}
+
 class BloomProperties : public ::testing::TestWithParam<BloomParam> {};
 
 TEST_P(BloomProperties, NoFalseNegativesEver) {

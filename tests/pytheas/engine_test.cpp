@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <string_view>
+
+#include "obs/metrics.hpp"
+
 namespace intox::pytheas {
 namespace {
 
@@ -94,6 +100,35 @@ TEST(PytheasEngine, FilterQuarantinesReports) {
   EXPECT_EQ(e.filtered_reports(), 10u);
   const auto* bandit = e.group_bandit(kGroupA);
   EXPECT_LT(bandit->effective_count(0), 1e-9);
+}
+
+// report() runs once per QoE report on runner workers, so the engine
+// keeps its counts in members and adds each to the shared registry
+// once, when it retires.
+TEST(PytheasEngine, FoldsCountsIntoTheRegistryAtRetirement) {
+  auto counter = [](std::string_view name) -> std::uint64_t {
+    const auto snap = obs::Registry::global().snapshot();
+    auto it = snap.counters.find(std::string(name));
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  const std::uint64_t reports0 = counter("pytheas.reports");
+  const std::uint64_t filtered0 = counter("pytheas.filtered_reports");
+  const std::uint64_t epochs0 = counter("pytheas.epochs");
+  {
+    PytheasEngine e{two_arm_config()};
+    e.set_filter(std::make_shared<RejectAll>());
+    e.join(1, kGroupA);
+    for (int i = 0; i < 10; ++i) e.report({1, 0, 0.0, 0});
+    e.report({2, 0, 0.0, 0});  // unknown session: counted, not filtered
+    e.end_epoch();
+    e.end_epoch();
+    EXPECT_EQ(counter("pytheas.reports"), reports0);
+    EXPECT_EQ(counter("pytheas.filtered_reports"), filtered0);
+    EXPECT_EQ(counter("pytheas.epochs"), epochs0);
+  }
+  EXPECT_EQ(counter("pytheas.reports"), reports0 + 11);
+  EXPECT_EQ(counter("pytheas.filtered_reports"), filtered0 + 10);
+  EXPECT_EQ(counter("pytheas.epochs"), epochs0 + 2);
 }
 
 TEST(PytheasEngine, EpochReportsVisibleUntilEpochEnd) {

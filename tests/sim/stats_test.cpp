@@ -154,63 +154,6 @@ TEST(SeriesStats, MismatchedGridMergeCountsAndSkipsInCounterMode) {
   EXPECT_EQ(a.at(0).count(), 0u);
 }
 
-TEST(HistogramMerge, AddsCountsBucketwise) {
-  Histogram a{0.0, 10.0, 10}, b{0.0, 10.0, 10};
-  a.add(1.5);
-  b.add(1.5);
-  b.add(9.5);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.buckets()[1], 2u);
-  EXPECT_EQ(a.buckets()[9], 1u);
-}
-
-TEST(HistogramMerge, PreservesTotalsAndExtremes) {
-  Histogram a{0.0, 10.0, 10}, b{0.0, 10.0, 10};
-  a.add(-3.0);   // underflow shard a
-  a.add(4.2);
-  b.add(99.0);   // overflow shard b
-  b.add(7.7);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.underflow(), 1u);
-  EXPECT_EQ(a.overflow(), 1u);
-  EXPECT_DOUBLE_EQ(a.min(), -3.0);
-  EXPECT_DOUBLE_EQ(a.max(), 99.0);
-}
-
-TEST(HistogramMerge, MismatchedLayoutRaisesInvariant) {
-  validate::ScopedInvariantMode guard{validate::InvariantMode::kThrow};
-  Histogram a{0.0, 10.0, 10}, b{0.0, 20.0, 10};
-  b.add(1.0);
-  EXPECT_THROW(a.merge(b), validate::InvariantError);
-}
-
-TEST(HistogramMerge, MismatchedLayoutCountsAndSkipsInCounterMode) {
-  validate::ScopedInvariantMode guard{validate::InvariantMode::kCount};
-  validate::reset_invariant_violations();
-  Histogram a{0.0, 10.0, 10}, b{0.0, 20.0, 10};
-  b.add(1.0);
-  a.merge(b);
-  EXPECT_EQ(validate::invariant_violations(), 1u);
-  EXPECT_EQ(a.total(), 0u);
-}
-
-TEST(Percentile, InterpolatesLinearly) {
-  std::vector<double> v{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 25.0);
-}
-
-TEST(Percentile, HandlesUnsortedInput) {
-  EXPECT_DOUBLE_EQ(percentile({30, 10, 20}, 0.5), 20.0);
-}
-
-TEST(Percentile, EmptyReturnsZero) {
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
-}
-
 TEST(TimeSeries, StepInterpolation) {
   TimeSeries ts;
   ts.record(10, 1.0);
@@ -275,57 +218,6 @@ TEST(TimeSeries, Resample) {
   EXPECT_DOUBLE_EQ(grid[1], 1.0);
   EXPECT_DOUBLE_EQ(grid[2], 2.0);
   EXPECT_DOUBLE_EQ(grid[4], 2.0);
-}
-
-TEST(Histogram, BucketsAndQuantile) {
-  Histogram h{0.0, 10.0, 10};
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.total(), 100u);
-  for (auto c : h.buckets()) EXPECT_EQ(c, 10u);
-  EXPECT_NEAR(h.quantile(0.5), 5.5, 1.0);
-}
-
-TEST(Histogram, CountsOutOfRangeInDedicatedCounters) {
-  // Clamping out-of-range samples into the edge buckets used to inflate
-  // the edge mass and corrupt tail quantiles; they now land in dedicated
-  // underflow/overflow counters and the buckets stay clean.
-  Histogram h{0.0, 10.0, 10};
-  h.add(-5.0);
-  h.add(50.0);
-  h.add(0.5);
-  EXPECT_EQ(h.buckets().front(), 1u);  // only the in-range 0.5
-  EXPECT_EQ(h.buckets().back(), 0u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_DOUBLE_EQ(h.min(), -5.0);
-  EXPECT_DOUBLE_EQ(h.max(), 50.0);
-}
-
-TEST(Histogram, QuantileExtremesMatchObservedRange) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(2.2);
-  h.add(4.4);
-  h.add(9.9);
-  // q=1.0 must not return a mid-bucket value below the observed max, and
-  // q=0.0 must not exceed the observed min.
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 9.9);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 2.2);
-}
-
-TEST(Histogram, QuantileAccountsForOutOfRangeMass) {
-  Histogram h{0.0, 10.0, 10};
-  for (int i = 0; i < 90; ++i) h.add(5.5);  // bucket 5
-  for (int i = 0; i < 10; ++i) h.add(1e6);  // overflow tail
-  EXPECT_NEAR(h.quantile(0.5), 5.5, 1.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.99), 1e6);  // rank 99 is overflow mass
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1e6);
-}
-
-TEST(Histogram, NanSampleRaisesInvariant) {
-  validate::ScopedInvariantMode guard{validate::InvariantMode::kThrow};
-  Histogram h{0.0, 10.0, 10};
-  EXPECT_THROW(h.add(std::nan("")), validate::InvariantError);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@ Pins the dump-on-failure pipeline end to end against the real binary:
 
   1. A worker that SIGSEGVs mid-point commits a schema-valid
      intox.flightrec.v1 dump into the sweep cache, and the orchestrator
-     writes an intox.sweep_failure.v1 sidecar referencing it.
+     writes an intox.sweep_failure.v1 sidecar referencing it and naming
+     the point by index and banner.
   2. `intox forensics <dump>` renders a timeline naming the scenario
      and its last recorded decisions.
   3. Re-running the sweep without the crash trigger resumes the healthy
@@ -102,6 +103,12 @@ def main():
         fail(f"bad sidecar schema {sidecar.get('schema')!r}")
     if sidecar.get("scenario") != SCENARIO:
         fail(f"sidecar names scenario {sidecar.get('scenario')!r}")
+    # seed=1:4:1 enumerates seeds 1..4, so the crashing seed is point 2.
+    if sidecar.get("point") != 2:
+        fail(f"sidecar names point {sidecar.get('point')!r}, expected 2")
+    if sidecar.get("banner") != f"seed={CRASH_SEED}":
+        fail(f"sidecar banner {sidecar.get('banner')!r}, "
+             f"expected 'seed={CRASH_SEED}'")
     dump_path = sidecar.get("flightrec")
     if not dump_path or not os.path.exists(dump_path):
         fail(f"sidecar flightrec reference {dump_path!r} does not exist")

@@ -45,15 +45,6 @@ TEST(ExactStatsOracle, AgreesWithRunningStats) {
   EXPECT_DOUBLE_EQ(ex.max, rs.max());
 }
 
-TEST(ExactQuantileOracle, MatchesPercentileConvention) {
-  std::vector<double> v{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.5), 25.0);
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 1.0), 40.0);
-  EXPECT_DOUBLE_EQ(exact_quantile({3, 1, 2}, 0.5), 2.0);  // sorts a copy
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.5), sim::percentile(v, 0.5));
-}
-
 TEST(ReferenceQueue, FiresInTimeThenFifoOrder) {
   ReferenceQueue q;
   const auto a = q.schedule_at(30);
