@@ -28,14 +28,6 @@ void Console::row() {
   std::printf("\n");
 }
 
-void Console::raw(const char* fmt, ...) {
-  if (quiet_) return;
-  va_list args;
-  va_start(args, fmt);
-  std::vprintf(fmt, args);
-  va_end(args);
-}
-
 void Console::claim(bool ok, const char* text) {
   ++claims_;
   if (ok) ++passed_;

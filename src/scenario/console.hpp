@@ -3,8 +3,8 @@
 // (64-column `=` rules, "  [PASS]/[CHECK]" claims, "  note:" remarks).
 // Stdout stays the golden artifact — the golden tests diff `intox run`
 // against tests/golden/<scenario>.txt byte for byte — while the console
-// additionally tallies claims for the driver's Table and supports a
-// quiet mode so `intox validate` can run every scenario silently.
+// additionally tallies the claims it prints and supports a quiet mode so
+// `intox validate` can run every scenario silently.
 #pragma once
 
 #include <cstddef>
@@ -22,13 +22,6 @@ class Console {
 
   /// Blank table row (avoids the zero-length-format warning).
   void row();
-
-  /// printf passthrough for narrated output (the example scenarios). No
-  /// newline is appended.
-#if defined(__GNUC__) || defined(__clang__)
-  __attribute__((format(printf, 2, 3)))
-#endif
-  void raw(const char* fmt, ...);
 
   void claim(bool ok, const char* text);
   void note(const char* text);

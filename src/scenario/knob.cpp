@@ -11,8 +11,6 @@ namespace {
 std::string render_default(const Knob& knob) {
   char buf[64];
   switch (knob.kind) {
-    case KnobKind::kBool:
-      return knob.b ? "true" : "false";
     case KnobKind::kU64:
       std::snprintf(buf, sizeof buf, "%llu",
                     static_cast<unsigned long long>(knob.u));
@@ -30,8 +28,6 @@ std::string render_default(const Knob& knob) {
 
 std::string render_value(const Knob& knob) {
   switch (knob.kind) {
-    case KnobKind::kBool:
-      return knob.b ? "true" : "false";
     case KnobKind::kU64: {
       char buf[32];
       std::snprintf(buf, sizeof buf, "%llu",
@@ -54,8 +50,6 @@ std::string render_value(const Knob& knob) {
 
 const char* to_string(KnobKind kind) {
   switch (kind) {
-    case KnobKind::kBool:
-      return "bool";
     case KnobKind::kU64:
       return "u64";
     case KnobKind::kDouble:
@@ -72,16 +66,6 @@ void KnobSet::declare(Knob knob) {
   }
   knob.default_text = render_default(knob);
   knobs_.push_back(std::move(knob));
-}
-
-void KnobSet::declare_bool(const std::string& name, bool def,
-                           const std::string& help) {
-  Knob k;
-  k.name = name;
-  k.kind = KnobKind::kBool;
-  k.help = help;
-  k.b = def;
-  declare(std::move(k));
 }
 
 void KnobSet::declare_u64(const std::string& name, std::uint64_t def,
@@ -162,10 +146,6 @@ const Knob& KnobSet::require(std::string_view name, KnobKind kind) const {
   return *k;
 }
 
-bool KnobSet::b(std::string_view name) const {
-  return require(name, KnobKind::kBool).b;
-}
-
 std::uint64_t KnobSet::u(std::string_view name) const {
   return require(name, KnobKind::kU64).u;
 }
@@ -198,16 +178,6 @@ std::string KnobSet::set(const std::string& key, const std::string& value) {
     return "unknown knob '" + key + "' (declared: " + declared_names() + ")";
   }
   switch (knob->kind) {
-    case KnobKind::kBool: {
-      if (value == "true" || value == "1") {
-        knob->b = true;
-      } else if (value == "false" || value == "0") {
-        knob->b = false;
-      } else {
-        return "knob '" + key + "' expects true/false, got '" + value + "'";
-      }
-      return "";
-    }
     case KnobKind::kU64: {
       if (value.empty() || value[0] == '-') {
         return "knob '" + key + "' expects an unsigned integer, got '" +

@@ -16,7 +16,7 @@
 
 namespace intox::scenario {
 
-enum class KnobKind { kBool, kU64, kDouble, kString };
+enum class KnobKind { kU64, kDouble, kString };
 
 const char* to_string(KnobKind kind);
 
@@ -33,7 +33,6 @@ struct Knob {
   KnobKind kind = KnobKind::kU64;
   std::string help;
   // Current value; only the member matching `kind` is meaningful.
-  bool b = false;
   std::uint64_t u = 0;
   double d = 0.0;
   std::string s;
@@ -47,8 +46,6 @@ struct Knob {
 
 class KnobSet {
  public:
-  void declare_bool(const std::string& name, bool def,
-                    const std::string& help);
   void declare_u64(const std::string& name, std::uint64_t def,
                    const std::string& help);
   void declare_u64(const std::string& name, std::uint64_t def,
@@ -63,7 +60,6 @@ class KnobSet {
 
   /// Typed accessors; a wrong name or kind is a programming error in the
   /// scenario body and throws std::logic_error.
-  [[nodiscard]] bool b(std::string_view name) const;
   [[nodiscard]] std::uint64_t u(std::string_view name) const;
   [[nodiscard]] double d(std::string_view name) const;
   [[nodiscard]] const std::string& s(std::string_view name) const;

@@ -1,10 +1,9 @@
 // The Scenario interface: one declarative experiment = a name, a report
 // family, typed knobs, and a run function. Every experiment and
-// walk-through in this reproduction registers itself here (see
+// library example in this reproduction registers itself here (see
 // scenarios_*.cpp); the `intox` driver is the only entry point.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "scenario/console.hpp"
@@ -13,14 +12,9 @@
 
 namespace intox::scenario {
 
-/// What a scenario run leaves behind: the process exit code plus the
-/// claim tally the console recorded while the run printed. Scenario
-/// bodies fill exit_code only; the driver copies the console counters in
-/// after the run returns.
+/// What a scenario run leaves behind: the process exit code.
 struct Table {
   int exit_code = 0;
-  std::size_t claims = 0;
-  std::size_t passed = 0;
 };
 
 /// Everything a scenario body may touch. The driver owns thread-count

@@ -89,11 +89,11 @@ TEST(CliDeathTest, EmptySweepRangeExitsTwo) {
               ::testing::ExitedWithCode(2), "intox: --sweep: empty range");
 }
 
-TEST(CliDeathTest, SweepOnBoolKnobExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "pcc.mitm", "--sweep",
-                             "attack=0:1:1"})),
+TEST(CliDeathTest, SweepOnStringKnobExitsTwo) {
+  EXPECT_EXIT(std::exit(run({"intox", "run", "debug.crash", "--sweep",
+                             "crash=0:1:1"})),
               ::testing::ExitedWithCode(2),
-              "only u64/double knobs sweep");
+              "knob 'crash' is string; only u64/double knobs sweep");
 }
 
 TEST(CliDeathTest, UnknownArgumentExitsTwo) {

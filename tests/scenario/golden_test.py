@@ -6,8 +6,10 @@
       of GOLDEN. Stderr, which carries wall-clock perf records, is
       ignored.
   golden_test.py --coverage INTOX GOLDEN_DIR [registered goldens...]
-      Every scenario `INTOX list` prints needs GOLDEN_DIR/<scenario>.txt,
-      and every GOLDEN_DIR/*.txt must be a registered golden.
+      Every scenario `INTOX list` prints needs GOLDEN_DIR/<scenario>.txt
+      with at least one `  [PASS] ` claim, every GOLDEN_DIR/*.txt must be
+      a registered golden, and no golden may pin a `[CHECK]` (failed)
+      claim.
 """
 
 import shlex
@@ -52,12 +54,21 @@ def check_golden(intox, golden, scenario, args):
 def check_coverage(intox, golden_dir, registered):
     listing = subprocess.run([intox, "list"], stdout=subprocess.PIPE,
                              text=True, check=True).stdout
-    on_disk = {p.name for p in Path(golden_dir).glob("*.txt")}
-    problems = [f"scenario {s} has no golden {s}.txt"
-                for s in (line.split()[0] for line in listing.splitlines())
-                if f"{s}.txt" not in on_disk]
+    goldens = {p.name: p.read_text(encoding="utf-8").splitlines()
+               for p in Path(golden_dir).glob("*.txt")}
+    problems = []
+    for s in (line.split()[0] for line in listing.splitlines()):
+        if f"{s}.txt" not in goldens:
+            problems.append(f"scenario {s} has no golden {s}.txt")
+        elif not any(line.startswith("  [PASS] ")
+                     for line in goldens[f"{s}.txt"]):
+            problems.append(f"scenario {s} asserts no claim: {s}.txt has "
+                            "no [PASS] line")
     problems += [f"{name} has no registered golden test"
-                 for name in sorted(on_disk - set(registered))]
+                 for name in sorted(set(goldens) - set(registered))]
+    problems += [f"{name} pins a failed claim:{line[len('  [CHECK]'):]}"
+                 for name, lines in sorted(goldens.items())
+                 for line in lines if line.startswith("  [CHECK] ")]
     if problems:
         sys.exit("\n".join(problems))
 

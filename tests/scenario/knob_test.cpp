@@ -9,7 +9,6 @@ namespace {
 
 KnobSet sample() {
   KnobSet knobs;
-  knobs.declare_bool("attack", false, "enable the attack");
   knobs.declare_u64("trials", 8, "trial count", 1, 100);
   knobs.declare_double("floor", 0.5, "accuracy floor", 0.0, 1.0);
   knobs.declare_string("label", "clean", "free-form label");
@@ -18,7 +17,6 @@ KnobSet sample() {
 
 TEST(KnobSet, DefaultsAreVisibleThroughTypedAccessors) {
   const KnobSet knobs = sample();
-  EXPECT_FALSE(knobs.b("attack"));
   EXPECT_EQ(knobs.u("trials"), 8u);
   EXPECT_DOUBLE_EQ(knobs.d("floor"), 0.5);
   EXPECT_EQ(knobs.s("label"), "clean");
@@ -26,22 +24,12 @@ TEST(KnobSet, DefaultsAreVisibleThroughTypedAccessors) {
 
 TEST(KnobSet, SetParsesEveryKind) {
   KnobSet knobs = sample();
-  EXPECT_EQ(knobs.set("attack", "true"), "");
   EXPECT_EQ(knobs.set("trials", "42"), "");
   EXPECT_EQ(knobs.set("floor", "0.75"), "");
   EXPECT_EQ(knobs.set("label", "poisoned"), "");
-  EXPECT_TRUE(knobs.b("attack"));
   EXPECT_EQ(knobs.u("trials"), 42u);
   EXPECT_DOUBLE_EQ(knobs.d("floor"), 0.75);
   EXPECT_EQ(knobs.s("label"), "poisoned");
-}
-
-TEST(KnobSet, BoolAcceptsZeroOne) {
-  KnobSet knobs = sample();
-  EXPECT_EQ(knobs.set("attack", "1"), "");
-  EXPECT_TRUE(knobs.b("attack"));
-  EXPECT_EQ(knobs.set("attack", "0"), "");
-  EXPECT_FALSE(knobs.b("attack"));
 }
 
 TEST(KnobSet, UnknownKeyNamesTheDeclaredKnobs) {
@@ -53,7 +41,6 @@ TEST(KnobSet, UnknownKeyNamesTheDeclaredKnobs) {
 
 TEST(KnobSet, MalformedValuesAreRejected) {
   KnobSet knobs = sample();
-  EXPECT_NE(knobs.set("attack", "yes"), "");
   EXPECT_NE(knobs.set("trials", "abc"), "");
   EXPECT_NE(knobs.set("trials", "-3"), "");
   EXPECT_NE(knobs.set("trials", "12x"), "");
@@ -74,8 +61,8 @@ TEST(KnobSet, RangeViolationsAreRejected) {
 
 TEST(KnobSet, WrongKindAccessIsAProgrammingError) {
   const KnobSet knobs = sample();
-  EXPECT_THROW((void)knobs.u("attack"), std::logic_error);
-  EXPECT_THROW((void)knobs.b("trials"), std::logic_error);
+  EXPECT_THROW((void)knobs.u("label"), std::logic_error);
+  EXPECT_THROW((void)knobs.s("trials"), std::logic_error);
   EXPECT_THROW((void)knobs.u("nope"), std::logic_error);
 }
 

@@ -29,9 +29,7 @@ TEST(Registry, CoversEveryBenchFamily) {
 }
 
 TEST(Registry, CoversTheExampleWalkthroughs) {
-  for (const char* name :
-       {"quickstart", "blink.hijack", "pcc.mitm", "pytheas.streaming",
-        "nethide.traceroute", "attack.synthesis", "egress.steering"}) {
+  for (const char* name : {"quickstart", "attack.synthesis"}) {
     EXPECT_NE(Registry::instance().find(name), nullptr)
         << "missing scenario " << name;
   }

@@ -74,8 +74,8 @@ TEST(CliParityDeathTest, RunAndSweepRejectKnobFlagsAlike) {
        "--sweep: 'x' in 'runs=1:x:1' is not a number"},
       {{"blink.fig2", "--sweep", "runs=4:1:1"},
        "--sweep: empty range in 'runs=4:1:1' (a > b)"},
-      {{"pcc.mitm", "--sweep", "attack=0:1:1"},
-       "--sweep: knob 'attack' is bool; only u64/double knobs sweep"},
+      {{"debug.crash", "--sweep", "crash=0:1:1"},
+       "--sweep: knob 'crash' is string; only u64/double knobs sweep"},
       {{"blink.fig2", "--set", "runs=4", "--sweep", "runs=1:2:1"},
        conflict},
       {{"blink.fig2", "--sweep", "runs=1:2:1", "--set", "runs=4"},

@@ -18,7 +18,6 @@ scenario::KnobSet test_knobs() {
   scenario::KnobSet knobs;
   knobs.declare_double("ratio", 0.5, "a double knob");
   knobs.declare_u64("count", 1, "a u64 knob");
-  knobs.declare_bool("flag", false, "a bool knob");
   knobs.declare_string("name", "x", "a string knob");
   return knobs;
 }
@@ -74,7 +73,6 @@ TEST(SweepAxis, StepLargerThanSpanIsOnePoint) {
 TEST(SweepAxis, RejectsNonNumericKnobs) {
   const scenario::KnobSet knobs = test_knobs();
   SweepAxis axis;
-  EXPECT_NE(parse_sweep_axis("flag=0:1:1", knobs, &axis), "");
   EXPECT_NE(parse_sweep_axis("name=0:1:1", knobs, &axis), "");
 }
 
