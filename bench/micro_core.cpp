@@ -4,6 +4,10 @@
 // the packet-level reproductions to run at the scale the paper used.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+
 #include "blink/flow_selector.hpp"
 #include "obs/report.hpp"
 #include "innet/classifier.hpp"
@@ -225,11 +229,12 @@ void BM_PacketSerializeParse(benchmark::State& state) {
 BENCHMARK(BM_PacketSerializeParse);
 
 // Console reporter that additionally records every finished benchmark as
-// a SweepPerf into the ambient BenchSession, so `--metrics-out` /
-// INTOX_METRICS produces a BENCH_*.json the perf gate can diff against
-// committed baselines.
+// a SweepPerf into the BenchSession, so `--metrics-out FILE` produces a
+// BENCH_MICRO.json the perf gate can diff against committed baselines.
 class SessionReporter : public benchmark::ConsoleReporter {
  public:
+  explicit SessionReporter(obs::BenchSession& session) : session_(session) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     ConsoleReporter::ReportRuns(runs);
     for (const auto& run : runs) {
@@ -240,21 +245,29 @@ class SessionReporter : public benchmark::ConsoleReporter {
       perf.trials = static_cast<std::size_t>(run.iterations);
       perf.threads = 1;
       perf.wall_seconds = run.real_accumulated_time;
-      obs::emit_sweep_perf(perf);
+      session_.record_sweep(std::move(perf));
     }
   }
+
+ private:
+  obs::BenchSession& session_;
 };
 
 }  // namespace
 
-// Expanded BENCHMARK_MAIN with an env-only observability session
-// (INTOX_METRICS / INTOX_TRACE; no flag parsing, so google-benchmark's
-// own --benchmark_* flags pass through untouched).
+// Expanded BENCHMARK_MAIN. google-benchmark consumes its own
+// --benchmark_* flags; what it leaves must be --metrics-out FILE, the
+// run report's destination, or nothing.
 int main(int argc, char** argv) {
-  intox::obs::BenchSession session{0, nullptr, "MICRO"};
   benchmark::Initialize(&argc, argv);
+  std::string metrics_out;
+  if (argc == 3 && std::string_view(argv[1]) == "--metrics-out") {
+    metrics_out = argv[2];
+    argc = 1;
+  }
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  SessionReporter reporter;
+  intox::obs::BenchSession session{"MICRO", 0, metrics_out};
+  SessionReporter reporter{session};
   benchmark::RunSpecifiedBenchmarks(&reporter);
   return 0;
 }

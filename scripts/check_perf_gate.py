@@ -23,9 +23,11 @@ sweep missing from the fresh reports fails both `check` and `--update`
 — dropping a floor requires an explicit `--allow-drop NAME`.
 
 Re-baselining (after a deliberate perf change or a runner upgrade):
-    INTOX_METRICS=reports ./build/bench/bench_micro_core \
-        --benchmark_filter='Scheduler|LinkDelivery'
-    INTOX_METRICS=reports ./build/intox run blink.e2e > /dev/null
+    ./build/bench/bench_micro_core \
+        --benchmark_filter='Scheduler|LinkDelivery' \
+        --metrics-out reports/BENCH_MICRO.json
+    ./build/intox run blink.e2e \
+        --metrics-out reports/BENCH_BLINK-E2E.json > /dev/null
     scripts/check_perf_gate.py --reports reports --update
 then commit the rewritten bench/baselines/*.json with a sentence in the
 commit message saying why the floor moved.

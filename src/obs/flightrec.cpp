@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -343,18 +342,9 @@ void set_flightrec_dump_path(const std::string& path) {
   g_dump_path.store_text(path.c_str());
 }
 
-std::string flightrec_dump_path() {
-  char buf[AtomicText::kBytes + 1];
-  const std::size_t len = g_dump_path.load_text(buf);
-  return std::string(buf, len);
-}
-
 void flightrec_init() {
   static std::once_flag once;
   std::call_once(once, [] {
-    if (const char* env = std::getenv("INTOX_FLIGHTREC_DUMP")) {
-      if (env[0] != '\0') g_dump_path.store_text(env);
-    }
     validate::set_invariant_observer(&invariant_observer);
     validate::set_invariant_fatal_hook(&invariant_fatal_hook);
     install_signal_handlers();

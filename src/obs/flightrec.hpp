@@ -35,9 +35,9 @@
 // (time, tid, seq)-sorted timeline and a Chrome-trace view.
 //
 // Sizes are fixed: 4096 hot-lane and 1024 decision-lane records per
-// thread. Environment: INTOX_FLIGHTREC_DUMP presets the crash-dump
-// destination (--flightrec-out overrides). Recording is always on;
-// only tests switch it off, through set_flightrec_enabled.
+// thread. The crash-dump destination is set only by
+// set_flightrec_dump_path (`intox run --flightrec-out FILE`). Recording
+// is always on; only tests switch it off, through set_flightrec_enabled.
 #pragma once
 
 #include <cstddef>
@@ -98,10 +98,9 @@ void flightrec_record(FrType type, std::uint64_t time, std::uint64_t a = 0,
 void flightrec_set_scenario(const char* name);
 
 /// Crash-dump destination. Empty (the default outside the intox driver)
-/// means crashes do not write a dump. INTOX_FLIGHTREC_DUMP presets it
-/// at flightrec_init; --flightrec-out and the driver default override.
+/// means crashes do not write a dump; the driver sets a pid-suffixed
+/// default, which --flightrec-out overrides.
 void set_flightrec_dump_path(const std::string& path);
-std::string flightrec_dump_path();
 
 /// Installs the failure plumbing once per process: the invariant
 /// observer (mirrors every violation into the decision lane), the fatal

@@ -6,7 +6,6 @@
 #include <map>
 
 #include "obs/json.hpp"
-#include "obs/json_parse.hpp"
 
 namespace intox::obs {
 
@@ -105,66 +104,6 @@ std::string time_text(const FlightrecRecord& r) {
   std::snprintf(buf, sizeof(buf), "%13.6f s",
                 static_cast<double>(r.time) / 1e9);
   return buf;
-}
-
-/// Serializes a parsed JsonValue back to a compact token (used when
-/// splicing foreign trace events into a merged document).
-void serialize_json(const JsonValue& v, std::string* out) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNull:
-      out->append("null");
-      return;
-    case JsonValue::Kind::kBool:
-      out->append(v.boolean ? "true" : "false");
-      return;
-    case JsonValue::Kind::kNumber:
-      out->append(json_number(v.number));
-      return;
-    case JsonValue::Kind::kString:
-      out->push_back('"');
-      out->append(json_escape(v.text));
-      out->push_back('"');
-      return;
-    case JsonValue::Kind::kArray: {
-      out->push_back('[');
-      bool first = true;
-      for (const JsonValue& item : v.items) {
-        if (!first) out->push_back(',');
-        first = false;
-        serialize_json(item, out);
-      }
-      out->push_back(']');
-      return;
-    }
-    case JsonValue::Kind::kObject: {
-      out->push_back('{');
-      bool first = true;
-      for (const auto& [key, value] : v.members) {
-        if (!first) out->push_back(',');
-        first = false;
-        out->push_back('"');
-        out->append(json_escape(key));
-        out->append("\":");
-        serialize_json(value, out);
-      }
-      out->push_back('}');
-      return;
-    }
-  }
-}
-
-bool write_file(const std::string& path, const std::string& content,
-                std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot write " + path;
-    return false;
-  }
-  const bool ok =
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  std::fclose(f);
-  if (!ok && error != nullptr) *error = "short write to " + path;
-  return ok;
 }
 
 }  // namespace
@@ -336,24 +275,22 @@ std::string render_flightrec_chrome_trace(const FlightrecDump& dump) {
 bool merge_chrome_traces(const std::vector<std::string>& paths,
                          const std::vector<std::string>& labels,
                          const std::string& out_path, std::string* error) {
-  std::string body;
-  bool first_event = true;
   std::size_t readable = 0;
   // pid -> label of the first input that produced events under it.
   std::map<std::uint64_t, std::string> pid_labels;
-
+  JsonWriter w;
+  w.begin_object();
+  w.key("displayTimeUnit").value("ms");
+  w.key("traceEvents").begin_array();
   for (std::size_t i = 0; i < paths.size(); ++i) {
     JsonValue doc;
-    std::string parse_error;
-    if (!json_parse_file(paths[i], &doc, &parse_error)) continue;
+    if (!json_parse_file(paths[i], &doc, nullptr)) continue;
     const JsonValue* events = doc.find("traceEvents");
     if (events == nullptr || !events->is_array()) continue;
     ++readable;
     for (const JsonValue& event : events->items) {
       if (!event.is_object()) continue;
-      if (!first_event) body.push_back(',');
-      first_event = false;
-      serialize_json(event, &body);
+      w.value(event);
       if (const JsonValue* pid = event.find("pid")) {
         const std::uint64_t pid_value = pid->as_u64();
         if (pid_labels.find(pid_value) == pid_labels.end()) {
@@ -367,31 +304,21 @@ bool merge_chrome_traces(const std::vector<std::string>& paths,
     if (error != nullptr) *error = "no readable trace inputs";
     return false;
   }
-
-  JsonWriter meta;
-  meta.begin_array();  // throwaway scope so sibling objects comma-join
   for (const auto& [pid, label] : pid_labels) {
-    meta.begin_object();
-    meta.key("name").value("process_name");
-    meta.key("ph").value("M");
-    meta.key("ts").value(0.0);
-    meta.key("pid").value(pid);
-    meta.key("tid").value(std::uint64_t{0});
-    meta.key("args").begin_object();
-    meta.key("name").value(label);
-    meta.end_object();
-    meta.end_object();
+    w.begin_object();
+    w.key("name").value("process_name");
+    w.key("ph").value("M");
+    w.key("ts").value(0.0);
+    w.key("pid").value(pid);
+    w.key("tid").value(std::uint64_t{0});
+    w.key("args").begin_object();
+    w.key("name").value(label);
+    w.end_object();
+    w.end_object();
   }
-  meta.end_array();
-  std::string meta_body = meta.str();
-  meta_body = meta_body.substr(1, meta_body.size() - 2);  // strip [ ]
-  if (!meta_body.empty() && !first_event) meta_body.insert(0, ",");
-
-  std::string doc = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  doc += body;
-  doc += meta_body;
-  doc += "]}";
-  return write_file(out_path, doc, error);
+  w.end_array();
+  w.end_object();
+  return write_file(out_path, w.str(), error);
 }
 
 }  // namespace intox::obs

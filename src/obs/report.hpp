@@ -1,9 +1,9 @@
 // Machine-readable run reports: the BENCH_<family>.json sink.
 //
-// Every bench (and example) opens a BenchSession naming its experiment
-// family. The session collects per-sweep perf records, and at teardown
-// serializes them together with the full metrics registry and the
-// validate/ invariant counters into one schema-versioned JSON document:
+// Every run opens a BenchSession naming its experiment family. The
+// session collects per-sweep perf records, and at teardown serializes
+// them together with the full metrics registry and the validate/
+// invariant counters into one schema-versioned JSON document:
 //
 //   {
 //     "schema": "intox.bench_report.v1",
@@ -18,11 +18,10 @@
 //                     "last_message": "" }
 //   }
 //
-// Output destination (first match wins): the --metrics-out FILE flag,
-// else the INTOX_METRICS environment variable (a *.json path, or a
-// directory that receives BENCH_<family>.json). Unset means no file is
-// written — stdout is never touched, so bench output stays
-// byte-identical across thread counts.
+// The destination is the report path the session is built with
+// (`intox run --metrics-out FILE`); an empty path writes no file.
+// Stdout is never touched, so scenario output stays byte-identical
+// across thread counts.
 //
 // The schema is validated in CI by scripts/check_metrics_schema.py;
 // bump kReportSchema when the document shape changes.
@@ -39,8 +38,9 @@ namespace intox::obs {
 inline constexpr const char* kReportSchema = "intox.bench_report.v1";
 inline constexpr const char* kPointRecordSchema = "intox.point_record.v1";
 
-/// One sweep's perf record — the structured form of the legacy stderr
-/// perf line, plus the per-shard timing the runner now measures.
+/// One sweep's timing: what sim::ParallelRunner measures per dispatch
+/// (sim::RunReport is this type) and what a run report records per
+/// sweep. `name` is empty until the sweep is recorded.
 struct SweepPerf {
   std::string name;
   std::size_t trials = 0;
@@ -58,40 +58,23 @@ struct SweepPerf {
   [[nodiscard]] double shard_imbalance() const;
 };
 
-/// Strictly parses `--threads N` from a bench command line. Returns N
-/// (or 0 when the flag is absent — the runner's "defer to INTOX_THREADS
-/// / hardware" sentinel, which an explicit `--threads 0` also selects).
-/// A malformed, negative, or missing value prints a diagnostic to
-/// stderr and exits with status 2: a typo'd thread count must never
-/// silently fall through to the default and taint a perf comparison.
-std::size_t parse_threads_arg(int argc, char** argv);
-
 class BenchSession {
  public:
-  /// Parses --threads / --metrics-out / --trace-out from argv (pass
-  /// argc = 0 for env-only configuration, e.g. examples with their own
-  /// positional arguments), resolves the report path, and registers
-  /// itself as the process's current session so free-standing perf
-  /// emitters can reach it.
-  BenchSession(int argc, char** argv, std::string family);
-  /// Writes the report (if a destination is configured), flushes the
-  /// trace sink, and unregisters.
+  /// `threads` is the requested worker count, recorded as
+  /// threads_requested (0 = auto); an empty `report_path` writes no
+  /// report. Also installs the flight recorder's crash plumbing.
+  BenchSession(std::string family, std::size_t threads,
+               std::string report_path);
+  /// Writes the report (if a destination is configured) and flushes the
+  /// trace sink.
   ~BenchSession();
 
   BenchSession(const BenchSession&) = delete;
   BenchSession& operator=(const BenchSession&) = delete;
 
-  [[nodiscard]] std::size_t threads() const { return threads_; }
-  [[nodiscard]] const std::string& family() const { return family_; }
-  [[nodiscard]] const std::string& report_path() const { return path_; }
-
+  /// Prints the legacy one-line perf JSON on stderr (perfbench reads
+  /// it) and adds the sweep to the report.
   void record_sweep(SweepPerf sweep);
-
-  /// Renames the report destination for a single sweep point: `--point N`
-  /// runs executing concurrently under one INTOX_METRICS directory must
-  /// not clobber each other's BENCH_<family>.json, so point N writes
-  /// BENCH_<family>.point<N>.json instead. No-op without a destination.
-  void apply_point_suffix(std::size_t point_index);
 
   /// The full report document (also what the destructor writes).
   [[nodiscard]] std::string to_json() const;
@@ -100,13 +83,10 @@ class BenchSession {
   /// early write is always overwritten by the final document.
   bool write();
 
-  /// The process's current session, or nullptr outside any bench.
-  static BenchSession* current();
-
  private:
   std::string family_;
+  std::size_t threads_;
   std::string path_;
-  std::size_t threads_ = 0;
   mutable std::mutex mu_;
   std::vector<SweepPerf> sweeps_;
 };
@@ -136,11 +116,6 @@ struct PointRecord {
 /// leaves at most a *.tmp.<pid> turd, never a torn record. Returns false
 /// on I/O failure with a one-line stderr warning.
 bool write_point_record(const std::string& path, const PointRecord& record);
-
-/// Emits the legacy one-line perf JSON on stderr (now correctly
-/// escaped) and records the sweep into the current BenchSession, if
-/// any. This is the routing target of bench::perf().
-void emit_sweep_perf(const SweepPerf& sweep);
 
 /// Registers the validate/ invariant counters as external registry
 /// counters ("validate.invariant_violations"), so NDEBUG degraded-path

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <vector>
@@ -43,16 +42,7 @@ struct Tracer {
 };
 
 Tracer& tracer() {
-  static Tracer* t = [] {
-    auto* tr = new Tracer();  // leaked: must outlive the atexit flush
-    if (const char* env = std::getenv("INTOX_TRACE")) {
-      if (env[0] != '\0') {
-        tr->path = env;
-        tr->enabled.store(true, std::memory_order_relaxed);
-      }
-    }
-    return tr;
-  }();
+  static Tracer* t = new Tracer();  // leaked: must outlive the atexit flush
   return *t;
 }
 
@@ -133,13 +123,7 @@ bool trace_flush() {
   }
   w.end_array();
   w.end_object();
-
-  std::FILE* f = std::fopen(t.path.c_str(), "w");
-  if (!f) return false;
-  const std::string& doc = w.str();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
+  return write_file(t.path, w.str(), nullptr);
 }
 
 }  // namespace intox::obs

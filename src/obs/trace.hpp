@@ -1,6 +1,6 @@
 // Span/trace layer emitting Chrome trace-event JSON.
 //
-// Setting INTOX_TRACE=out.json (or calling set_trace_path) makes every
+// set_trace_path (`intox run --trace-out FILE`) makes every
 // instrumented scope — runner dispatches and shards, scheduler drain
 // batches, per-bench phases — record a "complete" (ph:"X") event.
 // trace_flush() (installed via atexit, and called by BenchSession
@@ -25,8 +25,8 @@ namespace intox::obs {
 /// True when a trace sink is configured. Inline fast path for hot code.
 bool trace_enabled();
 
-/// Overrides the INTOX_TRACE environment variable (tests, --trace-out).
-/// An empty path disables tracing. Safe to call before any recording.
+/// Sets the trace file; tracing is off until a path is set. An empty
+/// path disables tracing. Safe to call before any recording.
 void set_trace_path(std::string path);
 
 /// Monotonic microseconds since process trace-clock start — the `ts`

@@ -82,8 +82,6 @@ PoisonResult run_poisoning_experiment(const PoisonConfig& config,
     }
 
     result.legit_qoe.record(now, epoch_qoe.mean());
-    result.chosen_arm.record(now,
-                             static_cast<double>(engine.group_best_arm(group)));
 
     if (epoch + 10 >= config.warmup_epochs && epoch < config.warmup_epochs) {
       before.add(epoch_qoe.mean());

@@ -52,8 +52,6 @@ struct PoisonConfig {
 struct PoisonResult {
   /// Mean true QoE of legitimate sessions, per epoch.
   sim::TimeSeries legit_qoe;
-  /// Group's chosen arm per epoch.
-  sim::TimeSeries chosen_arm;
   double mean_qoe_before = 0.0;  // over the warmup tail
   double mean_qoe_after = 0.0;   // over the attacked tail
   /// Fraction of post-warmup epochs in which the group exploited the

@@ -15,7 +15,9 @@
 
 #include "obs/flightrec.hpp"
 #include "obs/forensics.hpp"
+#include "obs/json.hpp"
 #include "obs/report.hpp"
+#include "obs/trace.hpp"
 #include "scenario/console.hpp"
 #include "scenario/knob.hpp"
 #include "scenario/registry.hpp"
@@ -27,8 +29,7 @@
 namespace intox::scenario {
 namespace {
 
-/// One-line stderr diagnostic + exit status 2, the same contract
-/// obs::parse_threads_arg established for --threads.
+/// One-line stderr diagnostic + exit status 2.
 int fail(const std::string& message) {
   std::fprintf(stderr, "intox: %s\n", message.c_str());
   return 2;
@@ -135,13 +136,6 @@ std::string apply_config(const std::string& path, KnobSet* knobs) {
   return "";
 }
 
-int run_once(const Scenario& sc, const KnobSet& knobs, Console* console,
-             sim::ParallelRunner* runner) {
-  Ctx ctx{knobs, *console, *runner};
-  Table table = sc.run(ctx);
-  return table.exit_code;
-}
-
 /// Redirects fd 1 into a tmpfile between begin() and end(), so a
 /// `--point-record` worker can embed the scenario's table output in its
 /// record instead of interleaving it with the orchestrator's own
@@ -203,11 +197,13 @@ int cmd_run(int argc, char** argv) {
   if (sc->declare_knobs != nullptr) sc->declare_knobs(flags.knobs);
   KnobSet& knobs = flags.knobs;
   const std::vector<sweep::SweepAxis>& axes = flags.axes;
+  SinkFlags sinks;
 
   std::optional<std::size_t> point;
   std::string point_record_path;
   for (int i = 3; i < argc; ++i) {
-    if (flags.consume(argc, argv, &i, &error)) {
+    if (flags.consume(argc, argv, &i, &error) ||
+        sinks.consume(argc, argv, &i, &error)) {
       if (!error.empty()) return fail(error);
       continue;
     }
@@ -221,14 +217,6 @@ int cmd_run(int argc, char** argv) {
     } else if (arg == "--point-record") {
       if (i + 1 >= argc) return fail("--point-record requires a file path");
       point_record_path = argv[++i];
-    } else if (arg == "--threads" || arg == "--metrics-out" ||
-               arg == "--trace-out" || arg == "--flightrec-out") {
-      // Value validated and consumed by BenchSession from the original
-      // argv; here we only insist the value exists.
-      if (i + 1 >= argc) {
-        return fail(std::string(arg) + " requires a value");
-      }
-      ++i;
     } else {
       return fail("unknown argument '" + std::string(arg) +
                   "' (try 'intox help')");
@@ -250,10 +238,15 @@ int cmd_run(int argc, char** argv) {
   }
 
   obs::flightrec_set_scenario(sc->name.c_str());
-  obs::BenchSession session{argc, argv, sc->family};
-  if (point.has_value()) session.apply_point_suffix(*point);
-  sim::ParallelRunner runner{session.threads()};
+  if (!sinks.flightrec_out.empty()) {
+    obs::set_flightrec_dump_path(sinks.flightrec_out);
+  }
+  obs::set_trace_path(sinks.trace_out);
+  obs::BenchSession session{sc->family, sinks.threads.value_or(0),
+                            sinks.metrics_out};
+  sim::ParallelRunner runner{sinks.threads.value_or(0)};
   Console console;
+  Ctx ctx{knobs, console, runner, session};
 
   if (point.has_value()) {
     // Worker mode: execute exactly one point of the product. With
@@ -273,7 +266,7 @@ int cmd_run(int argc, char** argv) {
     if (!axes.empty()) {
       std::printf("[sweep] %s\n", sweep::point_banner(pt).c_str());
     }
-    const int exit_code = run_once(*sc, knobs, &console, &runner);
+    const int exit_code = sc->run(ctx).exit_code;
     if (recording) {
       obs::PointRecord record;
       record.scenario = sc->name;
@@ -289,7 +282,7 @@ int cmd_run(int argc, char** argv) {
     return exit_code;
   }
 
-  if (axes.empty()) return run_once(*sc, knobs, &console, &runner);
+  if (axes.empty()) return sc->run(ctx).exit_code;
 
   // Cross-product in flag order; first --sweep varies slowest.
   int exit_code = 0;
@@ -300,7 +293,7 @@ int cmd_run(int argc, char** argv) {
       if (!err.empty()) return fail(err);  // range-rejected sweep point
     }
     std::printf("[sweep] %s\n", sweep::point_banner(pt).c_str());
-    exit_code = std::max(exit_code, run_once(*sc, knobs, &console, &runner));
+    exit_code = std::max(exit_code, sc->run(ctx).exit_code);
   }
   return exit_code;
 }
@@ -323,14 +316,14 @@ int cmd_validate(int argc, char** argv) {
     KnobSet knobs;
     if (sc->declare_knobs != nullptr) sc->declare_knobs(knobs);
     obs::flightrec_set_scenario(sc->name.c_str());
-    obs::BenchSession session{0, nullptr, sc->family};
-    sim::ParallelRunner runner{session.threads()};
+    obs::BenchSession session{sc->family, 0, ""};
+    sim::ParallelRunner runner;
     Console console;
     console.set_quiet(true);
     validate::ScopedInvariantMode mode{validate::InvariantMode::kThrow};
     std::string verdict = "OK";
     try {
-      Ctx ctx{knobs, console, runner};
+      Ctx ctx{knobs, console, runner, session};
       Table table = sc->run(ctx);
       if (table.exit_code != 0) {
         verdict = "FAIL (exit " + std::to_string(table.exit_code) + ")";
@@ -373,15 +366,10 @@ int cmd_forensics(int argc, char** argv) {
   const std::string timeline = obs::render_flightrec_timeline(dump);
   std::fwrite(timeline.data(), 1, timeline.size(), stdout);
   if (!trace_out.empty()) {
-    const std::string doc = obs::render_flightrec_chrome_trace(dump);
-    std::FILE* f = std::fopen(trace_out.c_str(), "w");
-    if (f == nullptr) {
-      return fail("forensics: cannot write " + trace_out);
+    if (!obs::write_file(trace_out, obs::render_flightrec_chrome_trace(dump),
+                         &error)) {
+      return fail("forensics: " + error);
     }
-    const bool ok =
-        std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-    std::fclose(f);
-    if (!ok) return fail("forensics: short write to " + trace_out);
     std::fprintf(stderr, "forensics: wrote Chrome trace to %s\n",
                  trace_out.c_str());
   }
@@ -394,13 +382,11 @@ int driver_main(int argc, char** argv) {
   // Crash plumbing first: any command (and any scenario body it runs)
   // dumps the flight recorder on a fatal invariant or signal. The
   // pid-suffixed default keeps concurrent drivers from clobbering one
-  // another; --flightrec-out / INTOX_FLIGHTREC_DUMP override it.
+  // another; --flightrec-out overrides it.
   obs::flightrec_init();
-  if (obs::flightrec_dump_path().empty()) {
-    obs::set_flightrec_dump_path(
-        "intox.flightrec." + std::to_string(static_cast<long>(::getpid())) +
-        ".json");
-  }
+  obs::set_flightrec_dump_path(
+      "intox.flightrec." + std::to_string(static_cast<long>(::getpid())) +
+      ".json");
   if (argc < 2) {
     usage(stderr);
     return 2;
@@ -467,6 +453,26 @@ std::string KnobFlags::apply(std::string_view flag, const char* value) {
   }
   if (value == nullptr) return "--config requires a file path";
   return apply_config(value, &knobs);
+}
+
+bool SinkFlags::consume(int argc, char** argv, int* i, std::string* error) {
+  const std::string_view flag = argv[*i];
+  std::string* path = flag == "--metrics-out"     ? &metrics_out
+                      : flag == "--trace-out"     ? &trace_out
+                      : flag == "--flightrec-out" ? &flightrec_out
+                                                  : nullptr;
+  if (path == nullptr && flag != "--threads") return false;
+  error->clear();
+  if (*i + 1 >= argc) {
+    *error = std::string(flag) + " requires a value";
+  } else if (path != nullptr) {
+    *path = argv[++*i];
+  } else {
+    std::size_t n = 0;
+    *error = parse_count(flag, argv[++*i], &n);
+    if (error->empty()) threads = n;
+  }
+  return true;
 }
 
 std::string parse_count(std::string_view flag, const char* text,

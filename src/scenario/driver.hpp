@@ -7,16 +7,16 @@
 //   intox validate [scenario...]    throw-mode invariant sweep, quiet
 //   intox help                      usage
 //
-// driver_main returns the process exit code instead of exiting so tests
-// can call it in-process; the only path that terminates directly is
-// obs::parse_threads_arg's strict --threads handling, which exits 2.
+// driver_main returns the process exit code instead of exiting, so tests
+// can call it in-process.
 //
 // `intox sweep` (sweep/orchestrator.hpp) parses its command line with
-// KnobFlags and parse_count, so it accepts and rejects exactly what
-// `intox run` does.
+// KnobFlags, SinkFlags and parse_count, so it accepts and rejects
+// exactly what `intox run` does.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +45,21 @@ class KnobFlags {
   std::string apply(std::string_view flag, const char* value);
 
   std::vector<std::string> set_keys_;  // knobs named by --set
+};
+
+/// `intox run`'s sink flags, which say where a run's artifacts go:
+/// --threads N (0 = auto), --metrics-out FILE, --trace-out FILE and
+/// --flightrec-out FILE. The last of a repeated flag wins.
+struct SinkFlags {
+  /// If argv[*i] is a sink flag, stores its value, leaves *i on the
+  /// value and returns true with *error set to the one-line diagnostic
+  /// (empty on success). Returns false for any other argument.
+  bool consume(int argc, char** argv, int* i, std::string* error);
+
+  std::optional<std::size_t> threads;  // unset without --threads
+  std::string metrics_out;             // empty = no run report
+  std::string trace_out;               // empty = no trace
+  std::string flightrec_out;           // empty = the caller's default
 };
 
 /// Parses the value of `flag` as a non-negative decimal integer. Returns

@@ -5,8 +5,7 @@
 // `--set`/`--sweep`/`--config` parsing applies values through the
 // KnobSet. Unknown keys, malformed values and out-of-range numbers are
 // rejected with a one-line diagnostic instead of silently falling
-// through to a default (the same contract obs::parse_threads_arg
-// established for --threads).
+// through to a default.
 #pragma once
 
 #include <cstdint>

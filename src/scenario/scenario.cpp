@@ -1,19 +1,14 @@
 #include "scenario/scenario.hpp"
 
-#include "obs/report.hpp"
+#include <utility>
 
 namespace intox::scenario {
 
 void Ctx::perf(const char* sweep) const { perf(sweep, runner.last_report()); }
 
-void Ctx::perf(const char* sweep, const sim::RunReport& report) const {
-  obs::SweepPerf record;
-  record.name = sweep;
-  record.trials = report.trials;
-  record.threads = report.threads;
-  record.wall_seconds = report.wall_seconds;
-  record.shard_seconds = report.shard_seconds;
-  obs::emit_sweep_perf(record);
+void Ctx::perf(const char* sweep, sim::RunReport report) const {
+  report.name = sweep;
+  session_.record_sweep(std::move(report));
 }
 
 }  // namespace intox::scenario

@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "obs/report.hpp"
 #include "scenario/console.hpp"
 #include "scenario/knob.hpp"
 #include "sim/runner.hpp"
@@ -17,23 +18,26 @@ struct Table {
   int exit_code = 0;
 };
 
-/// Everything a scenario body may touch. The driver owns thread-count
-/// resolution and the observability session (--threads / --metrics-out /
-/// --trace-out, INTOX_*); the body only sees the resolved runner and the
-/// console.
+/// Everything a scenario body may touch. The driver parses the run
+/// flags and owns the runner and the run's BenchSession; the body sees
+/// them through this context.
 class Ctx {
  public:
-  Ctx(const KnobSet& knob_set, Console& console, sim::ParallelRunner& r)
-      : knobs(knob_set), out(console), runner(r) {}
+  Ctx(const KnobSet& knob_set, Console& console, sim::ParallelRunner& r,
+      obs::BenchSession& s)
+      : knobs(knob_set), out(console), runner(r), session_(s) {}
 
   const KnobSet& knobs;
   Console& out;
   sim::ParallelRunner& runner;
 
-  /// Emits the per-sweep perf record for the runner's last dispatch
-  /// (legacy stderr JSON + the current BenchSession's run report).
+  /// Records the runner's last dispatch (or `report`) into the run's
+  /// BenchSession under the name `sweep`.
   void perf(const char* sweep) const;
-  void perf(const char* sweep, const sim::RunReport& report) const;
+  void perf(const char* sweep, sim::RunReport report) const;
+
+ private:
+  obs::BenchSession& session_;
 };
 
 using DeclareKnobsFn = void (*)(KnobSet&);

@@ -9,7 +9,6 @@
 #include "blink/attacker.hpp"
 #include "blink/cell_process.hpp"
 #include "dataplane/switch.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "scenario/registry.hpp"
 #include "sim/network.hpp"
@@ -294,14 +293,11 @@ Table run_e2e(Ctx& ctx) {
   const std::chrono::duration<double> wall =
       // intox-analyze: allow(determinism, perf timing only, never stdout)
       std::chrono::steady_clock::now() - wall_start;
-  {
-    obs::SweepPerf perf;
-    perf.name = "e2e_packets";
-    perf.trials = injected;
-    perf.threads = 1;
-    perf.wall_seconds = wall.count();
-    obs::emit_sweep_perf(perf);
-  }
+  sim::RunReport perf;
+  perf.trials = injected;
+  perf.threads = 1;
+  perf.wall_seconds = wall.count();
+  ctx.perf("e2e_packets", perf);
 
   const auto& reroutes = node.reroutes();
   ctx.out.row("reroute events:        %zu", reroutes.size());

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -15,23 +14,8 @@ namespace intox::sim {
 
 std::size_t resolve_threads(std::size_t requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("INTOX_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
-}
-
-double RunReport::shard_imbalance() const {
-  if (shard_seconds.empty()) return 0.0;
-  double sum = 0.0, max = 0.0;
-  for (double s : shard_seconds) {
-    sum += s;
-    if (s > max) max = s;
-  }
-  const double mean = sum / static_cast<double>(shard_seconds.size());
-  return mean > 0.0 ? max / mean : 0.0;
 }
 
 void ParallelRunner::dispatch(std::size_t n_trials,
@@ -92,8 +76,10 @@ void ParallelRunner::dispatch(std::size_t n_trials,
       // intox-analyze: allow(determinism, dispatch perf telemetry)
       std::chrono::steady_clock::now() - start);
   if (workers <= 1) shard_seconds.assign(1, elapsed.count());
-  report_ = RunReport{n_trials, workers, elapsed.count(),
-                      std::move(shard_seconds)};
+  report_.trials = n_trials;
+  report_.threads = workers;
+  report_.wall_seconds = elapsed.count();
+  report_.shard_seconds = std::move(shard_seconds);
 
   // Registry accounting is aggregate-only (nothing per-trial): totals
   // fold deterministically across thread counts; the imbalance gauge is

@@ -8,9 +8,8 @@
 // trial, and aggregation folds the slots serially in trial order. Thread
 // count therefore changes wall-clock time and nothing else.
 //
-// Thread-count resolution (first match wins): explicit `threads`
-// argument > the INTOX_THREADS environment variable > hardware
-// concurrency. Benches expose the first as `--threads N`.
+// The worker count comes only from the constructor (`intox run
+// --threads N`); 0 means hardware concurrency.
 #pragma once
 
 #include <cstddef>
@@ -19,37 +18,24 @@
 #include <utility>
 #include <vector>
 
+#include "obs/report.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 
 namespace intox::sim {
 
 /// Resolves a requested worker count: `requested` if > 0, else
-/// INTOX_THREADS if set to a positive integer, else
 /// std::thread::hardware_concurrency() (min 1).
 std::size_t resolve_threads(std::size_t requested);
 
-/// Timing of the most recent `run`/`map` call — the per-sweep perf line
-/// the benches emit. `shard_seconds` holds each worker's busy time for
-/// the dispatch (one entry per worker), from which `shard_imbalance`
-/// derives the max/mean load ratio the observability layer reports.
-struct RunReport {
-  std::size_t trials = 0;
-  std::size_t threads = 1;
-  double wall_seconds = 0.0;
-  std::vector<double> shard_seconds;
-  [[nodiscard]] double trials_per_second() const {
-    return wall_seconds > 0.0 ? static_cast<double>(trials) / wall_seconds
-                              : 0.0;
-  }
-  /// max/mean worker busy time: 1.0 = perfectly balanced; 0 = unknown
-  /// (no shard timing recorded, e.g. a hand-accumulated report).
-  [[nodiscard]] double shard_imbalance() const;
-};
+/// Timing of the most recent `run`/`map` call: one entry per worker in
+/// `shard_seconds`, from which `shard_imbalance` derives the max/mean
+/// load ratio the observability layer reports.
+using RunReport = obs::SweepPerf;
 
 class ParallelRunner {
  public:
-  /// threads == 0 defers to INTOX_THREADS / hardware concurrency.
+  /// threads == 0 means hardware concurrency.
   explicit ParallelRunner(std::size_t threads = 0)
       : threads_(resolve_threads(threads)) {}
 

@@ -1,33 +1,16 @@
 #include "sweep/merge.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 
 #include "obs/json.hpp"
-#include "obs/json_parse.hpp"
 
 namespace intox::sweep {
 
 namespace {
-
-bool read_file(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out->clear();
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
 
 /// Running cross-point statistic for one metric. Accumulated in point
 /// order over std::map (name-sorted emission), so the rendered numbers
@@ -101,7 +84,7 @@ std::string render_merged_report(const MergeInput& in, int* worst_exit,
   *worst_exit = 0;
   std::string record;
   for (std::size_t i = 0; i < in.record_paths.size(); ++i) {
-    if (!read_file(in.record_paths[i], &record)) {
+    if (!obs::read_file(in.record_paths[i], &record)) {
       *error = "cannot read point record '" + in.record_paths[i] + "'";
       return "";
     }
@@ -153,19 +136,8 @@ std::string commit_report(const std::string& path, const std::string& doc) {
     std::fflush(stdout);
     return "";
   }
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return "cannot write report to '" + tmp + "': " + std::strerror(errno);
-  }
-  bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  ok = (std::fclose(f) == 0) && ok;
-  if (ok && std::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return "cannot commit report to '" + path + "'";
-  }
+  std::string error;
+  if (!obs::commit_file(path, doc, &error)) return error;
   return "";
 }
 

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/flightrec.hpp"
 #include "obs/forensics.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -76,11 +77,11 @@ std::string self_exe_path() {
 struct SweepArgs {
   const scenario::Scenario* sc = nullptr;
   scenario::KnobFlags flags;             // base knobs and sweep axes
-  std::vector<std::string> child_flags;  // forwarded verbatim to workers
+  scenario::SinkFlags sinks;             // the orchestrator's own sinks
+  std::vector<std::string> child_flags;  // forwarded to every worker
   std::size_t workers = 0;               // 0 = auto
   std::string cache_dir;
   std::string out_path;                  // empty = stdout
-  std::string trace_out;                 // empty = no session trace
 };
 
 /// Parses the sweep command line. Returns empty on success, else the
@@ -101,7 +102,6 @@ std::string parse_args(int argc, char** argv, SweepArgs* out) {
     out->sc->declare_knobs(out->flags.knobs);
   }
 
-  bool threads_given = false;
   std::string err;
   for (int i = 3; i < argc; ++i) {
     const int first = i;
@@ -111,16 +111,12 @@ std::string parse_args(int argc, char** argv, SweepArgs* out) {
                               argv + i + 1);
       continue;
     }
-    const std::string_view arg = argv[i];
-    if (arg == "--threads") {
-      if (i + 1 >= argc) return "--threads requires a value";
-      std::size_t threads = 0;
-      err = scenario::parse_count(arg, argv[++i], &threads);
+    if (out->sinks.consume(argc, argv, &i, &err)) {
       if (!err.empty()) return err;
-      threads_given = true;
-      out->child_flags.insert(out->child_flags.end(),
-                              {"--threads", argv[i]});
-    } else if (arg == "--workers") {
+      continue;
+    }
+    const std::string_view arg = argv[i];
+    if (arg == "--workers") {
       if (i + 1 >= argc) return "--workers requires a value";
       err = scenario::parse_count(arg, argv[++i], &out->workers);
       if (!err.empty()) return err;
@@ -130,37 +126,18 @@ std::string parse_args(int argc, char** argv, SweepArgs* out) {
     } else if (arg == "--out") {
       if (i + 1 >= argc) return "--out requires a file path";
       out->out_path = argv[++i];
-    } else if (arg == "--trace-out") {
-      // Captured here rather than passed through: every process in the
-      // sweep writing the same file would clobber it, so the
-      // orchestrator and each worker get private paths that are merged
-      // into this one at the end.
-      if (i + 1 >= argc) return "--trace-out requires a value";
-      out->trace_out = argv[++i];
-    } else if (arg == "--metrics-out" || arg == "--flightrec-out") {
-      // Orchestrator-side sinks, consumed by BenchSession from argv.
-      if (i + 1 >= argc) return std::string(arg) + " requires a value";
-      ++i;
     } else {
       return "unknown argument '" + std::string(arg) +
              "' (try 'intox sweep --help')";
     }
   }
-  if (!threads_given) {
-    // Default worker points to one thread: at --threads 1 the metrics
-    // fold in point records is byte-exact, which the resume
-    // byte-identity guarantee builds on.
-    out->child_flags.insert(out->child_flags.end(), {"--threads", "1"});
-  }
+  // Worker points default to one thread: at --threads 1 the metrics
+  // fold in point records is byte-exact, which the resume byte-identity
+  // guarantee builds on.
+  out->child_flags.insert(
+      out->child_flags.end(),
+      {"--threads", std::to_string(out->sinks.threads.value_or(1))});
   if (out->cache_dir.empty()) out->cache_dir = ".intox-sweep-cache";
-  if (out->trace_out.empty()) {
-    // INTOX_TRACE is the env spelling of --trace-out; routing it
-    // through the same capture keeps workers (which inherit the
-    // environment) from racing each other over one file.
-    if (const char* env = std::getenv("INTOX_TRACE")) {
-      if (env[0] != '\0') out->trace_out = env;
-    }
-  }
   return "";
 }
 
@@ -192,22 +169,21 @@ void write_failure_sidecar(const std::string& path,
     w.value(flightrec_path);
   }
   w.end_object();
-  const std::string doc = w.str() + "\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return;
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
+  obs::write_file(path, w.str() + "\n", nullptr);
 }
 
 /// Folds the orchestrator's own trace buffer plus every existing
 /// per-point worker trace into the requested --trace-out file, one
-/// process lane per pid. Runs on every exit path that follows the
-/// worker pool, including incomplete sweeps (partial traces are exactly
-/// what a postmortem wants).
+/// process lane per pid. Every process in the sweep writing that one
+/// file would clobber it, so each traces to a private path first. Runs
+/// on every exit path that follows the worker pool, including
+/// incomplete sweeps (partial traces are exactly what a postmortem
+/// wants).
 void finalize_session_trace(const SweepArgs& args, const PointCache& cache,
                             const std::vector<CacheKey>& keys) {
-  if (args.trace_out.empty()) return;
-  const std::string tmp = args.trace_out + ".orch.tmp.json";
+  const std::string& out = args.sinks.trace_out;
+  if (out.empty()) return;
+  const std::string tmp = out + ".orch.tmp.json";
   obs::trace_flush();
   // Disable before BenchSession teardown re-flushes over the merge.
   obs::set_trace_path("");
@@ -225,12 +201,11 @@ void finalize_session_trace(const SweepArgs& args, const PointCache& cache,
   }
   std::string error;
   if (paths.empty() ||
-      !obs::merge_chrome_traces(paths, labels, args.trace_out, &error)) {
+      !obs::merge_chrome_traces(paths, labels, out, &error)) {
     std::fprintf(stderr, "intox sweep: trace merge failed: %s\n",
                  error.empty() ? "no readable trace inputs" : error.c_str());
   } else {
-    std::fprintf(stderr, "intox sweep: merged trace -> %s\n",
-                 args.trace_out.c_str());
+    std::fprintf(stderr, "intox sweep: merged trace -> %s\n", out.c_str());
   }
   std::remove(tmp.c_str());
 }
@@ -315,12 +290,14 @@ int sweep_main(int argc, char** argv) {
     if (!cache.has(keys[i])) pending.push_back(i);
   }
 
-  obs::BenchSession session{argc, argv, "SWEEP"};
-  if (!args.trace_out.empty()) {
-    // BenchSession pointed the trace layer at the user's file; swap in
-    // a private temp so the final merge owns the real path.
-    obs::set_trace_path(args.trace_out + ".orch.tmp.json");
+  if (!args.sinks.flightrec_out.empty()) {
+    obs::set_flightrec_dump_path(args.sinks.flightrec_out);
   }
+  if (!args.sinks.trace_out.empty()) {
+    obs::set_trace_path(args.sinks.trace_out + ".orch.tmp.json");
+  }
+  obs::BenchSession session{"SWEEP", args.sinks.threads.value_or(0),
+                            args.sinks.metrics_out};
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& c_total = reg.counter("sweep.points_total");
   obs::Counter& c_cached = reg.counter("sweep.points_cached");
@@ -362,7 +339,7 @@ int sweep_main(int argc, char** argv) {
                      {"--point", std::to_string(idx), "--point-record",
                       cache.record_path(keys[idx]), "--flightrec-out",
                       cache.dump_path(keys[idx])});
-        if (!args.trace_out.empty()) {
+        if (!args.sinks.trace_out.empty()) {
           child.insert(child.end(),
                        {"--trace-out", cache.trace_path(keys[idx])});
         }
@@ -413,7 +390,7 @@ int sweep_main(int argc, char** argv) {
   perf.trials = executed.load(std::memory_order_relaxed);
   perf.threads = workers;
   perf.wall_seconds = wall;
-  obs::emit_sweep_perf(perf);
+  session.record_sweep(perf);
 
   std::size_t missing = 0;
   for (std::size_t i = 0; i < total; ++i) {

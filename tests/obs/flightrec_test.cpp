@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "obs/forensics.hpp"
-#include "obs/json_parse.hpp"
+#include "obs/json.hpp"
 #include "validate/invariant.hpp"
 
 namespace intox::obs {

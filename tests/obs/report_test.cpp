@@ -1,105 +1,19 @@
-// JSON serializer, strict --threads parsing (death tests — satellite
-// fix for the silently-ignored malformed value), and the BenchSession
-// report round-trip.
+// The BenchSession run report: its sweeps, metrics and invariants
+// sections, the legacy stderr perf line, and the file round-trip.
 #include "obs/report.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "validate/invariant.hpp"
 
 namespace intox::obs {
 namespace {
-
-char** fake_argv(std::vector<const char*>& store) {
-  return const_cast<char**>(store.data());
-}
-
-TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string_view{"\x01", 1}), "\\u0001");
-  // UTF-8 passes through byte-for-byte.
-  EXPECT_EQ(json_escape("q\xc3\xa9"), "q\xc3\xa9");
-}
-
-TEST(JsonNumber, RoundTripsAndNullsNonFinite) {
-  EXPECT_EQ(json_number(0.0), "0");
-  EXPECT_EQ(json_number(1.5), "1.5");
-  EXPECT_EQ(json_number(std::nan("")), "null");
-  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
-  // Shortest round-trip: parsing the token recovers the exact double.
-  const double v = 0.1 + 0.2;
-  EXPECT_EQ(std::stod(json_number(v)), v);
-}
-
-TEST(JsonWriter, NestedStructureAndCommas) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("a").value(std::uint64_t{1});
-  w.key("b").begin_array();
-  w.value("x");
-  w.value(2.5);
-  w.value(true);
-  w.begin_object();
-  w.key("c").value("d\"e");
-  w.end_object();
-  w.end_array();
-  w.key("raw").raw("{\"n\":3}");
-  w.end_object();
-  EXPECT_EQ(w.str(),
-            "{\"a\":1,\"b\":[\"x\",2.5,true,{\"c\":\"d\\\"e\"}],"
-            "\"raw\":{\"n\":3}}");
-}
-
-TEST(ParseThreads, AcceptsValidAndAbsent) {
-  std::vector<const char*> none{"bench", nullptr};
-  EXPECT_EQ(parse_threads_arg(1, fake_argv(none)), 0u);
-  std::vector<const char*> four{"bench", "--threads", "4", nullptr};
-  EXPECT_EQ(parse_threads_arg(3, fake_argv(four)), 4u);
-  std::vector<const char*> zero{"bench", "--threads", "0", nullptr};
-  EXPECT_EQ(parse_threads_arg(3, fake_argv(zero)), 0u);
-  // Unrelated flags are ignored (benches own their other arguments).
-  std::vector<const char*> other{"bench", "--runs", "7", nullptr};
-  EXPECT_EQ(parse_threads_arg(3, fake_argv(other)), 0u);
-}
-
-// The satellite fix: malformed / negative / missing values must fail
-// loudly with exit status 2, not silently run on the default count.
-TEST(ParseThreadsDeath, RejectsMalformed) {
-  std::vector<const char*> bad{"bench", "--threads", "banana", nullptr};
-  EXPECT_EXIT(parse_threads_arg(3, fake_argv(bad)),
-              ::testing::ExitedWithCode(2), "non-negative integer");
-}
-
-TEST(ParseThreadsDeath, RejectsNegative) {
-  std::vector<const char*> neg{"bench", "--threads", "-2", nullptr};
-  EXPECT_EXIT(parse_threads_arg(3, fake_argv(neg)),
-              ::testing::ExitedWithCode(2), "non-negative integer");
-}
-
-TEST(ParseThreadsDeath, RejectsTrailingGarbage) {
-  std::vector<const char*> junk{"bench", "--threads", "4x", nullptr};
-  EXPECT_EXIT(parse_threads_arg(3, fake_argv(junk)),
-              ::testing::ExitedWithCode(2), "non-negative integer");
-}
-
-TEST(ParseThreadsDeath, RejectsMissingValue) {
-  std::vector<const char*> dangling{"bench", "--threads", nullptr};
-  EXPECT_EXIT(parse_threads_arg(2, fake_argv(dangling)),
-              ::testing::ExitedWithCode(2), "requires a value");
-}
 
 TEST(SweepPerf, ImbalanceIsMaxOverMean) {
   SweepPerf p;
@@ -110,20 +24,11 @@ TEST(SweepPerf, ImbalanceIsMaxOverMean) {
   EXPECT_DOUBLE_EQ(p.shard_imbalance(), 1.0);
 }
 
-TEST(BenchSession, ParsesFlagsAndRegistersAsCurrent) {
-  std::vector<const char*> args{"bench", "--threads", "3",
-                                "--metrics-out", "/tmp/ignored.json", nullptr};
-  {
-    BenchSession session{5, fake_argv(args), "TEST-FAM"};
-    EXPECT_EQ(session.threads(), 3u);
-    EXPECT_EQ(session.family(), "TEST-FAM");
-    EXPECT_EQ(session.report_path(), "/tmp/ignored.json");
-    EXPECT_EQ(BenchSession::current(), &session);
-    // Keep the dtor from writing the probe file.
-    std::remove("/tmp/ignored.json");
-  }
-  EXPECT_EQ(BenchSession::current(), nullptr);
-  std::remove("/tmp/ignored.json");
+TEST(BenchSession, ConstructorSetsFamilyAndThreads) {
+  BenchSession session{"TEST-FAM", 3, ""};
+  const std::string doc = session.to_json();
+  EXPECT_NE(doc.find("\"family\":\"TEST-FAM\""), std::string::npos);
+  EXPECT_NE(doc.find("\"threads_requested\":3"), std::string::npos);
 }
 
 TEST(BenchSession, ReportCarriesSweepsMetricsAndInvariants) {
@@ -131,7 +36,7 @@ TEST(BenchSession, ReportCarriesSweepsMetricsAndInvariants) {
   validate::reset_invariant_violations();
   Registry::global().counter("test.report.counter").add(7);
 
-  BenchSession session{0, nullptr, "TEST-REPORT"};
+  BenchSession session{"TEST-REPORT", 0, ""};
   SweepPerf sweep;
   sweep.name = "needs \"escaping\"";
   sweep.trials = 10;
@@ -139,7 +44,7 @@ TEST(BenchSession, ReportCarriesSweepsMetricsAndInvariants) {
   sweep.wall_seconds = 2.0;
   sweep.shard_seconds = {0.9, 1.1};
   ::testing::internal::CaptureStderr();
-  emit_sweep_perf(sweep);
+  session.record_sweep(sweep);
   const std::string line = ::testing::internal::GetCapturedStderr();
   // The legacy stderr line survives, now with the name escaped.
   EXPECT_NE(line.find("\"sweep\":\"needs \\\"escaping\\\"\""),
@@ -165,9 +70,7 @@ TEST(BenchSession, ReportCarriesSweepsMetricsAndInvariants) {
 TEST(BenchSession, WriteRoundTripsThroughFile) {
   const std::string path = ::testing::TempDir() + "/intox_report_test.json";
   {
-    std::vector<const char*> args{"bench", "--metrics-out", path.c_str(),
-                                  nullptr};
-    BenchSession session{3, fake_argv(args), "TEST-WRITE"};
+    BenchSession session{"TEST-WRITE", 0, path};
     SweepPerf sweep;
     sweep.name = "s";
     sweep.trials = 1;

@@ -38,8 +38,8 @@ std::size_t count_occurrences(const std::string& hay,
 // The tracer is process-global, so these tests run as one sequence:
 // disabled -> enabled -> flushed -> disabled again.
 TEST(Trace, DisabledByDefaultAndCheapToCall) {
-  // The test binary is run without INTOX_TRACE; nothing may be enabled
-  // and every entry point must be a safe no-op.
+  // No trace path is set yet; nothing may be enabled and every entry
+  // point must be a safe no-op.
   ASSERT_FALSE(trace_enabled());
   trace_complete("noop", "test", 0.0);
   { TraceSpan span{"noop", "test"}; EXPECT_FALSE(span.enabled()); }

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <initializer_list>
+#include <string>
 #include <vector>
 
 namespace intox::scenario {
@@ -110,8 +113,6 @@ TEST(CliDeathTest, MissingConfigFileExitsTwo) {
 }
 
 TEST(CliDeathTest, MalformedThreadsExitsTwo) {
-  // --threads is validated by the observability session from the
-  // original argv, strictly, like every other flag.
   EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--threads",
                              "lots"})),
               ::testing::ExitedWithCode(2), "--threads expects");
@@ -178,6 +179,22 @@ TEST(CliDeathTest, PointRecordWithoutPointExitsTwo) {
                              "--point-record", "/tmp/r.json"})),
               ::testing::ExitedWithCode(2),
               "intox: --point-record requires --point");
+}
+
+// A --point run writes its report where --metrics-out says, with no
+// per-point suffix.
+TEST(CliDeathTest, PointRunWritesTheMetricsOutPath) {
+  const std::string report = ::testing::TempDir() + "r.json";
+  const std::string suffixed = ::testing::TempDir() + "r.point0.json";
+  std::remove(report.c_str());
+  std::remove(suffixed.c_str());
+  EXPECT_EXIT(std::exit(run({"intox", "run", "quickstart", "--point", "0",
+                             "--metrics-out", report.c_str()})),
+              ::testing::ExitedWithCode(0), "");
+  EXPECT_TRUE(std::ifstream(report).good());
+  EXPECT_FALSE(std::ifstream(suffixed).good());
+  std::remove(report.c_str());
+  std::remove(suffixed.c_str());
 }
 
 TEST(CliDeathTest, HelpExitsZero) {

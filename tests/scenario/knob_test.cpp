@@ -1,5 +1,5 @@
-// KnobSet: strict typed parsing with one-line diagnostics — the same
-// reject-don't-default contract obs::parse_threads_arg established.
+// KnobSet: strict typed parsing with one-line diagnostics — reject,
+// don't default.
 #include "scenario/knob.hpp"
 
 #include <gtest/gtest.h>

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "sim/rng.hpp"
@@ -132,21 +131,10 @@ TEST(ParallelRunner, TrialExceptionPropagates) {
 }
 
 TEST(ResolveThreads, ExplicitRequestWins) {
-  setenv("INTOX_THREADS", "3", 1);
   EXPECT_EQ(resolve_threads(5), 5u);
-  unsetenv("INTOX_THREADS");
-}
-
-TEST(ResolveThreads, EnvOverrideApplies) {
-  setenv("INTOX_THREADS", "6", 1);
-  EXPECT_EQ(resolve_threads(0), 6u);
-  setenv("INTOX_THREADS", "garbage", 1);
-  EXPECT_GE(resolve_threads(0), 1u);  // falls through to hardware
-  unsetenv("INTOX_THREADS");
 }
 
 TEST(ResolveThreads, DefaultsToAtLeastOne) {
-  unsetenv("INTOX_THREADS");
   EXPECT_GE(resolve_threads(0), 1u);
 }
 

@@ -1,8 +1,8 @@
-// `intox sweep` parses its knob flags with `intox run`'s code. Every
-// knob-flag error of the driver's CLI death tests (tests/scenario/
-// cli_test.cpp) must die with exit status 2 and the identical one-line
-// diagnostic under both commands, and a config `intox run` accepts must
-// be one `intox sweep` accepts. Each death test forks, so neither
+// `intox sweep` parses its knob and sink flags with `intox run`'s code.
+// Every knob-flag error of the driver's CLI death tests (tests/scenario/
+// cli_test.cpp) and every sink-flag error must die with exit status 2
+// and the identical one-line diagnostic under both commands, and a
+// config `intox run` accepts must be one `intox sweep` accepts. Each death test forks, so neither
 // command's side effects reach this process.
 #include <gtest/gtest.h>
 
@@ -94,6 +94,24 @@ TEST(CliParityDeathTest, RunAndSweepRejectKnobFlagsAlike) {
     expect_exit_two(sweep_main, "sweep", c.args, c.diagnostic);
   }
   std::remove(cfg.c_str());
+}
+
+TEST(CliParityDeathTest, RunAndSweepRejectSinkFlagsAlike) {
+  const std::vector<std::vector<std::string>> bad_threads = {
+      {"blink.fig2", "--threads", "abc"}, {"blink.fig2", "--threads", "-1"}};
+  for (const std::vector<std::string>& args : bad_threads) {
+    const std::string diagnostic =
+        "--threads expects a non-negative integer, got '" + args[2] + "'";
+    expect_exit_two(scenario::driver_main, "run", args, diagnostic);
+    expect_exit_two(sweep_main, "sweep", args, diagnostic);
+  }
+  for (const char* flag :
+       {"--threads", "--metrics-out", "--trace-out", "--flightrec-out"}) {
+    const std::string diagnostic = std::string(flag) + " requires a value";
+    expect_exit_two(scenario::driver_main, "run", {"blink.fig2", flag},
+                    diagnostic);
+    expect_exit_two(sweep_main, "sweep", {"blink.fig2", flag}, diagnostic);
+  }
 }
 
 TEST(CliParityDeathTest, SweepRejectsItsOwnBadFlags) {

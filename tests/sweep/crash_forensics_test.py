@@ -41,8 +41,6 @@ def fail(msg):
 
 def run_sweep(intox, cache, out, *, crash=False, trace=None):
     env = dict(os.environ)
-    env.pop("INTOX_METRICS", None)
-    env.pop("INTOX_TRACE", None)
     if crash:
         env["INTOX_DEBUG_CRASH_SEED"] = CRASH_SEED
         env["INTOX_DEBUG_CRASH_MODE"] = "segv"

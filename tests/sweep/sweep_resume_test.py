@@ -60,11 +60,8 @@ def sweep_cmd(intox, cache, out, metrics=None, knob_args=BASE_ARGS,
 
 
 def run_sweep(intox, cache, out, metrics=None, **kwargs):
-    env = dict(os.environ)
-    env.pop("INTOX_METRICS", None)  # keep per-point reports out of cwd
     return subprocess.run(sweep_cmd(intox, cache, out, metrics, **kwargs),
-                          capture_output=True, text=True, env=env,
-                          timeout=600)
+                          capture_output=True, text=True, timeout=600)
 
 
 def check_schema(checker, *paths):
@@ -136,11 +133,9 @@ def main():
             fail("--workers 1 merged report differs from --workers 2")
 
     # --- Kill a second sweep mid-run (SIGKILL: no atexit, no flush). ---
-    env = dict(os.environ)
-    env.pop("INTOX_METRICS", None)
     proc = subprocess.Popen(sweep_cmd(intox, kill_cache, kill_out),
                             stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL, env=env)
+                            stderr=subprocess.DEVNULL)
     time.sleep(KILL_AFTER_S)
     proc.send_signal(signal.SIGKILL)
     proc.wait()
