@@ -5,8 +5,8 @@
 #                        conventions (determinism, invariant hygiene,
 #                        metric naming, header hygiene) and whole-program
 #                        checks over the call graph (async-signal-safety,
-#                        hash-order taint, lock-order cycles, atomic
-#                        memory-order policy); built via the `lint` preset
+#                        hash-order taint, atomic memory-order policy);
+#                        built via the `lint` preset
 #   2. clang-tidy        curated .clang-tidy profile over every entry in
 #                        the lint preset's compile_commands.json
 #   3. clang-format      --dry-run -Werror diff gate over tracked C++

@@ -64,9 +64,6 @@ void set_trace_path(std::string path) {
   std::lock_guard<std::mutex> lock(t.mu);
   t.path = std::move(path);
   t.enabled.store(!t.path.empty(), std::memory_order_relaxed);
-  // The analyzer attributes lambda bodies to their enclosing function;
-  // the atexit lambda registered inside runs at process exit, unlocked.
-  // intox-analyze: allow(lockorder, atexit lambda runs at exit unlocked)
   if (!t.path.empty()) install_atexit_locked(t);
 }
 

@@ -3,8 +3,9 @@
 // (64-column `=` rules, "  [PASS]/[CHECK]" claims, "  note:" remarks).
 // Stdout stays the golden artifact — the golden tests diff `intox run`
 // against tests/golden/<scenario>.txt byte for byte — while the console
-// additionally tallies the claims it prints and supports a quiet mode so
-// `intox validate` can run every scenario silently.
+// additionally tallies the claims it prints (a failed one makes the
+// driver exit 1) and supports a quiet mode so `intox validate` can run
+// every scenario silently.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +28,6 @@ class Console {
   void note(const char* text);
 
   void set_quiet(bool quiet) { quiet_ = quiet; }
-  [[nodiscard]] bool quiet() const { return quiet_; }
   [[nodiscard]] std::size_t claims() const { return claims_; }
   [[nodiscard]] std::size_t passed() const { return passed_; }
 

@@ -35,6 +35,11 @@ int fail(const std::string& message) {
   return 2;
 }
 
+/// A run's exit status: 1 when any claim it printed failed.
+int claims_exit(const Console& console) {
+  return console.passed() < console.claims() ? 1 : 0;
+}
+
 void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: intox <command> [args]\n"
@@ -248,52 +253,43 @@ int cmd_run(int argc, char** argv) {
   Console console;
   Ctx ctx{knobs, console, runner, session};
 
-  if (point.has_value()) {
-    // Worker mode: execute exactly one point of the product. With
-    // --point-record, stdout goes into the record file instead of the
-    // terminal — the orchestrator merges records in point order, so the
-    // concatenated output is byte-identical to the serial sweep.
-    const sweep::Point pt = sweep::point_at(axes, *point);
-    for (const auto& [key, value] : pt) {
-      std::string err = knobs.set(key, value);
-      if (!err.empty()) return fail(err);  // range-rejected sweep point
-    }
-    StdoutCapture capture;
-    const bool recording = !point_record_path.empty();
-    if (recording && !capture.begin()) {
-      return fail("--point-record: cannot capture stdout");
-    }
-    if (!axes.empty()) {
-      std::printf("[sweep] %s\n", sweep::point_banner(pt).c_str());
-    }
-    const int exit_code = sc->run(ctx).exit_code;
-    if (recording) {
-      obs::PointRecord record;
-      record.scenario = sc->name;
-      record.family = sc->family;
-      for (const Knob& k : knobs.all()) {
-        record.knobs.emplace_back(k.name, render_value(k));
-      }
-      record.banner = sweep::point_banner(pt);
-      record.exit_code = exit_code;
-      record.stdout_text = capture.end();
-      if (!obs::write_point_record(point_record_path, record)) return 1;
-    }
-    return exit_code;
+  // Points [first, last) of the cross product, in flag order (first
+  // --sweep varies slowest): one point in worker mode (--point), else
+  // all of them. With --point-record, stdout goes into the record file
+  // instead of the terminal — the orchestrator merges records in point
+  // order, so the concatenated output is byte-identical to the serial
+  // sweep. One console tallies every point, so a failed claim fails the
+  // run.
+  const std::size_t first = point.value_or(0);
+  const std::size_t last = point.has_value() ? first + 1 : total;
+  StdoutCapture capture;
+  const bool recording = !point_record_path.empty();
+  if (recording && !capture.begin()) {
+    return fail("--point-record: cannot capture stdout");
   }
-
-  if (axes.empty()) return sc->run(ctx).exit_code;
-
-  // Cross-product in flag order; first --sweep varies slowest.
-  int exit_code = 0;
-  for (std::size_t i = 0; i < total; ++i) {
+  for (std::size_t i = first; i < last; ++i) {
     const sweep::Point pt = sweep::point_at(axes, i);
     for (const auto& [key, value] : pt) {
       std::string err = knobs.set(key, value);
       if (!err.empty()) return fail(err);  // range-rejected sweep point
     }
-    std::printf("[sweep] %s\n", sweep::point_banner(pt).c_str());
-    exit_code = std::max(exit_code, sc->run(ctx).exit_code);
+    if (!axes.empty()) {
+      std::printf("[sweep] %s\n", sweep::point_banner(pt).c_str());
+    }
+    sc->run(ctx);
+  }
+  const int exit_code = claims_exit(console);
+  if (recording) {
+    obs::PointRecord record;
+    record.scenario = sc->name;
+    record.family = sc->family;
+    for (const Knob& k : knobs.all()) {
+      record.knobs.emplace_back(k.name, render_value(k));
+    }
+    record.banner = sweep::point_banner(sweep::point_at(axes, first));
+    record.exit_code = exit_code;
+    record.stdout_text = capture.end();
+    if (!obs::write_point_record(point_record_path, record)) return 1;
   }
   return exit_code;
 }
@@ -324,9 +320,12 @@ int cmd_validate(int argc, char** argv) {
     std::string verdict = "OK";
     try {
       Ctx ctx{knobs, console, runner, session};
-      Table table = sc->run(ctx);
-      if (table.exit_code != 0) {
-        verdict = "FAIL (exit " + std::to_string(table.exit_code) + ")";
+      sc->run(ctx);
+      if (claims_exit(console) != 0) {
+        verdict = "FAIL (" +
+                  std::to_string(console.claims() - console.passed()) +
+                  " of " + std::to_string(console.claims()) +
+                  " claims failed)";
         ++failures;
       }
     } catch (const validate::InvariantError& e) {

@@ -13,11 +13,6 @@
 
 namespace intox::scenario {
 
-/// What a scenario run leaves behind: the process exit code.
-struct Table {
-  int exit_code = 0;
-};
-
 /// Everything a scenario body may touch. The driver parses the run
 /// flags and owns the runner and the run's BenchSession; the body sees
 /// them through this context.
@@ -41,7 +36,9 @@ class Ctx {
 };
 
 using DeclareKnobsFn = void (*)(KnobSet&);
-using RunFn = Table (*)(Ctx&);
+/// Prints the scenario's tables and claims through `Ctx::out`; the
+/// driver's exit status is 1 when any claim fails.
+using RunFn = void (*)(Ctx&);
 
 /// One registered experiment. `family` keys the BENCH_<family>.json run
 /// report exactly as the pre-registry bench binaries did.

@@ -28,7 +28,7 @@ void declare_fig2(KnobSet& knobs) {
                     1, 1999);
 }
 
-Table run_fig2(Ctx& ctx) {
+void run_fig2(Ctx& ctx) {
   const std::size_t runs = ctx.knobs.u("runs");
   const std::size_t bots = ctx.knobs.u("bots");
   ctx.out.header("FIG2", "malicious flows in Blink's sample over time");
@@ -103,7 +103,6 @@ Table run_fig2(Ctx& ctx) {
   ctx.out.note("closed form slightly leads the packet-level runs: only ~52 "
                "of 64 cells are reachable by 105 hashed flows (capture "
                "ceiling).");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kFig2,
@@ -125,7 +124,7 @@ void declare_tr_sweep(KnobSet& knobs) {
   knobs.declare_u64("mc_seed", 7, "Monte-Carlo base seed");
 }
 
-Table run_tr_sweep(Ctx& ctx) {
+void run_tr_sweep(Ctx& ctx) {
   ctx.out.header("BLINK-TR",
                  "attack feasibility vs sampled-flow residency t_R");
   const std::size_t n = ctx.knobs.u("cells");
@@ -167,6 +166,8 @@ Table run_tr_sweep(Ctx& ctx) {
     const double theory =
         blink::attack_success_probability(n, 0.0525, budget, tr, majority);
     blink::CellProcessConfig cfg;
+    cfg.cells = n;
+    cfg.horizon_seconds = budget;
     cfg.tr_seconds = tr;
     sim::Rng sub = rng.fork(static_cast<std::uint64_t>(tr * 100));
     const double mc = blink::empirical_success_rate(cfg, majority, mc_runs,
@@ -205,7 +206,6 @@ Table run_tr_sweep(Ctx& ctx) {
   ctx.out.claim(budget_helps,
                 "shorter reset periods shrink the attack window (defense "
                 "lever, at the cost of re-learning the sample)");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kTrSweep,
@@ -223,7 +223,7 @@ void declare_e2e(KnobSet& knobs) {
   knobs.declare_u64("seed", 2024, "top-level experiment seed");
 }
 
-Table run_e2e(Ctx& ctx) {
+void run_e2e(Ctx& ctx) {
   ctx.out.header("BLINK-E2E", "traffic hijack via fake retransmissions");
 
   sim::Scheduler sched;
@@ -325,7 +325,6 @@ Table run_e2e(Ctx& ctx) {
                 "hijacked");
   ctx.out.note("no TCP handshake was ever performed: malicious drivers "
                "emit raw duplicate segments only (cf. §3.1).");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kE2e,

@@ -150,7 +150,7 @@ void declare_defense(KnobSet& knobs) {
   knobs.declare_u64("pcc_seed", 5, "PCC guard experiment seed");
 }
 
-Table run_defense(Ctx& ctx) {
+void run_defense(Ctx& ctx) {
   ctx.out.header("DEFENSE",
                  "§5 supervisors vs the three case-study attacks");
 
@@ -262,7 +262,6 @@ Table run_defense(Ctx& ctx) {
                 "probe-targeted loss pattern detected");
   ctx.out.claim(pcc_defended.amp < pcc_attack.amp,
                 "epsilon clamp shrinks the attacker-induced oscillation");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kDefense,

@@ -30,7 +30,7 @@ void declare_quickstart(KnobSet& knobs) {
   knobs.declare_u64("seed", 42, "workload seed");
 }
 
-Table run_quickstart(Ctx& ctx) {
+void run_quickstart(Ctx& ctx) {
   sim::Scheduler sched;
   sim::Network net{sched};
 
@@ -85,9 +85,6 @@ Table run_quickstart(Ctx& ctx) {
               static_cast<unsigned long long>(sched.events_processed()));
   ctx.out.claim(delivered > 0,
                 "the workload crosses the switch to the destination host");
-  Table table;
-  table.exit_code = delivered > 0 ? 0 : 1;
-  return table;
 }
 
 INTOX_REGISTER_SCENARIO(kQuickstart,
@@ -103,7 +100,7 @@ void declare_synthesis(KnobSet& knobs) {
   knobs.declare_u64("seed", 7, "fuzzer seed");
 }
 
-Table run_synthesis(Ctx& ctx) {
+void run_synthesis(Ctx& ctx) {
   const net::Prefix kVictim{net::Ipv4Addr{10, 0, 0, 0}, 8};
 
   supervisor::SynthConfig cfg;
@@ -147,11 +144,7 @@ Table run_synthesis(Ctx& ctx) {
   }
   ctx.out.claim(result.found, "the fuzzer finds a rerouting sequence "
                               "within its iteration budget");
-  if (!result.found) {
-    Table table;
-    table.exit_code = 1;
-    return table;
-  }
+  if (!result.found) return;
 
   // Characterize the witness: how §3.1-shaped is it?
   std::size_t repeats = 0, tight_gaps = 0;
@@ -181,7 +174,6 @@ Table run_synthesis(Ctx& ctx) {
               "flows alive and");
   ctx.out.row("retransmit in synchronized bursts — exactly the §3.1 "
               "construction.");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kSynthesis,

@@ -24,7 +24,7 @@ void declare_ext(KnobSet& knobs) {
                     1000000);
 }
 
-Table run_ext(Ctx& ctx) {
+void run_ext(Ctx& ctx) {
   ctx.out.header("EXT-RON",
                  "diverting a resilient overlay by dropping probes");
 
@@ -189,7 +189,6 @@ Table run_ext(Ctx& ctx) {
   ctx.out.claim(fpr_static > 0.5 && fpr_rotated < fpr_static / 3.0,
                 "seed rotation strips crafted keys of their structure "
                 "(defense-in-depth, as §5-V suggests)");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kExt,

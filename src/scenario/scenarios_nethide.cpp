@@ -15,7 +15,7 @@ void declare_nethide(KnobSet& knobs) {
                        1.0);
 }
 
-Table run_nethide(Ctx& ctx) {
+void run_nethide(Ctx& ctx) {
   ctx.out.header("NETHIDE", "topology presented to traceroute: honest, "
                             "obfuscated, maliciously faked");
 
@@ -77,7 +77,6 @@ Table run_nethide(Ctx& ctx) {
   ctx.out.claim(phantom_links > 0,
                 "the prober's inferred map contains links that do not "
                 "exist");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kNethide,

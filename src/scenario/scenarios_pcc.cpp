@@ -20,7 +20,7 @@ void declare_oscillation(KnobSet& knobs) {
   knobs.declare_u64("seed", def.seed, "shared experiment seed");
 }
 
-Table run_oscillation(Ctx& ctx) {
+void run_oscillation(Ctx& ctx) {
   auto base = [&ctx] {
     pcc::PccExperimentConfig cfg = pcc::default_oscillation_config();
     cfg.duration = sim::seconds(ctx.knobs.d("duration_s"));
@@ -116,7 +116,6 @@ Table run_oscillation(Ctx& ctx) {
   ctx.out.note("epsilon_max bounds the attacker-induced oscillation — the "
                "paper's own countermeasure suggestion (cf. "
                "defense.guards).");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kOscillation,
@@ -134,7 +133,7 @@ void declare_fleet(KnobSet& knobs) {
   knobs.declare_u64("seed", def.seed, "shared experiment seed");
 }
 
-Table run_fleet(Ctx& ctx) {
+void run_fleet(Ctx& ctx) {
   auto fleet_config = [&ctx](std::size_t flows, bool attack) {
     pcc::PccExperimentConfig cfg = pcc::default_fleet_config(flows, attack);
     cfg.duration = sim::seconds(ctx.knobs.d("duration_s"));
@@ -191,7 +190,6 @@ Table run_fleet(Ctx& ctx) {
   ctx.out.note("statistical multiplexing normally smooths aggregates; the "
                "synchronized per-flow oscillations re-introduce variance "
                "at the destination.");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kFleet,

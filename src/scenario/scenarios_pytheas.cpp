@@ -21,7 +21,7 @@ void declare_poison(KnobSet& knobs) {
                     "decision epochs per experiment", 1, 100000);
 }
 
-Table run_poison(Ctx& ctx) {
+void run_poison(Ctx& ctx) {
   const std::size_t legit = ctx.knobs.u("legit");
   const std::size_t epochs = ctx.knobs.u("epochs");
   ctx.out.header("PYTH-QOE", "group QoE poisoning by lying clients");
@@ -144,7 +144,6 @@ Table run_poison(Ctx& ctx) {
   ctx.out.claim(collateral > 1.0,
                 "members whose traffic was never touched lose >1.0 QoE — "
                 "the group decision is the damage amplifier");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kPoison,
@@ -166,7 +165,7 @@ void declare_cdn(KnobSet& knobs) {
                        0.0, 100.0);
 }
 
-Table run_cdn(Ctx& ctx) {
+void run_cdn(Ctx& ctx) {
   auto scenario = [&ctx] {
     pytheas::CdnConfig cfg = pytheas::default_cdn_attack_config();
     cfg.sessions = ctx.knobs.u("sessions");
@@ -216,7 +215,6 @@ Table run_cdn(Ctx& ctx) {
   ctx.out.note("the attacker throttles only site-0 traffic; the overload "
                "at site 1 is manufactured entirely by Pytheas's group "
                "decision.");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kCdn,

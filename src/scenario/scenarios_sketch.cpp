@@ -19,7 +19,7 @@ void declare_sketch(KnobSet& knobs) {
   knobs.declare_u64("seed", 11, "public hash seed (Kerckhoff)");
 }
 
-Table run_sketch(Ctx& ctx) {
+void run_sketch(Ctx& ctx) {
   ctx.out.header("SKETCH", "polluting probabilistic telemetry structures");
 
   const std::size_t kCells = ctx.knobs.u("cells");
@@ -123,7 +123,6 @@ Table run_sketch(Ctx& ctx) {
   ctx.out.claim(!flood.complete(),
                 "an attacker-inflated loss batch overflows the digest and "
                 "blinds the loss telemetry");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kSketch,

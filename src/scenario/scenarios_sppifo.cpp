@@ -19,7 +19,7 @@ void declare_sppifo(KnobSet& knobs) {
                     "rank-sequence seed for the queue-count ablation");
 }
 
-Table run_sppifo(Ctx& ctx) {
+void run_sppifo(Ctx& ctx) {
   const std::size_t packets = ctx.knobs.u("packets");
   auto run = [packets](sppifo::ArrivalOrder order, std::uint64_t seed) {
     sppifo::RankWorkload w = sppifo::default_bench_workload(order);
@@ -88,7 +88,6 @@ Table run_sppifo(Ctx& ctx) {
   }
   ctx.out.note("more queues approximate PIFO better in the benign case "
                "but the adversarial order still defeats the adaptation.");
-  return Table{};
 }
 
 INTOX_REGISTER_SCENARIO(kSppifo,

@@ -15,6 +15,8 @@ void crash_handler(int sig) {
   std::fprintf(stderr, "%s %d\n", msg.c_str(), sig);
   std::lock_guard<std::mutex> hold(g_mu);
   std::free(nullptr);
+  g_mu.lock();
+  g_mu.unlock();
 }
 
 void install() { std::signal(SIGSEGV, crash_handler); }

@@ -10,7 +10,7 @@ rules behave exactly as on the real tree:
                                 known-good twin and a pragma-suppressed
                                 case that must not
   tests/lint/analyze/fixtures/  one intentionally bad file per call-graph
-                                check (sigsafe, taint, lockorder, atomics)
+                                check (sigsafe, taint, atomics)
 
 Each corpus must produce its exact findings and nothing else. One
 driver, one corpus per run (and per ctest):
@@ -69,11 +69,11 @@ TOKEN_EXPECTED = {
 
 GRAPH_EXPECTED = {
     ("src/atomic_bad.cpp", 13, "atomics"),   # implicit seq_cst in hot lane
-    ("src/lock_bad.cpp", 17, "lockorder"),   # AB/BA cycle, closing edge
     ("src/sig_bad.cpp", 14, "sigsafe"),      # std::string on handler path
     ("src/sig_bad.cpp", 15, "sigsafe"),      # fprintf
-    ("src/sig_bad.cpp", 16, "sigsafe"),      # lock acquire
+    ("src/sig_bad.cpp", 16, "sigsafe"),      # lock_guard acquire
     ("src/sig_bad.cpp", 17, "sigsafe"),      # free
+    ("src/sig_bad.cpp", 18, "sigsafe"),      # manual .lock()
     ("src/taint_bad.cpp", 10, "determinism"),  # std::random_device
     ("src/taint_bad.cpp", 11, "determinism"),  # std::rand
     ("src/taint_bad.cpp", 18, "taint"),      # unordered iteration
@@ -88,8 +88,8 @@ DUMPED_METRICS = [
     "latency",
 ]
 
-CHECKS = ["atomics", "determinism", "header", "invariant", "lockorder",
-          "metrics", "pragma", "sigsafe", "taint"]
+CHECKS = ["atomics", "determinism", "header", "invariant", "metrics",
+          "pragma", "sigsafe", "taint"]
 
 failures = []
 
@@ -219,7 +219,6 @@ def check_graph(binary, graph, repo):
     for check_name, path in [
         ("sigsafe", "src/sig_bad.cpp"),
         ("taint", "src/taint_bad.cpp"),
-        ("lockorder", "src/lock_bad.cpp"),
         ("atomics", "src/atomic_bad.cpp"),
     ]:
         check_isolation(binary, graph, check_name, path)

@@ -1,7 +1,7 @@
 // The intox driver CLI contract: every malformed input dies with one
-// one-line stderr diagnostic and exit status 2 — never a silent default.
-// Each death test forks, so driver_main's printf output stays out of the
-// test's own stdout.
+// one-line stderr diagnostic and exit status 2 — never a silent default —
+// and a run with a failed claim exits 1. Each death test forks, so
+// driver_main's printf output stays out of the test's own stdout.
 #include "scenario/driver.hpp"
 
 #include <gtest/gtest.h>
@@ -195,6 +195,14 @@ TEST(CliDeathTest, PointRunWritesTheMetricsOutPath) {
   EXPECT_FALSE(std::ifstream(suffixed).good());
   std::remove(report.c_str());
   std::remove(suffixed.c_str());
+}
+
+// A failed claim fails the run. With a 60 s reset period, Part 1's
+// closed form needs more than 8% malicious traffic at t_R = 10 s.
+TEST(CliDeathTest, FailedClaimExitsOne) {
+  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.tr-sweep", "--set",
+                             "budget_s=60"})),
+              ::testing::ExitedWithCode(1), "");
 }
 
 TEST(CliDeathTest, HelpExitsZero) {

@@ -19,6 +19,9 @@ Properties pinned here, straight from the orchestrator's contract:
      `intox sweep --config` must too.
   5. The merged report and the orchestrator's BENCH_SWEEP.json pass
      scripts/check_metrics_schema.py.
+  6. Every sweep exits with the worst `exit` among its merged report's
+     records, and a point's `exit` is 1 exactly when its stdout has a
+     `[CHECK]` (failed claim) line.
 
 The worker is killed with SIGKILL (no cleanup handlers), so this also
 exercises the write-temp-then-rename commit: a record path either holds
@@ -71,6 +74,18 @@ def check_schema(checker, *paths):
         fail(f"schema check failed: {res.stdout}{res.stderr}")
 
 
+def check_exit(res, out, what):
+    """A sweep exits with the worst point exit in its merged report."""
+    if not os.path.exists(out):
+        fail(f"{what} exited {res.returncode} without a merged report: "
+             f"{res.stderr}")
+    with open(out, "r", encoding="utf-8") as f:
+        worst = max(r["exit"] for r in json.load(f)["records"])
+    if res.returncode != worst:
+        fail(f"{what} exited {res.returncode}, but its worst point exit "
+             f"is {worst}: {res.stderr}")
+
+
 def read_counter(metrics_path, name):
     with open(metrics_path, "r", encoding="utf-8") as f:
         report = json.load(f)
@@ -103,8 +118,7 @@ def main():
 
     # --- Reference: one uninterrupted run. ---
     res = run_sweep(intox, clean_cache, clean_out)
-    if res.returncode != 0:
-        fail(f"clean sweep exited {res.returncode}: {res.stderr}")
+    check_exit(res, clean_out, "clean sweep")
     with open(clean_out, "rb") as f:
         clean_bytes = f.read()
     clean_doc = json.loads(clean_bytes)
@@ -116,6 +130,13 @@ def main():
     if not isinstance(aggregates, dict) or "counters" not in aggregates:
         fail("merged report lacks cross-point aggregates")
     check_schema(checker, clean_out)
+    for record in clean_doc["records"]:
+        failed = any(line.startswith("  [CHECK] ")
+                     for line in record["stdout"].splitlines())
+        if record["exit"] != int(failed):
+            fail(f"point {record['banner']!r} exited {record['exit']}, "
+                 f"but its stdout {'has' if failed else 'has no'} "
+                 f"[CHECK] line")
 
     # --- One worker, knobs from a config with a 5,000-char comment. ---
     config = os.path.join(tmp, "long_comment.cfg")
@@ -125,9 +146,7 @@ def main():
     res = run_sweep(intox, os.path.join(tmp, "serial-cache"), serial_out,
                     knob_args=["--config", config, *SWEEP_ARGS],
                     workers="1")
-    if res.returncode != 0:
-        fail(f"--workers 1 --config sweep exited {res.returncode}: "
-             f"{res.stderr}")
+    check_exit(res, serial_out, "--workers 1 --config sweep")
     with open(serial_out, "rb") as f:
         if f.read() != clean_bytes:
             fail("--workers 1 merged report differs from --workers 2")
@@ -166,8 +185,7 @@ def main():
     # --- Resume. ---
     metrics = os.path.join(tmp, "resume_metrics.json")
     res = run_sweep(intox, kill_cache, kill_out, metrics)
-    if res.returncode != 0:
-        fail(f"resumed sweep exited {res.returncode}: {res.stderr}")
+    check_exit(res, kill_out, "resumed sweep")
     with open(kill_out, "rb") as f:
         resumed_bytes = f.read()
     if resumed_bytes != clean_bytes:
@@ -192,8 +210,7 @@ def main():
     # --- Warm cache: nothing executes. ---
     metrics2 = os.path.join(tmp, "warm_metrics.json")
     res = run_sweep(intox, kill_cache, kill_out, metrics2)
-    if res.returncode != 0:
-        fail(f"warm sweep exited {res.returncode}: {res.stderr}")
+    check_exit(res, kill_out, "warm sweep")
     if read_counter(metrics2, "sweep.points_executed") != 0:
         fail("warm-cache sweep re-executed points")
     if read_counter(metrics2, "sweep.points_cached") != POINTS:

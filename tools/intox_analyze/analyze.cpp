@@ -160,7 +160,7 @@ SuppressionMap parse_suppressions(const std::string& source,
 
 const std::vector<std::string>& check_names() {
   static const std::vector<std::string> kNames = {
-      "atomics", "determinism", "header",  "invariant", "lockorder",
+      "atomics", "determinism", "header",  "invariant",
       "metrics", "pragma",      "sigsafe", "taint"};
   return kNames;
 }
@@ -192,7 +192,6 @@ RunResult run_analyze(const Options& opts, std::ostream& explain_out) {
   check_metrics(index, raw);
   check_sigsafe(graph, raw, explain_for("sigsafe"));
   check_taint(graph, raw, explain_for("taint"));
-  check_lockorder(graph, raw, explain_for("lockorder"));
   check_atomics(graph, raw, explain_for("atomics"));
 
   auto check_enabled = [&](const std::string& check) {

@@ -46,7 +46,6 @@ CallGraph::CallGraph(const Index& index) : index_(&index) {
     by_name_[index.functions[f].name].push_back(static_cast<int>(f));
     if (!index.functions[f].cls.empty()) classes_.insert(index.functions[f].cls);
   }
-  compute_may_acquire();
 }
 
 std::vector<int> CallGraph::resolve_uncached(const std::string& chain) const {
@@ -159,33 +158,6 @@ std::vector<int> CallGraph::find_functions(const std::string& name) const {
     }
   }
   return out;
-}
-
-const std::set<std::string>& CallGraph::may_acquire(int fn) const {
-  return may_acquire_[fn];
-}
-
-void CallGraph::compute_may_acquire() {
-  may_acquire_.assign(index_->functions.size(), {});
-  for (std::size_t f = 0; f < index_->functions.size(); ++f) {
-    for (const LockEvent& e : index_->functions[f].lock_events) {
-      if (e.kind == LockEvent::kScopedAcquire || e.kind == LockEvent::kAcquire)
-        may_acquire_[f].insert(e.node);
-    }
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t f = 0; f < index_->functions.size(); ++f) {
-      for (const CallSite& c : index_->functions[f].calls) {
-        for (int callee : resolve_call(static_cast<int>(f), c)) {
-          for (const std::string& n : may_acquire_[callee]) {
-            if (may_acquire_[f].insert(n).second) changed = true;
-          }
-        }
-      }
-    }
-  }
 }
 
 }  // namespace intox::analyze

@@ -55,19 +55,13 @@ class CallGraph {
   /// whose qualified name ends with `name` on a `::` boundary.
   std::vector<int> find_functions(const std::string& name) const;
 
-  /// Lock nodes a function may acquire, directly or through any callee
-  /// (interprocedural fixpoint over the resolved graph).
-  const std::set<std::string>& may_acquire(int fn) const;
-
  private:
   const Index* index_;
   std::map<std::string, std::vector<int>> by_name_;  // last component
   std::set<std::string> classes_;  // classes with at least one method
   mutable std::map<std::string, std::vector<int>> resolve_cache_;
-  std::vector<std::set<std::string>> may_acquire_;
 
   std::vector<int> resolve_uncached(const std::string& chain) const;
-  void compute_may_acquire();
 };
 
 }  // namespace intox::analyze

@@ -88,13 +88,11 @@ void check_sigsafe(const CallGraph& graph, std::vector<Finding>& out,
                      "'" + fn.qname + "' is on the fatal-signal path but uses " +
                          d.what + " (may allocate or throw)"});
     }
-    for (const LockEvent& e : fn.lock_events) {
-      if (e.kind != LockEvent::kScopedAcquire && e.kind != LockEvent::kAcquire)
-        continue;
-      out.push_back({fn.file, e.line, "sigsafe",
+    for (const LockAcquire& lock : fn.lock_acquires) {
+      out.push_back({fn.file, lock.line, "sigsafe",
                      "'" + fn.qname +
                          "' is on the fatal-signal path but acquires lock '" +
-                         e.node + "' (deadlocks if the interrupted thread "
+                         lock.node + "' (deadlocks if the interrupted thread "
                          "holds it)"});
     }
   }

@@ -1,8 +1,8 @@
 // The checks. Four enforce line-local project conventions on the token
-// stream; four walk the call graph. Each appends findings; the graph
+// stream; three walk the call graph. Each appends findings; the graph
 // checks also print the evidence they ran on (reachable-function lists,
-// lock-order edges, atomic pairing tables) when `explain` is non-null,
-// for humans and for CI assertions.
+// atomic pairing tables) when `explain` is non-null, for humans and for
+// CI assertions.
 #pragma once
 
 #include <ostream>
@@ -64,12 +64,6 @@ void check_sigsafe(const CallGraph& graph, std::vector<Finding>& out,
 /// product code; hash order is the one hazard that needs reachability.
 void check_taint(const CallGraph& graph, std::vector<Finding>& out,
                  std::ostream* explain);
-
-/// Builds the lock-acquisition order graph (mutexes and flock regions,
-/// interprocedural via may-acquire sets) and reports cycles and
-/// recursive self-acquisition.
-void check_lockorder(const CallGraph& graph, std::vector<Finding>& out,
-                     std::ostream* explain);
 
 /// In functions marked `// intox-analyze: hot-lane`, atomics must be
 /// relaxed or participate in a properly paired release/acquire protocol;

@@ -89,7 +89,6 @@ struct Scope {
   enum Kind { kNamespace, kClass, kFunction, kBlock } kind;
   std::string name;  // namespace / class name; "" for anonymous
   int fn = -1;       // index into Index::functions for kFunction
-  int depth = 0;     // function-relative brace depth (kBlock only)
 };
 
 class Indexer {
@@ -125,18 +124,6 @@ class Indexer {
       if (it->kind != Scope::kBlock) return -1;
     }
     return -1;
-  }
-
-  int block_depth() const {
-    int d = 0;
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      if (it->kind == Scope::kBlock) {
-        ++d;
-      } else {
-        break;
-      }
-    }
-    return d;
   }
 
   std::string enclosing_class() const {
@@ -329,7 +316,7 @@ class Indexer {
       return;
     }
     if (is_punct(t, "{")) {
-      scopes_.push_back({Scope::kBlock, "", -1, 0});
+      scopes_.push_back({Scope::kBlock, "", -1});
       ++i_;
       return;
     }
@@ -389,7 +376,7 @@ class Indexer {
     }
     if (!at_end(j) && is_punct(tok(j), "{")) {
       // Anonymous namespaces are transparent in qualified names.
-      scopes_.push_back({Scope::kNamespace, name, -1, 0});
+      scopes_.push_back({Scope::kNamespace, name, -1});
       i_ = j + 1;
       return;
     }
@@ -438,7 +425,7 @@ class Indexer {
       }
     }
     if (!at_end(j) && is_punct(tok(j), "{")) {
-      scopes_.push_back({Scope::kClass, name, -1, 0});
+      scopes_.push_back({Scope::kClass, name, -1});
       i_ = j + 1;
       return;
     }
@@ -802,8 +789,7 @@ class Indexer {
     fn.line = line;
     out_.functions.push_back(std::move(fn));
     scopes_.push_back(
-        {Scope::kFunction, "", static_cast<int>(out_.functions.size() - 1),
-         0});
+        {Scope::kFunction, "", static_cast<int>(out_.functions.size() - 1)});
   }
 
   // Skips to one past the `;` ending the statement containing j,
@@ -838,20 +824,15 @@ class Indexer {
       return;
     }
     if (is_punct(t, "{")) {
-      scopes_.push_back({Scope::kBlock, "", -1, block_depth() + 1});
+      scopes_.push_back({Scope::kBlock, "", -1});
       ++i_;
       return;
     }
     if (is_punct(t, "}")) {
-      Scope top = scopes_.back();
-      scopes_.pop_back();
-      if (top.kind == Scope::kBlock) {
-        FunctionDef& f = out_.functions[current_fn()];
-        f.lock_events.push_back(
-            {LockEvent::kBlockClose, "", t.line, top.depth, seq_++});
-      } else if (top.kind == Scope::kFunction) {
-        out_.functions[top.fn].end_line = t.line;
+      if (scopes_.back().kind == Scope::kFunction) {
+        out_.functions[scopes_.back().fn].end_line = t.line;
       }
+      scopes_.pop_back();
       ++i_;
       return;
     }
@@ -878,7 +859,7 @@ class Indexer {
       }
       if (t.text == "INTOX_INVARIANT") {
         // The macro's failure path calls validate::invariant_failed.
-        fn().calls.push_back({"invariant_failed", "", t.line, seq_++});
+        fn().calls.push_back({"invariant_failed", "", t.line});
         ++i_;
         return;
       }
@@ -958,22 +939,12 @@ class Indexer {
       return;
     }
 
-    // Manual mutex protocol.
-    if (!receiver.empty() && chain == last &&
-        (last == "lock" || last == "unlock")) {
-      const std::size_t close = skip_parens(end);
-      if (close == end + 2) {  // zero-argument call
-        fn().lock_events.push_back(
-            {last == "lock" ? LockEvent::kAcquire : LockEvent::kRelease,
-             lock_node(receiver), line, block_depth(), seq_++});
-        i_ = end;
-        return;
-      }
+    // A manual zero-argument `mu.lock()`.
+    if (!receiver.empty() && chain == "lock" && skip_parens(end) == end + 2) {
+      fn().lock_acquires.push_back({lock_node(receiver), line});
+      i_ = end;
+      return;
     }
-
-    // flock-style regions: any call whose arguments name LOCK_EX /
-    // LOCK_SH acquires the first argument; LOCK_UN releases it.
-    record_flock_if_present(end, line);
 
     // Metric registrations.
     if (last == "counter" || last == "gauge" || last == "histogram" ||
@@ -986,7 +957,7 @@ class Indexer {
       maybe_record_signal_call(end, line);
     }
 
-    fn().calls.push_back({chain, receiver, line, seq_++});
+    fn().calls.push_back({chain, receiver, line});
     i_ = end;
   }
 
@@ -1012,20 +983,13 @@ class Indexer {
           (t.text == ")" || t.text == "]" || t.text == ">"))
         --depth;
       if (depth == 0 && is_punct(t, ",")) {
-        if (!arg.empty()) {
-          fn().lock_events.push_back({LockEvent::kScopedAcquire,
-                                      lock_node(arg), line, block_depth(),
-                                      seq_++});
-        }
+        if (!arg.empty()) fn().lock_acquires.push_back({lock_node(arg), line});
         arg.clear();
         continue;
       }
       arg += t.text;
     }
-    if (!arg.empty()) {
-      fn().lock_events.push_back({LockEvent::kScopedAcquire, lock_node(arg),
-                                  line, block_depth(), seq_++});
-    }
+    if (!arg.empty()) fn().lock_acquires.push_back({lock_node(arg), line});
   }
 
   void record_atomic_op(const std::string& receiver, const std::string& op,
@@ -1046,35 +1010,6 @@ class Indexer {
     a.order = orders.empty() ? "seq_cst" : orders;
     a.line = line;
     fn().atomic_ops.push_back(std::move(a));
-  }
-
-  void record_flock_if_present(std::size_t open, int line) {
-    const std::size_t close = skip_parens(open);
-    bool acquire = false, shared = false, release = false;
-    for (std::size_t k = open; k < close; ++k) {
-      if (!is_ident(tok(k))) continue;
-      if (tok(k).text == "LOCK_EX") acquire = true;
-      if (tok(k).text == "LOCK_SH") acquire = shared = true;
-      if (tok(k).text == "LOCK_UN") release = true;
-    }
-    (void)shared;  // shared/exclusive both order against other locks
-    if (!acquire && !release) return;
-    // First top-level argument names the file descriptor.
-    std::string arg;
-    int depth = 0;
-    for (std::size_t k = open + 1; k + 1 < close; ++k) {
-      const Token& t = tok(k);
-      if (t.kind == TokenKind::kPunct && (t.text == "(" || t.text == "["))
-        ++depth;
-      if (t.kind == TokenKind::kPunct && (t.text == ")" || t.text == "]"))
-        --depth;
-      if (depth == 0 && is_punct(t, ",")) break;
-      arg += t.text;
-    }
-    if (arg.empty()) return;
-    fn().lock_events.push_back(
-        {acquire ? LockEvent::kAcquire : LockEvent::kRelease,
-         lock_node(arg) + "(flock)", line, block_depth(), seq_++});
   }
 
   void maybe_record_metric(const std::string& kind_fn, std::size_t open,
@@ -1167,7 +1102,6 @@ class Indexer {
   std::vector<Scope> scopes_;
   std::set<std::string> unordered_aliases_;
   std::size_t i_ = 0;
-  int seq_ = 0;
 };
 
 }  // namespace

@@ -4,9 +4,9 @@
 // scope-tracking pass over the shared cxxlex token stream recovers
 // namespaces, classes, function definitions with qualified names, and —
 // inside each function body — the events the checks care about: call
-// sites, lock acquisitions/releases, atomic operations with their
-// memory orders, range-for iteration over unordered containers, and
-// "danger" mentions (new-expressions, throw, std::string, iostreams).
+// sites, lock acquisitions, atomic operations with their memory orders,
+// range-for iteration over unordered containers, and "danger" mentions
+// (new-expressions, throw, std::string, iostreams).
 // The soundness boundary of this model is documented in DESIGN.md §9:
 // names are resolved textually (no overload resolution, no type
 // inference), so the checks over-approximate call targets and treat
@@ -23,26 +23,19 @@
 namespace intox::analyze {
 
 /// One call site inside a function body. `name` is the callee text as
-/// written ("std::strlen", "flock", "invariant_violations"); `receiver`
-/// is the object chain of a member call ("w", "ring.head") or empty.
+/// written ("std::strlen", "invariant_violations"); `receiver` is the
+/// object chain of a member call ("w", "ring.head") or empty.
 struct CallSite {
   std::string name;
   std::string receiver;
   int line = 0;
-  int seq = 0;  // body-order position, shared with LockEvent
 };
 
-/// Lock activity, in body order. Scoped acquisitions (lock_guard /
-/// unique_lock / scoped_lock) release when their block closes; manual
-/// .lock() / flock(LOCK_*) acquisitions release at .unlock() /
-/// flock(LOCK_UN) or function end.
-struct LockEvent {
-  enum Kind { kScopedAcquire, kAcquire, kRelease, kBlockClose } kind;
-  std::string node;  // normalized lock name ("Registry::mu_"); empty for
-                     // kBlockClose
+/// One lock acquisition: an argument of lock_guard / unique_lock /
+/// scoped_lock, or a zero-argument `.lock()` call.
+struct LockAcquire {
+  std::string node;  // normalized lock name ("Registry::mu_")
   int line = 0;
-  int depth = 0;  // brace depth inside the function at the event
-  int seq = 0;
 };
 
 /// One atomic member operation (load/store/RMW) with its memory order.
@@ -76,7 +69,7 @@ struct FunctionDef {
   int end_line = 0;
   bool hot_lane = false;  // marked `// intox-analyze: hot-lane`
   std::vector<CallSite> calls;
-  std::vector<LockEvent> lock_events;
+  std::vector<LockAcquire> lock_acquires;
   std::vector<AtomicOp> atomic_ops;
   std::vector<UnorderedIter> unordered_iters;
   std::vector<DangerEvent> dangers;
