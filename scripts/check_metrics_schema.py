@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates the JSON documents emitted by the observability layer:
-intox.bench_report.v1, intox.sweep_report.v1.1, intox.point_record.v1,
-intox.flightrec.v1 crash dumps, intox.sweep_failure.v1 sidecars
+intox.bench_report.v2, intox.sweep_report.v1.1, intox.point_record.v2,
+intox.flightrec.v2 crash dumps, intox.sweep_failure.v1 sidecars
 (dispatched on the top-level "schema" field) and, with --trace, Chrome
 trace-event files.
 
@@ -25,12 +25,12 @@ surfacing weeks later in a plotting notebook.
 import json
 import sys
 
-SCHEMA = "intox.bench_report.v1"
+SCHEMA = "intox.bench_report.v2"
 SWEEP_SCHEMA = "intox.sweep_report.v1.1"
-POINT_SCHEMA = "intox.point_record.v1"
-FLIGHTREC_SCHEMA = "intox.flightrec.v1"
+POINT_SCHEMA = "intox.point_record.v2"
+FLIGHTREC_SCHEMA = "intox.flightrec.v2"
 FAILURE_SCHEMA = "intox.sweep_failure.v1"
-FLIGHTREC_TYPE_COUNT = 11
+FLIGHTREC_TYPE_COUNT = 10
 
 
 class SchemaError(Exception):
@@ -134,25 +134,6 @@ def check_metrics(metrics, path):
         check_known_name(name, f"{path}.histograms")
 
 
-def check_recent_messages(inv, path):
-    recent = inv.get("recent_messages")
-    expect(isinstance(recent, list), f"{path}.recent_messages",
-           "must be an array")
-    expect(all(isinstance(m, str) for m in recent),
-           f"{path}.recent_messages", "entries must be strings")
-
-
-def check_invariants(inv, path):
-    expect(isinstance(inv, dict), path, "must be an object")
-    expect(inv.get("mode") in ("fatal", "count", "throw"),
-           f"{path}.mode", "must be fatal|count|throw")
-    expect(is_uint(inv.get("violations")), f"{path}.violations",
-           "must be a non-negative integer")
-    expect(isinstance(inv.get("last_message"), str),
-           f"{path}.last_message", "must be a string")
-    check_recent_messages(inv, path)
-
-
 def check_report(doc, path):
     expect(isinstance(doc, dict), path, "report must be an object")
     expect(doc.get("schema") == SCHEMA, f"{path}.schema",
@@ -168,7 +149,6 @@ def check_report(doc, path):
         check_sweep(sweep, f"{path}.sweeps[{i}]")
 
     check_metrics(doc.get("metrics"), f"{path}.metrics")
-    check_invariants(doc.get("invariants"), f"{path}.invariants")
 
 
 def check_point_record(doc, path):
@@ -190,7 +170,6 @@ def check_point_record(doc, path):
     expect(isinstance(doc.get("stdout"), str), f"{path}.stdout",
            "must be a string")
     check_metrics(doc.get("metrics"), f"{path}.metrics")
-    check_invariants(doc.get("invariants"), f"{path}.invariants")
 
 
 def check_sweep_report(doc, path):
@@ -264,11 +243,6 @@ def check_flightrec(doc, path):
            f"must be the {FLIGHTREC_TYPE_COUNT}-entry type-name table")
     expect(all(isinstance(t, str) and t for t in types), f"{path}.types",
            "entries must be non-empty strings")
-    inv = doc.get("invariants")
-    expect(isinstance(inv, dict), f"{path}.invariants", "must be an object")
-    expect(is_uint(inv.get("violations")), f"{path}.invariants.violations",
-           "must be a non-negative integer")
-    check_recent_messages(inv, f"{path}.invariants")
     expect(is_uint(doc.get("dropped_threads")), f"{path}.dropped_threads",
            "must be a non-negative integer")
     threads = doc.get("threads")

@@ -2,8 +2,8 @@
 # Runs the full static-analysis stack:
 #
 #   1. intox_analyze     project-specific checks in one pass: per-file
-#                        conventions (determinism, invariant hygiene,
-#                        metric naming, header hygiene) and whole-program
+#                        conventions (determinism, metric naming, header
+#                        hygiene) and whole-program
 #                        checks over the call graph (async-signal-safety,
 #                        hash-order taint, atomic memory-order policy);
 #                        built via the `lint` preset

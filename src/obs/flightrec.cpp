@@ -9,8 +9,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "validate/invariant.hpp"
-
 namespace intox::obs {
 
 namespace {
@@ -21,9 +19,10 @@ constexpr std::uint64_t kDecisionCapacity = 1024;
 constexpr std::uint64_t kHotCapacity = 4096;
 
 const char* const kTypeNames[kFrTypeCount] = {
-    "none",           "sched.fire",  "link.drop",  "invariant.raise",
-    "blink.retx",     "blink.reroute", "blink.veto", "pcc.decision",
-    "pytheas.move",   "attacker.action", "note",
+    "none",         "sched.fire",    "link.drop",
+    "blink.retx",   "blink.reroute", "blink.veto",
+    "pcc.decision", "pytheas.move",  "attacker.action",
+    "note",
 };
 
 // Hot lane: per-packet/per-event volume. Everything else is a
@@ -135,12 +134,6 @@ std::atomic<bool> g_enabled{true};
 AtomicText g_scenario;
 AtomicText g_dump_path;
 
-// Signal-handler-readable mirror of the last invariant messages (the
-// validate-side ring is mutex-guarded and off limits mid-crash).
-constexpr std::size_t kMessageSlots = 8;
-AtomicText g_messages[kMessageSlots];
-std::atomic<std::uint32_t> g_message_count{0};
-
 std::atomic<bool> g_dumped{false};
 
 ThreadSlot* register_thread() {
@@ -247,21 +240,7 @@ void emit_lane(SigWriter& w, const char* lane_name, const Ring& ring) {
 }
 
 // ---------------------------------------------------------------------
-// Failure plumbing.
-
-void invariant_observer(const char* file, int line, const char* message) {
-  (void)file;
-  flightrec_record(FrType::kInvariantRaise, 0,
-                   validate::invariant_violations(),
-                   static_cast<std::uint64_t>(line));
-  const std::uint32_t n =
-      g_message_count.fetch_add(1, std::memory_order_acq_rel);
-  g_messages[n % kMessageSlots].store_text(message);
-}
-
-void invariant_fatal_hook(const char* message) {
-  flightrec_dump_on_crash("invariant", message);
-}
+// Crash plumbing.
 
 const char* signal_reason(int sig) {
   switch (sig) {
@@ -344,11 +323,7 @@ void set_flightrec_dump_path(const std::string& path) {
 
 void flightrec_init() {
   static std::once_flag once;
-  std::call_once(once, [] {
-    validate::set_invariant_observer(&invariant_observer);
-    validate::set_invariant_fatal_hook(&invariant_fatal_hook);
-    install_signal_handlers();
-  });
+  std::call_once(once, install_signal_handlers);
 }
 
 bool flightrec_dump(const char* path, const char* reason,
@@ -377,22 +352,6 @@ bool flightrec_dump(const char* path, const char* reason,
     w.string(kTypeNames[i]);
   }
   w.text("]");
-
-  w.text(",\"invariants\":{\"violations\":");
-  w.u64(validate::invariant_violations());
-  w.text(",\"recent_messages\":[");
-  const std::uint32_t message_count =
-      g_message_count.load(std::memory_order_acquire);
-  const std::uint32_t messages =
-      message_count < kMessageSlots
-          ? message_count
-          : static_cast<std::uint32_t>(kMessageSlots);
-  for (std::uint32_t i = message_count - messages; i < message_count; ++i) {
-    if (i != message_count - messages) w.put(',');
-    g_messages[i % kMessageSlots].load_text(textbuf);
-    w.string(textbuf);
-  }
-  w.text("]}");
 
   const std::uint32_t threads =
       g_thread_count.load(std::memory_order_acquire);

@@ -13,9 +13,9 @@
 //    a hot lane for per-packet/per-event noise (scheduler fires, link
 //    drops, attacker packet actions, Blink retransmission hits) and a
 //    decision lane for the rare control-plane records (reroutes,
-//    vetoes, PCC MI decisions, Pytheas group moves, invariant raises,
-//    notes) so data-plane volume cannot evict the decisions a
-//    postmortem actually needs.
+//    vetoes, PCC MI decisions, Pytheas group moves, notes) so
+//    data-plane volume cannot evict the decisions a postmortem actually
+//    needs.
 //  * A record is five 64-bit words (time, type, a, b, c) stored as
 //    relaxed atomics: writers are single-threaded per ring, and readers
 //    (a concurrent dump) may observe a torn *record* across words but
@@ -26,8 +26,9 @@
 //    at any --threads and the hot path stays within the perf gate.
 //  * Dumping is async-signal-safe: flightrec_dump walks the ring
 //    registry with open/write(2) and a hand-rolled formatter — no
-//    malloc, no stdio — so SIGSEGV/SIGABRT handlers and the fatal
-//    invariant hook can flush the last-N records per thread.
+//    malloc, no stdio — so SIGSEGV/SIGABRT handlers can flush the
+//    last-N records per thread. `intox run` commits the same dump when
+//    a violated invariant fails the run.
 //
 // The "time" word is producer-defined: sim::Time nanoseconds for
 // scheduler/link/blink/pcc records, the epoch index for Pytheas, 0 when
@@ -46,23 +47,22 @@
 
 namespace intox::obs {
 
-inline constexpr const char* kFlightrecSchema = "intox.flightrec.v1";
+inline constexpr const char* kFlightrecSchema = "intox.flightrec.v2";
 
 enum class FrType : std::uint16_t {
   kNone = 0,
   kSchedFire = 1,       // time=sim ns, a=unused
   kLinkDrop = 2,        // time=sim ns, a=FrDropCause, b=dst addr, c=bytes
-  kInvariantRaise = 3,  // time=0, a=violation count, b=source line
-  kBlinkRetx = 4,       // time=sim ns, a=prefix addr, b=len, c=retx cells
-  kBlinkReroute = 5,    // time=sim ns, a=prefix addr, b=len, c=retx cells
-  kBlinkVeto = 6,       // time=sim ns, a=prefix addr, b=len, c=retx cells
-  kPccDecision = 7,     // time=sim ns, a=0 incon/1 up/2 down, b=old bps,
+  kBlinkRetx = 3,       // time=sim ns, a=prefix addr, b=len, c=retx cells
+  kBlinkReroute = 4,    // time=sim ns, a=prefix addr, b=len, c=retx cells
+  kBlinkVeto = 5,       // time=sim ns, a=prefix addr, b=len, c=retx cells
+  kPccDecision = 6,     // time=sim ns, a=0 incon/1 up/2 down, b=old bps,
                         // c=new bps (inconclusive: c=epsilon ppm)
-  kPytheasMove = 8,     // time=epoch, a=group id, b=old arm, c=new arm
-  kAttackerAction = 9,  // time=sim ns, a=FrAttackerKind, b/c=kind-specific
-  kNote = 10,           // free-form breadcrumb
+  kPytheasMove = 7,     // time=epoch, a=group id, b=old arm, c=new arm
+  kAttackerAction = 8,  // time=sim ns, a=FrAttackerKind, b/c=kind-specific
+  kNote = 9,            // free-form breadcrumb
 };
-inline constexpr std::size_t kFrTypeCount = 11;
+inline constexpr std::size_t kFrTypeCount = 10;
 
 /// Stable display name ("sched.fire", "blink.reroute", ...); "none" for
 /// out-of-range values.
@@ -102,17 +102,17 @@ void flightrec_set_scenario(const char* name);
 /// default, which --flightrec-out overrides.
 void set_flightrec_dump_path(const std::string& path);
 
-/// Installs the failure plumbing once per process: the invariant
-/// observer (mirrors every violation into the decision lane), the fatal
-/// invariant hook, and SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL handlers
-/// that dump to the configured path and re-raise. Idempotent;
-/// BenchSession and the intox driver call it automatically.
+/// Installs the crash plumbing once per process: SIGSEGV/SIGABRT/
+/// SIGBUS/SIGFPE/SIGILL handlers that dump to the configured path and
+/// re-raise. Idempotent; BenchSession and the intox driver call it
+/// automatically.
 void flightrec_init();
 
 /// Writes every registered thread's lanes to `path` as an
-/// intox.flightrec.v1 document. Async-signal-safe (open/write only).
+/// intox.flightrec.v2 document. Async-signal-safe (open/write only).
 /// `reason` names the trigger ("signal:SIGSEGV", "invariant",
-/// "manual"); `detail` is free text (may be nullptr).
+/// "manual"); `detail` is free text (may be nullptr) — for "invariant",
+/// the violation message.
 bool flightrec_dump(const char* path, const char* reason,
                     const char* detail);
 

@@ -53,9 +53,6 @@ std::string describe(const FlightrecRecord& r) {
     case FrType::kLinkDrop:
       return "cause=" + std::string(drop_cause_name(r.a)) +
              " dst=" + ipv4_text(r.b) + " bytes=" + std::to_string(r.c);
-    case FrType::kInvariantRaise:
-      return "violation #" + std::to_string(r.a) + " (source line " +
-             std::to_string(r.b) + ")";
     case FrType::kBlinkRetx:
       return "prefix=" + prefix_text(r.a, r.b) +
              " retransmitting_flows=" + std::to_string(r.c);
@@ -130,16 +127,6 @@ bool load_flightrec_dump(const std::string& path, FlightrecDump* out,
   if (const JsonValue* v = doc.find("dropped_threads")) {
     out->dropped_threads = v->as_u64();
   }
-  if (const JsonValue* inv = doc.find("invariants")) {
-    if (const JsonValue* v = inv->find("violations")) {
-      out->invariant_violations = v->as_u64();
-    }
-    if (const JsonValue* v = inv->find("recent_messages")) {
-      for (const JsonValue& m : v->items) {
-        if (m.is_string()) out->recent_messages.push_back(m.text);
-      }
-    }
-  }
 
   const JsonValue* threads = doc.find("threads");
   if (threads == nullptr || !threads->is_array()) {
@@ -200,22 +187,13 @@ std::string render_flightrec_timeline(const FlightrecDump& dump) {
   out += "  reason:   " + dump.reason + "\n";
   if (!dump.detail.empty()) out += "  detail:   " + dump.detail + "\n";
   out += "  pid:      " + std::to_string(dump.pid) + "\n";
-  out += "  invariant violations: " +
-         std::to_string(dump.invariant_violations) + "\n";
   out += "  records:  " + std::to_string(dump.records.size()) + " kept, " +
          std::to_string(dump.dropped_records) + " overwritten";
   if (dump.dropped_threads > 0) {
     out += ", " + std::to_string(dump.dropped_threads) +
            " threads unrecorded";
   }
-  out += "\n";
-  if (!dump.recent_messages.empty()) {
-    out += "  recent invariant messages (oldest first):\n";
-    for (const std::string& message : dump.recent_messages) {
-      out += "    - " + message + "\n";
-    }
-  }
-  out += "\ntimeline (merged across threads, oldest first):\n";
+  out += "\n\ntimeline (merged across threads, oldest first):\n";
   if (dump.records.empty()) {
     out += "  (no records)\n";
     return out;

@@ -1,4 +1,4 @@
-// Postmortem rendering of intox.flightrec.v1 crash dumps.
+// Postmortem rendering of intox.flightrec.v2 crash dumps.
 //
 // `intox forensics <dump>` loads a dump (written async-signal-safely by
 // obs/flightrec at crash time), merges every thread's lanes into one
@@ -30,14 +30,12 @@ struct FlightrecRecord {
   std::uint64_t seq = 0;  // per-lane order, for stable tie-breaks
 };
 
-/// Parsed intox.flightrec.v1 document.
+/// Parsed intox.flightrec.v2 document.
 struct FlightrecDump {
   std::uint64_t pid = 0;
   std::string reason;
   std::string detail;
   std::string scenario;
-  std::uint64_t invariant_violations = 0;
-  std::vector<std::string> recent_messages;
   std::uint64_t dropped_threads = 0;
   std::uint64_t dropped_records = 0;  // summed over all lanes
   std::vector<FlightrecRecord> records;  // sorted by (time, tid, seq)

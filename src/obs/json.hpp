@@ -62,7 +62,7 @@ struct JsonValue {
 ///
 ///   JsonWriter w;
 ///   w.begin_object();
-///   w.key("schema").value("intox.bench_report.v1");
+///   w.key("schema").value("intox.bench_report.v2");
 ///   w.key("sweeps").begin_array();
 ///   ...
 ///   w.end_array().end_object();

@@ -33,8 +33,9 @@ void atomic_max_double(std::atomic<double>& a, double v) {
 
 HistogramMetric::HistogramMetric(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi),
+      // The initializers run before the check below, so buckets == 0
+      // must not divide by zero on the way to the throw.
       width_((hi - lo) / static_cast<double>(buckets ? buckets : 1)),
-      // Degraded path for buckets == 0: one catch-all bucket.
       counts_(buckets ? buckets : 1) {
   INTOX_INVARIANT(hi > lo && buckets > 0,
                   "histogram metric needs hi > lo and buckets > 0 "
@@ -137,19 +138,10 @@ HistogramMetric& Registry::histogram(std::string_view name, double lo,
   return *it->second;
 }
 
-void Registry::register_external_counter(std::string name,
-                                         std::function<std::uint64_t()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  external_counters_[std::move(name)] = std::move(fn);
-}
-
 Registry::Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
-  for (const auto& [name, fn] : external_counters_) {
-    snap.counters[name] = fn();
-  }
   for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
   for (const auto& [name, h] : histograms_) {
     snap.histograms[name] = h->snapshot();

@@ -137,17 +137,9 @@ class Registry {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   /// On re-registration the existing histogram is returned; asking for
-  /// different bounds than it was created with raises an invariant
-  /// violation (and returns the existing one on the degraded path).
+  /// different bounds than it was created with violates an invariant.
   HistogramMetric& histogram(std::string_view name, double lo, double hi,
                              std::size_t buckets);
-
-  /// Registers a counter whose value is read from `fn` at snapshot time
-  /// — the bridge for subsystems that keep their own counters (the
-  /// validate/ invariant layer). Re-registering a name replaces the
-  /// provider.
-  void register_external_counter(std::string name,
-                                 std::function<std::uint64_t()> fn);
 
   /// Declares a metric as placement-dependent: its value describes this
   /// process's scheduling (e.g. the runner's shard-imbalance high-water
@@ -175,8 +167,8 @@ class Registry {
     return to_json(deterministic_snapshot());
   }
 
-  /// Zeroes every registered metric (registrations and external
-  /// providers survive). Test isolation only.
+  /// Zeroes every registered metric (registrations survive). Test
+  /// isolation only.
   void reset_values_for_test();
 
  private:
@@ -187,8 +179,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<HistogramMetric>, std::less<>>
       histograms_;
-  std::map<std::string, std::function<std::uint64_t()>, std::less<>>
-      external_counters_;
   std::vector<std::string> placement_dependent_;
 };
 

@@ -6,38 +6,8 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "validate/invariant.hpp"
 
 namespace intox::obs {
-
-namespace {
-
-const char* invariant_mode_name() {
-  switch (validate::invariant_mode()) {
-    case validate::InvariantMode::kFatal: return "fatal";
-    case validate::InvariantMode::kThrow: return "throw";
-    case validate::InvariantMode::kCount: return "count";
-  }
-  return "unknown";
-}
-
-// Shared invariants section for run reports and point records:
-// last_message stays for backward compatibility; recent_messages is the
-// bounded ring (kCount mode used to keep only the newest message).
-void write_invariants_block(JsonWriter& w) {
-  w.key("invariants").begin_object();
-  w.key("mode").value(invariant_mode_name());
-  w.key("violations").value(validate::invariant_violations());
-  w.key("last_message").value(validate::last_invariant_message());
-  w.key("recent_messages").begin_array();
-  for (const std::string& message : validate::recent_invariant_messages()) {
-    w.value(message);
-  }
-  w.end_array();
-  w.end_object();
-}
-
-}  // namespace
 
 double SweepPerf::shard_imbalance() const {
   if (shard_seconds.empty()) return 0.0;
@@ -50,31 +20,21 @@ double SweepPerf::shard_imbalance() const {
   return mean > 0.0 ? max / mean : 0.0;
 }
 
-void export_invariant_counters() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    Registry::global().register_external_counter(
-        "validate.invariant_violations",
-        [] { return validate::invariant_violations(); });
-  });
-}
-
 BenchSession::BenchSession(std::string family, std::size_t threads,
                            std::string report_path)
     : family_(std::move(family)),
       threads_(threads),
       path_(std::move(report_path)) {
-  export_invariant_counters();
   // Every bench/scenario process gets the crash plumbing: a fatal
-  // invariant or signal flushes the flight recorder (when a dump path
-  // is configured) before the process dies.
+  // signal flushes the flight recorder (when a dump path is
+  // configured) before the process dies.
   flightrec_init();
 }
 
 BenchSession::~BenchSession() {
   // Write whenever a sink is configured, even with zero recorded sweeps:
-  // the registry + invariant sections are the point for the benches that
-  // never touch a ParallelRunner.
+  // the registry section is the point for the benches that never touch
+  // a ParallelRunner.
   if (!path_.empty()) write();
   if (trace_enabled()) trace_flush();
 }
@@ -91,7 +51,6 @@ void BenchSession::record_sweep(SweepPerf sweep) {
 }
 
 std::string BenchSession::to_json() const {
-  export_invariant_counters();
   JsonWriter w;
   w.begin_object();
   w.key("schema").value(kReportSchema);
@@ -124,7 +83,6 @@ std::string BenchSession::to_json() const {
   }
   w.end_array();
   w.key("metrics").raw(Registry::global().json());
-  write_invariants_block(w);
   w.end_object();
   return w.str();
 }
@@ -137,7 +95,6 @@ bool BenchSession::write() {
 }
 
 bool write_point_record(const std::string& path, const PointRecord& record) {
-  export_invariant_counters();
   JsonWriter w;
   w.begin_object();
   w.key("schema").value(kPointRecordSchema);
@@ -152,7 +109,6 @@ bool write_point_record(const std::string& path, const PointRecord& record) {
   w.key("exit").value(static_cast<std::int64_t>(record.exit_code));
   w.key("stdout").value(record.stdout_text);
   w.key("metrics").raw(Registry::global().deterministic_json());
-  write_invariants_block(w);
   w.end_object();
 
   // Committed by rename: a record's presence means the point completed.

@@ -2,20 +2,18 @@
 //
 // Every run opens a BenchSession naming its experiment family. The
 // session collects per-sweep perf records, and at teardown serializes
-// them together with the full metrics registry and the validate/
-// invariant counters into one schema-versioned JSON document:
+// them together with the full metrics registry into one
+// schema-versioned JSON document:
 //
 //   {
-//     "schema": "intox.bench_report.v1",
+//     "schema": "intox.bench_report.v2",
 //     "family": "FIG2",
 //     "threads_requested": 0,
 //     "sweeps": [ {"sweep": "FIG2", "trials": 12, "threads": 8,
 //                  "wall_s": 0.41, "trials_per_s": 29.3,
 //                  "shard_wall_s": {"min":..,"max":..,"imbalance":..}} ],
 //     "metrics": { "counters": {...}, "gauges": {...},
-//                  "histograms": {...} },
-//     "invariants": { "mode": "count", "violations": 0,
-//                     "last_message": "" }
+//                  "histograms": {...} }
 //   }
 //
 // The destination is the report path the session is built with
@@ -35,8 +33,8 @@
 
 namespace intox::obs {
 
-inline constexpr const char* kReportSchema = "intox.bench_report.v1";
-inline constexpr const char* kPointRecordSchema = "intox.point_record.v1";
+inline constexpr const char* kReportSchema = "intox.bench_report.v2";
+inline constexpr const char* kPointRecordSchema = "intox.point_record.v2";
 
 /// One sweep's timing: what sim::ParallelRunner measures per dispatch
 /// (sim::RunReport is this type) and what a run report records per
@@ -91,7 +89,7 @@ class BenchSession {
   std::vector<SweepPerf> sweeps_;
 };
 
-/// One sweep point's deterministic run record (intox.point_record.v1):
+/// One sweep point's deterministic run record (intox.point_record.v2):
 /// what the `intox run ... --point N --point-record FILE` protocol
 /// leaves behind for the sweep orchestrator's cache, and what the merge
 /// path folds into the combined sweep report. Deliberately excludes
@@ -110,17 +108,11 @@ struct PointRecord {
   std::string stdout_text;
 };
 
-/// Serializes `record` (plus the metrics registry and the invariant
-/// counters, exactly as BenchSession::to_json embeds them) and writes it
-/// to `path` via write-temp-then-rename: a worker killed mid-write
-/// leaves at most a *.tmp.<pid> turd, never a torn record. Returns false
-/// on I/O failure with a one-line stderr warning.
+/// Serializes `record` (plus the metrics registry's deterministic
+/// snapshot) and writes it to `path` via write-temp-then-rename: a
+/// worker killed mid-write leaves at most a *.tmp.<pid> turd, never a
+/// torn record. Returns false on I/O failure with a one-line stderr
+/// warning.
 bool write_point_record(const std::string& path, const PointRecord& record);
-
-/// Registers the validate/ invariant counters as external registry
-/// counters ("validate.invariant_violations"), so NDEBUG degraded-path
-/// hits are readable from every snapshot. Idempotent; BenchSession and
-/// snapshot consumers call it automatically.
-void export_invariant_counters();
 
 }  // namespace intox::obs

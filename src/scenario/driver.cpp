@@ -69,8 +69,8 @@ void usage(std::FILE* out) {
                "dump as a timeline\n"
                "                             (and optionally a Chrome-trace "
                "file)\n"
-               "  validate [scenario...]     rerun with throw-mode "
-               "invariants, console off\n"
+               "  validate [scenario...]     run quietly; report failed "
+               "claims and invariants\n"
                "  help                       this text\n");
 }
 
@@ -316,7 +316,6 @@ int cmd_validate(int argc, char** argv) {
     sim::ParallelRunner runner;
     Console console;
     console.set_quiet(true);
-    validate::ScopedInvariantMode mode{validate::InvariantMode::kThrow};
     std::string verdict = "OK";
     try {
       Ctx ctx{knobs, console, runner, session};
@@ -379,9 +378,9 @@ int cmd_forensics(int argc, char** argv) {
 
 int driver_main(int argc, char** argv) {
   // Crash plumbing first: any command (and any scenario body it runs)
-  // dumps the flight recorder on a fatal invariant or signal. The
-  // pid-suffixed default keeps concurrent drivers from clobbering one
-  // another; --flightrec-out overrides it.
+  // dumps the flight recorder on a fatal signal. The pid-suffixed
+  // default keeps concurrent drivers from clobbering one another;
+  // --flightrec-out overrides it.
   obs::flightrec_init();
   obs::set_flightrec_dump_path(
       "intox.flightrec." + std::to_string(static_cast<long>(::getpid())) +
@@ -397,7 +396,18 @@ int driver_main(int argc, char** argv) {
   }
   if (command == "list") return cmd_list();
   if (command == "knobs") return cmd_knobs(argc, argv);
-  if (command == "run") return cmd_run(argc, argv);
+  if (command == "run") {
+    // A violated invariant fails the run: the dump records why, and no
+    // point record is written, so `intox sweep` reports the point
+    // failed just as it does for a crash.
+    try {
+      return cmd_run(argc, argv);
+    } catch (const validate::InvariantError& e) {
+      obs::flightrec_dump_on_crash("invariant", e.what());
+      std::fprintf(stderr, "intox: %s\n", e.what());
+      return 1;
+    }
+  }
   if (command == "validate") return cmd_validate(argc, argv);
   if (command == "forensics") return cmd_forensics(argc, argv);
   return fail("unknown command '" + std::string(command) +

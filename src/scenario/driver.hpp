@@ -4,7 +4,7 @@
 //   intox list                      enumerate scenarios
 //   intox knobs <scenario>          show a scenario's declared knobs
 //   intox run <scenario> [opts]     run one scenario
-//   intox validate [scenario...]    throw-mode invariant sweep, quiet
+//   intox validate [scenario...]    quiet run; failed claims/invariants
 //   intox help                      usage
 //
 // driver_main returns the process exit code instead of exiting, so tests

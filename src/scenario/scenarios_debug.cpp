@@ -1,8 +1,9 @@
 // debug.* scenarios: deterministic workloads whose only purpose is to
-// exercise the failure plumbing — the flight recorder, the fatal
-// invariant path, and the sweep orchestrator's crash forensics. The
-// workload is plain scheduler churn with a running checksum, so the
-// stdout (and thus the point record) is a pure function of the knobs.
+// exercise the failure plumbing — the flight recorder, the failed-run
+// exit of a violated invariant, and the sweep orchestrator's crash
+// forensics. The workload is plain scheduler churn with a running
+// checksum, so the stdout (and thus the point record) is a pure
+// function of the knobs.
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -35,7 +36,6 @@ void force_crash(const std::string& mode) {
   } else if (mode == "abort") {
     std::abort();
   } else if (mode == "invariant") {
-    validate::set_invariant_mode(validate::InvariantMode::kFatal);
     INTOX_INVARIANT(false, "debug.crash: forced fatal invariant");
   }
   // Unknown mode: keep running; the claim below still verifies the

@@ -1,8 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "obs/flightrec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -28,19 +25,9 @@ TimingWheel::Ref decode_id(Scheduler::EventId id) {
       static_cast<std::uint32_t>(id.value >> 32)};
 }
 
-bool oracle_armed_by_env() {
-  static const bool armed = [] {
-    const char* v = std::getenv("INTOX_SCHED_ORACLE");
-    return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-  }();
-  return armed;
-}
-
 }  // namespace
 
-Scheduler::Scheduler() {
-  if (oracle_armed_by_env()) enable_oracle();
-}
+Scheduler::Scheduler() = default;
 
 Scheduler::~Scheduler() {
   // Retirement-time accounting: a single fold into the registry per
@@ -71,7 +58,6 @@ Scheduler::EventId Scheduler::schedule(Time t,
   INTOX_INVARIANT(static_cast<bool>(cb),
                   "null callback scheduled at t=%lld would crash at fire "
                   "time", static_cast<long long>(t));
-  if (!cb) return EventId{};  // counter-only mode: refuse, return invalid id
   if (t < now_) t = now_;
   const EventId id = encode_id(
       ticket ? wheel_.insert_reserved(t, *ticket, std::move(cb))
@@ -91,15 +77,13 @@ std::uint64_t Scheduler::reserve(std::uint64_t n) {
 
 Scheduler::EventId Scheduler::schedule_after(Duration d, Callback cb) {
   if (d < 0) d = 0;
-  // Saturating add (satellite of the wheel rewrite): now_ + d used to
-  // wrap for huge delays, scheduling the event in the deep past. The
-  // event now parks at kTimeMax — "never", observably — and the
-  // overflow itself is reported.
+  // now_ + d would wrap for huge delays, scheduling the event in the
+  // deep past.
   INTOX_INVARIANT(d <= kTimeMax - now_,
                   "schedule_after overflow: now=%lld + d=%lld exceeds the "
-                  "time horizon; saturating to kTimeMax",
+                  "time horizon",
                   static_cast<long long>(now_), static_cast<long long>(d));
-  return schedule_at(saturating_add(now_, d), std::move(cb));
+  return schedule_at(now_ + d, std::move(cb));
 }
 
 bool Scheduler::cancel(EventId id) {
@@ -121,8 +105,7 @@ bool Scheduler::fire_next(Time bound) {
                   "scheduler time went backwards: popped t=%lld with "
                   "now=%lld", static_cast<long long>(t),
                   static_cast<long long>(now_));
-  const bool have_cb = static_cast<bool>(cb);
-  INTOX_INVARIANT(have_cb,
+  INTOX_INVARIANT(static_cast<bool>(cb),
                   "live wheel event id=%llu has no callback (slab "
                   "bookkeeping corruption)",
                   static_cast<unsigned long long>(encode_id(ref).value));
@@ -132,7 +115,6 @@ bool Scheduler::fire_next(Time bound) {
   // stores, guarded by the blink.e2e perf-gate baseline.
   obs::flightrec_record(obs::FrType::kSchedFire,
                         static_cast<std::uint64_t>(t));
-  if (!have_cb) return true;  // counter-only mode: consume, skip
   cb();
   ++processed_;
   return true;

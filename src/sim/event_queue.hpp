@@ -12,9 +12,9 @@
 // reused) is refused via the handle's generation tag.
 //
 // A differential oracle (validate::SchedulerOracle, a sorted-vector
-// reference queue) can be attached — programmatically or with
-// INTOX_SCHED_ORACLE=1 — to cross-check every schedule/cancel/fire
-// against the obviously-correct implementation while the sim runs.
+// reference queue) can be attached with enable_oracle() to cross-check
+// every schedule/cancel/fire against the obviously-correct
+// implementation while the sim runs.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +58,9 @@ class Scheduler {
     return schedule(t, std::nullopt, std::move(cb));
   }
 
-  /// Schedules `cb` after `d` nanoseconds (clamped to >= 0). The add
-  /// saturates at kTimeMax — a huge delay parks the event at the end of
-  /// time (and raises an INTOX_INVARIANT) instead of wrapping into the
-  /// past.
+  /// Schedules `cb` after `d` nanoseconds (clamped to >= 0). A delay
+  /// that would carry now() + d past kTimeMax violates an invariant
+  /// instead of wrapping into the past.
   EventId schedule_after(Duration d, Callback cb);
 
   /// Reserves `n` consecutive tickets in the same-instant FIFO order and
@@ -106,8 +105,8 @@ class Scheduler {
 
   /// Attaches the sorted-vector differential oracle: every subsequent
   /// schedule/cancel/fire is mirrored and cross-checked (INTOX_INVARIANT
-  /// on divergence). Also armed at construction by INTOX_SCHED_ORACLE=1.
-  /// Call with pending() == 0 — the mirror starts empty.
+  /// on divergence). Call with pending() == 0 — the mirror starts
+  /// empty.
   void enable_oracle();
   [[nodiscard]] bool oracle_enabled() const { return oracle_ != nullptr; }
 

@@ -27,8 +27,7 @@ void ParallelRunner::dispatch(std::size_t n_trials,
   obs::TraceSpan span{"runner.dispatch", "runner"};
   INTOX_INVARIANT(threads_ >= 1, "runner resolved to zero workers");
   const std::size_t workers =
-      n_trials > 0 ? std::min(std::max<std::size_t>(threads_, 1), n_trials)
-                   : std::size_t{1};
+      n_trials > 0 ? std::min(threads_, n_trials) : std::size_t{1};
   span.arg0("trials", n_trials);
   span.arg1("workers", workers);
   std::vector<double> shard_seconds(workers, 0.0);

@@ -11,11 +11,11 @@
 // detected instead of silently aliasing the new occupant — the
 // scheduler's cancel-after-fire path depends on this.
 //
-// In Debug builds (and whenever INTOX_SLAB_POISON is defined) released
-// slots are poisoned with a recognizable byte pattern and re-checked on
-// allocation, so use-after-free through a raw reference (as opposed to a
-// checked handle) trips an INTOX_INVARIANT instead of reading plausible
-// stale state.
+// In Debug builds (no NDEBUG) released slots are poisoned with a
+// recognizable byte pattern and re-checked on allocation, so
+// use-after-free through a raw reference (as opposed to a checked
+// handle) trips an INTOX_INVARIANT instead of reading plausible stale
+// state.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +26,6 @@
 #include "validate/invariant.hpp"
 
 namespace intox::sim {
-
-#if !defined(NDEBUG) && !defined(INTOX_SLAB_POISON)
-#define INTOX_SLAB_POISON 1
-#endif
 
 /// Byte written over the trailing pad of released slots when poisoning
 /// is enabled (0xDB: "dead byte").
@@ -130,7 +126,7 @@ class SlabPool {
     std::uint32_t generation = 1;  // 0 never used: lets 0 mean "invalid"
     std::uint32_t next_free = kNil;
     bool live = false;
-#ifdef INTOX_SLAB_POISON
+#if !defined(NDEBUG)
     // Canary re-checked on allocation: anything scribbling over released
     // slots (use-after-free through a raw pointer) is caught at reuse.
     unsigned char canary[4] = {0, 0, 0, 0};
@@ -149,7 +145,7 @@ class SlabPool {
     return s;
   }
 
-#ifdef INTOX_SLAB_POISON
+#if !defined(NDEBUG)
   static void poison(Slot& s) {
     std::memset(s.canary, kSlabPoisonByte, sizeof(s.canary));
   }
@@ -158,7 +154,6 @@ class SlabPool {
       INTOX_INVARIANT(c == kSlabPoisonByte,
                       "slab poison canary overwritten (use-after-free "
                       "through a raw reference): got 0x%02x", c);
-      if (c != kSlabPoisonByte) break;  // count mode: report once
     }
   }
 #else

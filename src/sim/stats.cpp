@@ -90,7 +90,6 @@ std::vector<double> TimeSeries::resample(Time from, Time to,
   INTOX_INVARIANT(step > 0, "resample step must be positive (got %lld)",
                   static_cast<long long>(step));
   std::vector<double> out;
-  if (step <= 0) return out;
   for (Time t = from; t <= to; t += step) out.push_back(at(t));
   return out;
 }
@@ -101,7 +100,6 @@ SeriesStats::SeriesStats(Time from, Time to, Duration step)
                             "%lld)", static_cast<long long>(step));
   INTOX_INVARIANT(to >= from, "SeriesStats grid is inverted: [%lld, %lld]",
                   static_cast<long long>(from), static_cast<long long>(to));
-  if (step <= 0 || to < from) return;  // degraded path: empty grid
   cells_.resize(static_cast<std::size_t>((to - from) / step) + 1);
 }
 
@@ -113,21 +111,18 @@ void SeriesStats::add(const TimeSeries& series) {
 }
 
 void SeriesStats::merge(const SeriesStats& other) {
-  if (other.cells_.size() != cells_.size() || other.from_ != from_ ||
-      other.step_ != step_) {
-    // A silent return here used to drop the other shard's trials from the
-    // sweep aggregate — exactly the input corruption the paper warns
-    // about, applied to ourselves.
-    INTOX_INVARIANT(false,
-                    "SeriesStats::merge grid mismatch (%zu cells from %lld "
-                    "step %lld vs %zu cells from %lld step %lld) would drop "
-                    "%zu series",
-                    cells_.size(), static_cast<long long>(from_),
-                    static_cast<long long>(step_), other.cells_.size(),
-                    static_cast<long long>(other.from_),
-                    static_cast<long long>(other.step_), other.series_);
-    return;  // counter-only mode: keep the old skip rather than mixing grids
-  }
+  // A silent return here used to drop the other shard's trials from the
+  // sweep aggregate — exactly the input corruption the paper warns
+  // about, applied to ourselves.
+  INTOX_INVARIANT(other.cells_.size() == cells_.size() &&
+                      other.from_ == from_ && other.step_ == step_,
+                  "SeriesStats::merge grid mismatch (%zu cells from %lld "
+                  "step %lld vs %zu cells from %lld step %lld) would drop "
+                  "%zu series",
+                  cells_.size(), static_cast<long long>(from_),
+                  static_cast<long long>(step_), other.cells_.size(),
+                  static_cast<long long>(other.from_),
+                  static_cast<long long>(other.step_), other.series_);
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     cells_[i].merge(other.cells_[i]);
   }

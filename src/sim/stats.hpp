@@ -78,8 +78,7 @@ class TimeSeries {
 /// grid point. Each added series is step-resampled onto the grid, so
 /// ragged per-trial sampling is fine. `merge` combines two aggregates
 /// built on the same grid — the reduction step of parallel sweeps.
-/// Merging mismatched grids raises an invariant violation (and, in
-/// counter-only mode, skips the merge rather than mixing grids).
+/// Merging mismatched grids violates an invariant.
 class SeriesStats {
  public:
   SeriesStats(Time from, Time to, Duration step);

@@ -12,9 +12,9 @@ namespace intox::sim {
 using Time = std::int64_t;      // absolute, ns since simulation start
 using Duration = std::int64_t;  // relative, ns
 
-/// Largest representable instant. Scheduler arithmetic saturates here
-/// instead of wrapping (schedule_after with a huge delay parks the event
-/// at the end of time rather than in the past).
+/// Largest representable instant. A schedule_after delay that would
+/// carry past it violates an invariant instead of wrapping into the
+/// past.
 inline constexpr Time kTimeMax = INT64_MAX;
 
 inline constexpr Duration kNanosecond = 1;
@@ -37,12 +37,6 @@ constexpr Duration micros(double us) {
 /// Converts a Duration to fractional seconds (for reporting).
 constexpr double to_seconds(Duration d) {
   return static_cast<double>(d) / static_cast<double>(kSecond);
-}
-
-/// `t + d` clamped to [t, kTimeMax] — never wraps past the end of time.
-/// Requires t >= 0 and d >= 0.
-constexpr Time saturating_add(Time t, Duration d) {
-  return d > kTimeMax - t ? kTimeMax : t + d;
 }
 
 }  // namespace intox::sim

@@ -122,8 +122,6 @@ TimingWheel::Ref TimingWheel::insert_reserved(Time t, std::uint64_t seq,
                   "handed out (next seq %llu)",
                   static_cast<unsigned long long>(seq),
                   static_cast<unsigned long long>(next_seq_));
-  // Degraded path (count mode): a fresh seq keeps the bucket sorted.
-  if (seq >= next_seq_) return insert(t, std::move(cb));
   const std::uint32_t idx = alloc_node();
   Node& n = nodes_[idx];
   n.cb = std::move(cb);
@@ -246,12 +244,6 @@ void TimingWheel::advance_cursor(Time t) {
   INTOX_INVARIANT(!skipped,
                   "advance_cursor(%lld) skipped a pending event at t=%lld",
                   static_cast<long long>(t), static_cast<long long>(when));
-  if (skipped) {
-    // Degraded path (count mode): re-park the event instead of dropping
-    // it, and refuse the cursor jump so it can still fire.
-    insert(when, std::move(cb));
-    return;
-  }
   cursor_ = ut;
 }
 

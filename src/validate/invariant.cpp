@@ -1,87 +1,10 @@
 #include "validate/invariant.hpp"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
+#include <string>
 
 namespace intox::validate {
-
-namespace {
-
-InvariantMode default_mode() {
-  if (const char* env = std::getenv("INTOX_INVARIANTS")) {
-    if (std::strcmp(env, "fatal") == 0) return InvariantMode::kFatal;
-    if (std::strcmp(env, "count") == 0) return InvariantMode::kCount;
-    if (std::strcmp(env, "throw") == 0) return InvariantMode::kThrow;
-  }
-#if defined(NDEBUG)
-  return InvariantMode::kCount;
-#else
-  return InvariantMode::kFatal;
-#endif
-}
-
-std::atomic<InvariantMode> g_mode{default_mode()};
-std::atomic<std::uint64_t> g_violations{0};
-std::atomic<InvariantObserver> g_observer{nullptr};
-std::atomic<InvariantFatalHook> g_fatal_hook{nullptr};
-std::mutex g_message_mutex;
-// Ring of the last kRecentInvariantMessages messages; g_message_seq
-// counts all stored messages, so seq % size is the next slot and the
-// newest message lives at (seq - 1) % size. Guarded by g_message_mutex.
-std::string g_messages[kRecentInvariantMessages];
-std::uint64_t g_message_seq = 0;
-
-}  // namespace
-
-InvariantMode invariant_mode() {
-  return g_mode.load(std::memory_order_relaxed);
-}
-
-void set_invariant_mode(InvariantMode mode) {
-  g_mode.store(mode, std::memory_order_relaxed);
-}
-
-std::uint64_t invariant_violations() {
-  return g_violations.load(std::memory_order_relaxed);
-}
-
-void reset_invariant_violations() {
-  g_violations.store(0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(g_message_mutex);
-  for (std::string& m : g_messages) m.clear();
-  g_message_seq = 0;
-}
-
-std::string last_invariant_message() {
-  std::lock_guard<std::mutex> lock(g_message_mutex);
-  if (g_message_seq == 0) return "";
-  return g_messages[(g_message_seq - 1) % kRecentInvariantMessages];
-}
-
-std::vector<std::string> recent_invariant_messages() {
-  std::lock_guard<std::mutex> lock(g_message_mutex);
-  const std::uint64_t count =
-      g_message_seq < kRecentInvariantMessages ? g_message_seq
-                                               : kRecentInvariantMessages;
-  std::vector<std::string> out;
-  out.reserve(count);
-  for (std::uint64_t i = g_message_seq - count; i < g_message_seq; ++i) {
-    out.push_back(g_messages[i % kRecentInvariantMessages]);
-  }
-  return out;
-}
-
-InvariantObserver set_invariant_observer(InvariantObserver observer) {
-  return g_observer.exchange(observer, std::memory_order_acq_rel);
-}
-
-InvariantFatalHook set_invariant_fatal_hook(InvariantFatalHook hook) {
-  return g_fatal_hook.exchange(hook, std::memory_order_acq_rel);
-}
 
 void invariant_failed(const char* file, int line, const char* fmt, ...) {
   char detail[512];
@@ -89,33 +12,8 @@ void invariant_failed(const char* file, int line, const char* fmt, ...) {
   va_start(args, fmt);
   std::vsnprintf(detail, sizeof(detail), fmt, args);
   va_end(args);
-
-  std::string message = std::string(file) + ":" + std::to_string(line) +
-                        ": invariant violated: " + detail;
-
-  g_violations.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(g_message_mutex);
-    g_messages[g_message_seq % kRecentInvariantMessages] = message;
-    ++g_message_seq;
-  }
-  if (InvariantObserver obs = g_observer.load(std::memory_order_acquire)) {
-    obs(file, line, message.c_str());
-  }
-
-  switch (g_mode.load(std::memory_order_relaxed)) {
-    case InvariantMode::kFatal:
-      std::fprintf(stderr, "%s\n", message.c_str());
-      if (InvariantFatalHook hook =
-              g_fatal_hook.load(std::memory_order_acquire)) {
-        hook(message.c_str());
-      }
-      std::abort();
-    case InvariantMode::kThrow:
-      throw InvariantError(message);
-    case InvariantMode::kCount:
-      return;
-  }
+  throw InvariantError(std::string(file) + ":" + std::to_string(line) +
+                       ": invariant violated: " + detail);
 }
 
 }  // namespace intox::validate

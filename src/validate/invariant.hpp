@@ -7,113 +7,38 @@
 // on. INTOX_INVARIANT turns those silent-failure paths into loud,
 // diagnosable errors.
 //
-// Behavior by mode (see InvariantMode):
-//   kFatal — print the violation and abort. Default in Debug builds
-//            (the sanitizer presets), so a violated invariant fails the
-//            test run immediately.
-//   kCount — bump a global counter, record the message, continue on the
-//            code's defined degraded path. Default in Release builds
-//            (NDEBUG), so bench throughput is unaffected beyond the
-//            predicate itself; harnesses assert the counter is zero.
-//   kThrow — throw InvariantError. Tests use this (via
-//            ScopedInvariantMode) to assert that injected corruption is
-//            caught; it also composes with ParallelRunner, which
-//            rethrows the first trial exception.
-//
-// The default can be overridden with the INTOX_INVARIANTS environment
-// variable ("fatal", "count", or "throw"), and the checks compile out
-// entirely under -DINTOX_INVARIANTS_DISABLED.
-//
-// Call sites must treat invariant_failed() as possibly returning (kCount
-// mode): after raising, continue on a defined degraded path — typically
-// the pre-invariant behavior (e.g. skip a mismatched merge).
+// A violated invariant has one outcome in every build: it throws
+// InvariantError, whose what() is "file:line: invariant violated: ...".
+// Nothing runs on past detected corruption. Tests catch it with
+// EXPECT_THROW, ParallelRunner rethrows the first trial's exception on
+// the dispatching thread, `intox validate` reports it per scenario, and
+// `intox run` turns it into a failed run: it commits the flight-recorder
+// dump (reason "invariant"), prints the message and exits 1.
 #pragma once
 
-#include <cstdint>
 #include <stdexcept>
-#include <string>
-#include <vector>
 
 namespace intox::validate {
 
-enum class InvariantMode {
-  kFatal,  // print + abort
-  kCount,  // count + continue
-  kThrow,  // throw InvariantError
-};
-
-/// Thrown in kThrow mode; `what()` carries file:line and the message.
+/// What every violation throws; `what()` carries file:line and the
+/// message.
 class InvariantError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
 };
 
-/// Current dispatch mode. Initial value: INTOX_INVARIANTS env var if set,
-/// else kFatal in Debug builds and kCount under NDEBUG.
-InvariantMode invariant_mode();
-void set_invariant_mode(InvariantMode mode);
-
-/// Number of violations raised since start / last reset (all modes bump
-/// it, including kThrow/kFatal before dispatching).
-std::uint64_t invariant_violations();
-void reset_invariant_violations();
-
-/// Human-readable "file:line: invariant violated: ..." for the most
-/// recent violation; empty if none since the last reset.
-std::string last_invariant_message();
-
-/// Bounded history depth of recent_invariant_messages().
-inline constexpr std::size_t kRecentInvariantMessages = 16;
-
-/// The last kRecentInvariantMessages violation messages, oldest first.
-/// kCount mode used to keep only the newest message, which made the
-/// degraded-path history unreadable after the first follow-on failure;
-/// run reports and flightrec dumps surface this ring instead.
-std::vector<std::string> recent_invariant_messages();
-
-/// Observer invoked on *every* violation, after the counter/ring update
-/// and before mode dispatch (so it runs even when kFatal aborts or
-/// kThrow unwinds). Used by obs/flightrec to mirror violations into the
-/// flight recorder without validate depending back on obs. Must not
-/// throw. Returns the previously installed observer (nullptr if none).
-using InvariantObserver = void (*)(const char* file, int line,
-                                   const char* message);
-InvariantObserver set_invariant_observer(InvariantObserver observer);
-
-/// Hook invoked in kFatal mode after the stderr diagnostic and before
-/// abort(). obs/flightrec installs its dump-on-failure writer here.
-/// Returns the previously installed hook (nullptr if none).
-using InvariantFatalHook = void (*)(const char* message);
-InvariantFatalHook set_invariant_fatal_hook(InvariantFatalHook hook);
-
-/// Formats and dispatches a violation per the current mode. Returns (to
-/// the caller's degraded path) only in kCount mode.
+/// Formats "file:line: invariant violated: <fmt...>" and throws it as an
+/// InvariantError.
+[[noreturn]]
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((format(printf, 3, 4)))
 #endif
 void invariant_failed(const char* file, int line, const char* fmt, ...);
 
-/// RAII mode override for tests.
-class ScopedInvariantMode {
- public:
-  explicit ScopedInvariantMode(InvariantMode mode) : prev_(invariant_mode()) {
-    set_invariant_mode(mode);
-  }
-  ~ScopedInvariantMode() { set_invariant_mode(prev_); }
-  ScopedInvariantMode(const ScopedInvariantMode&) = delete;
-  ScopedInvariantMode& operator=(const ScopedInvariantMode&) = delete;
-
- private:
-  InvariantMode prev_;
-};
-
 }  // namespace intox::validate
 
-#if defined(INTOX_INVARIANTS_DISABLED)
-#define INTOX_INVARIANT(cond, ...) ((void)0)
-#else
-/// INTOX_INVARIANT(cond, "fmt", args...) — raises a violation when `cond`
-/// is false. The condition is always evaluated exactly once; the format
+/// INTOX_INVARIANT(cond, "fmt", args...) — throws InvariantError when
+/// `cond` is false. The condition is evaluated exactly once; the format
 /// arguments only on failure.
 #define INTOX_INVARIANT(cond, ...)                                       \
   do {                                                                   \
@@ -122,4 +47,3 @@ class ScopedInvariantMode {
                                           __VA_ARGS__);                  \
     }                                                                    \
   } while (0)
-#endif

@@ -138,9 +138,9 @@ void SchedulerOracle::check_pending(std::size_t pending, const char* op) {
 void SchedulerOracle::mirror_schedule(sim::Time t, std::uint64_t id,
                                       std::size_t pending,
                                       std::optional<std::uint64_t> ticket) {
-  // A ticket never reserved: the wheel reported it and fell back to a
-  // fresh position, and so does the mirror.
-  if (!ticket || !ref_.schedule_reserved(t, *ticket, id)) {
+  if (ticket) {
+    ref_.schedule_reserved(t, *ticket, id);
+  } else {
     ref_.schedule_at(t, id);
   }
   ++checks_;
@@ -179,7 +179,6 @@ void SchedulerOracle::mirror_fire(std::uint64_t id, sim::Time t,
                   "queue is empty",
                   static_cast<unsigned long long>(id),
                   static_cast<long long>(t));
-  if (fired.empty()) return;  // count mode: cannot compare further
   INTOX_INVARIANT(fired[0].id == id && fired[0].time == t,
                   "scheduler/oracle fire order diverged: wheel fired "
                   "id=%llu t=%lld, reference expected id=%llu t=%lld",

@@ -115,11 +115,11 @@ class ReferenceQueue {
 // --- Scheduler differential oracle ------------------------------------
 //
 // The always-on mirror for the timing-wheel scheduler: Scheduler (with
-// the oracle enabled — programmatically or via INTOX_SCHED_ORACLE=1)
-// forwards every schedule/cancel/fire/boundary to this class, which
-// replays it on the ReferenceQueue and raises an INTOX_INVARIANT on any
-// divergence in fire order, timestamps, cancel results, or pending
-// counts. O(n) per fire — for validate runs and tests, not benches.
+// the oracle enabled by Scheduler::enable_oracle) forwards every
+// schedule/cancel/fire/boundary to this class, which replays it on the
+// ReferenceQueue and raises an INTOX_INVARIANT on any divergence in
+// fire order, timestamps, cancel results, or pending counts. O(n) per
+// fire — for validate runs and tests, not benches.
 class SchedulerOracle {
  public:
   /// `first_seq` is the wheel's next sequence number at attach time.

@@ -4,8 +4,8 @@
 Two corpora, each a mini-repo (src/, bench/, tests/) so the path-scoped
 rules behave exactly as on the real tree:
 
-  tests/lint/fixtures/          the token checks (determinism, invariant,
-                                metrics, header, pragma): a known-bad
+  tests/lint/fixtures/          the token checks (determinism, metrics,
+                                header, pragma): a known-bad
                                 snippet per check that must fire, a
                                 known-good twin and a pragma-suppressed
                                 case that must not
@@ -59,12 +59,6 @@ TOKEN_EXPECTED = {
     ("src/sim/pragma_stale_bad.cpp", 11, "pragma"),  # unknown check name
     ("src/sim/pragma_bare_bad.cpp", 9, "pragma"),    # no justification
     ("src/sim/pragma_bare_bad.cpp", 10, "determinism"),  # not suppressed
-    ("src/validate/invariant_bad.cpp", 10, "invariant"),  # ++
-    ("src/validate/invariant_bad.cpp", 15, "invariant"),  # --
-    ("src/validate/invariant_bad.cpp", 20, "invariant"),  # =
-    ("src/validate/invariant_bad.cpp", 24, "invariant"),  # +=
-    ("src/validate/invariant_bad.cpp", 28, "invariant"),  # .erase()
-    ("tests/determinism_exempt.cpp", 21, "invariant"),
 }
 
 GRAPH_EXPECTED = {
@@ -88,8 +82,8 @@ DUMPED_METRICS = [
     "latency",
 ]
 
-CHECKS = ["atomics", "determinism", "header", "invariant", "metrics",
-          "pragma", "sigsafe", "taint"]
+CHECKS = ["atomics", "determinism", "header", "metrics", "pragma",
+          "sigsafe", "taint"]
 
 failures = []
 
@@ -152,8 +146,6 @@ def check_tokens(binary, tokens):
     for quiet in [
         "src/sim/determinism_good.cpp",
         "src/sim/determinism_suppressed.cpp",
-        "src/validate/invariant_good.cpp",
-        "src/validate/invariant_suppressed.cpp",
         "src/obs/metrics_good.cpp",
         "src/obs/metrics_suppressed.cpp",
         "src/net/header_good.hpp",
@@ -173,8 +165,8 @@ def check_tokens(binary, tokens):
     # --- good-only subset exits 0 -------------------------------------
     proc = run(
         binary, "--root", str(tokens),
-        "src/sim/determinism_good.cpp", "src/validate/invariant_good.cpp",
-        "src/obs/metrics_good.cpp", "src/net/header_good.hpp",
+        "src/sim/determinism_good.cpp", "src/obs/metrics_good.cpp",
+        "src/net/header_good.hpp",
     )
     check(proc.returncode == 0, "good-only subset exits 0")
     check(proc.stdout == "", "good-only subset prints no findings")

@@ -15,13 +15,7 @@ unsigned stress_seed() {
   return rd();
 }
 
-// ... but invariant hygiene still applies everywhere, including tests:
-#define INTOX_INVARIANT(cond, msg) ((void)(cond))
-inline void still_checked(int i, int n) {
-  INTOX_INVARIANT(i++ < n, "side effect in a test invariant");  // line 21
-}
-
-// ... while metric names registered in tests/ are outside the metrics
+// Metric names registered in tests/ are likewise outside the metrics
 // check and the --dump-metric-names inventory:
 template <typename Registry>
 void test_only_metric(Registry& reg) {

@@ -45,7 +45,7 @@ def setup(tmp, baseline_sweeps, report_sweeps):
         "sweeps": baseline_sweeps,
     })
     write_json(os.path.join(reports, "BENCH_CORE.json"), {
-        "schema": "intox.bench_report.v1",
+        "schema": "intox.bench_report.v2",
         "family": "CORE",
         "threads_requested": 0,
         "sweeps": [{"sweep": name, "trials": 10, "threads": 1,

@@ -68,37 +68,33 @@ def main():
                              "nonexistent report")
 
         truncated = tmpdir / "truncated.json"
-        truncated.write_text('{"schema": "intox.bench_report.v1", "fam')
+        truncated.write_text('{"schema": "intox.bench_report.v2", "fam')
         expect_one_line_fail(script, truncated, "truncated JSON")
 
         # A valid minimal report still passes (the fix must not break
         # the happy path).
         good = tmpdir / "good.json"
         good.write_text(json.dumps({
-            "schema": "intox.bench_report.v1",
+            "schema": "intox.bench_report.v2",
             "family": "SMOKE",
             "threads_requested": 1,
             "sweeps": [],
             "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-            "invariants": {"mode": "count", "violations": 0,
-                           "last_message": "", "recent_messages": []},
         }))
         proc = run(script, str(good))
         check(proc.returncode == 0, "valid minimal report exits 0")
 
         # Minimal flightrec dump and failure sidecar pass too.
         dump = tmpdir / "dump.flightrec.json"
-        dump.write_text(json.dumps({
-            "schema": "intox.flightrec.v1",
+        dump_doc = {
+            "schema": "intox.flightrec.v2",
             "pid": 42,
             "reason": "signal:SIGSEGV",
             "detail": "",
             "scenario": "smoke",
-            "types": ["none", "sched.fire", "link.drop", "invariant.raise",
-                      "blink.retx", "blink.reroute", "blink.veto",
-                      "pcc.decision", "pytheas.move", "attacker.action",
-                      "note"],
-            "invariants": {"violations": 0, "recent_messages": []},
+            "types": ["none", "sched.fire", "link.drop", "blink.retx",
+                      "blink.reroute", "blink.veto", "pcc.decision",
+                      "pytheas.move", "attacker.action", "note"],
             "dropped_threads": 0,
             "threads": [{"tid": 1, "lanes": [
                 {"lane": "hot", "capacity": 4, "recorded": 6, "dropped": 2,
@@ -107,16 +103,22 @@ def main():
                 {"lane": "decision", "capacity": 4, "recorded": 0,
                  "dropped": 0, "records": []},
             ]}],
-        }))
+        }
+        dump.write_text(json.dumps(dump_doc))
         proc = run(script, str(dump))
         check(proc.returncode == 0, "valid flightrec dump exits 0")
 
+        # v1 numbered the record types differently: refused, not misread.
+        old_dump = tmpdir / "old.flightrec.json"
+        old_dump.write_text(json.dumps({**dump_doc,
+                                        "schema": "intox.flightrec.v1"}))
+        expect_one_line_fail(script, old_dump, "flightrec v1 dump")
+
         bad_dump = tmpdir / "bad.flightrec.json"
         bad_dump.write_text(json.dumps({
-            "schema": "intox.flightrec.v1",
+            "schema": "intox.flightrec.v2",
             "pid": 42, "reason": "manual", "detail": "", "scenario": "",
             "types": ["only-one"],
-            "invariants": {"violations": 0, "recent_messages": []},
             "dropped_threads": 0, "threads": [],
         }))
         expect_one_line_fail(script, bad_dump,
@@ -139,14 +141,12 @@ def main():
         # fails; the same report passes once the name is inventoried.
         named = tmpdir / "named.json"
         named.write_text(json.dumps({
-            "schema": "intox.bench_report.v1",
+            "schema": "intox.bench_report.v2",
             "family": "SMOKE",
             "threads_requested": 1,
             "sweeps": [],
             "metrics": {"counters": {"smoke.trials": 3}, "gauges": {},
                         "histograms": {}},
-            "invariants": {"mode": "count", "violations": 0,
-                           "last_message": "", "recent_messages": []},
         }))
         names = tmpdir / "names.txt"
         names.write_text("other.metric\n")

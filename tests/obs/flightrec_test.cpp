@@ -1,8 +1,8 @@
 // Flight recorder: lock-free recording, signal-safe dumps, forensics
 // rendering. The concurrency tests carry the binary's `sanitize` label,
-// so the tsan preset hammers concurrent record/dump; the death tests
-// prove the dump-on-failure path end to end (fatal invariant and a real
-// SIGSEGV each commit a schema-valid dump before the process dies).
+// so the tsan preset hammers concurrent record/dump; the death test
+// proves the dump-on-failure path end to end (a real SIGSEGV commits a
+// schema-valid dump before the process dies).
 #include "obs/flightrec.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "obs/forensics.hpp"
 #include "obs/json.hpp"
-#include "validate/invariant.hpp"
 
 namespace intox::obs {
 namespace {
@@ -90,8 +89,7 @@ TEST(Flightrec, DumpIsSchemaValidAndAccountsForEveryRecord) {
   EXPECT_GT(doc.find("pid")->as_u64(), 0u);
   ASSERT_EQ(doc.find("types")->items.size(), kFrTypeCount);
   EXPECT_EQ(doc.find("types")->items[1].text, "sched.fire");
-  ASSERT_NE(doc.find("invariants"), nullptr);
-  ASSERT_NE(doc.find("invariants")->find("recent_messages"), nullptr);
+  EXPECT_EQ(doc.find("invariants"), nullptr);
 
   for (const char* lane : {"hot", "decision"}) {
     const JsonValue* l = find_lane(doc, tid, lane);
@@ -249,34 +247,6 @@ TEST(Flightrec, MergeChromeTracesFoldsLanesAndSkipsUnreadable) {
 }
 
 using FlightrecDeathTest = ::testing::Test;
-
-TEST(FlightrecDeathTest, FatalInvariantCommitsADumpBeforeAborting) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::string path = temp_path("flightrec_fatal_invariant.json");
-  std::remove(path.c_str());
-  EXPECT_EXIT(
-      {
-        set_flightrec_dump_path(path);
-        flightrec_init();
-        flightrec_set_scenario("flightrec.fatal");
-        flightrec_record(FrType::kNote, 42, 1, 2, 3);
-        validate::set_invariant_mode(validate::InvariantMode::kFatal);
-        INTOX_INVARIANT(false, "flight recorder death test");
-      },
-      ::testing::KilledBySignal(SIGABRT), "flight recorder death test");
-  FlightrecDump dump;
-  std::string error;
-  ASSERT_TRUE(load_flightrec_dump(path, &dump, &error)) << error;
-  EXPECT_EQ(dump.reason, "invariant");
-  EXPECT_EQ(dump.scenario, "flightrec.fatal");
-  EXPECT_NE(dump.detail.find("flight recorder death test"),
-            std::string::npos);
-  EXPECT_GE(dump.invariant_violations, 1u);
-  ASSERT_FALSE(dump.recent_messages.empty());
-  EXPECT_NE(dump.recent_messages.back().find("flight recorder death test"),
-            std::string::npos);
-  std::remove(path.c_str());
-}
 
 TEST(FlightrecDeathTest, SegfaultCommitsADumpAndDiesBySignal) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";

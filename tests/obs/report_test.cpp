@@ -1,5 +1,5 @@
-// The BenchSession run report: its sweeps, metrics and invariants
-// sections, the legacy stderr perf line, and the file round-trip.
+// The BenchSession run report: its sweeps and metrics sections, the
+// legacy stderr perf line, and the file round-trip.
 #include "obs/report.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "validate/invariant.hpp"
 
 namespace intox::obs {
 namespace {
@@ -33,7 +32,6 @@ TEST(BenchSession, ConstructorSetsFamilyAndThreads) {
 
 TEST(BenchSession, ReportCarriesSweepsMetricsAndInvariants) {
   Registry::global().reset_values_for_test();
-  validate::reset_invariant_violations();
   Registry::global().counter("test.report.counter").add(7);
 
   BenchSession session{"TEST-REPORT", 0, ""};
@@ -52,7 +50,7 @@ TEST(BenchSession, ReportCarriesSweepsMetricsAndInvariants) {
   EXPECT_NE(line.find("\"trials\":10"), std::string::npos);
 
   const std::string doc = session.to_json();
-  EXPECT_NE(doc.find("\"schema\":\"intox.bench_report.v1\""),
+  EXPECT_NE(doc.find("\"schema\":\"intox.bench_report.v2\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"family\":\"TEST-REPORT\""), std::string::npos);
   EXPECT_NE(doc.find("\"sweep\":\"needs \\\"escaping\\\"\""),
@@ -60,11 +58,8 @@ TEST(BenchSession, ReportCarriesSweepsMetricsAndInvariants) {
   EXPECT_NE(doc.find("\"trials_per_s\":5"), std::string::npos);
   EXPECT_NE(doc.find("\"shard_wall_s\""), std::string::npos);
   EXPECT_NE(doc.find("\"test.report.counter\":7"), std::string::npos);
-  // The registry bridge: validate/'s counter appears in every report.
-  EXPECT_NE(doc.find("\"validate.invariant_violations\":0"),
-            std::string::npos);
-  EXPECT_NE(doc.find("\"invariants\":{"), std::string::npos);
-  EXPECT_NE(doc.find("\"violations\":0"), std::string::npos);
+  // No invariants section: a violated invariant fails the run.
+  EXPECT_EQ(doc.find("\"invariants\""), std::string::npos);
 }
 
 TEST(BenchSession, WriteRoundTripsThroughFile) {

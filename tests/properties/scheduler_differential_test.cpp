@@ -3,8 +3,7 @@
 // workloads executed on the wheel with the SchedulerOracle armed, so
 // every operation is replayed on the sorted-vector ReferenceQueue and
 // compared (fire order, timestamps, cancel results, pending counts) as
-// it happens. Any divergence raises InvariantError (throw mode) and
-// fails the test.
+// it happens. Any divergence throws InvariantError and fails the test.
 //
 // This binary carries the `sanitize` label: the asan-ubsan and tsan
 // presets run it, so the wheel's intrusive-list surgery and slab reuse
@@ -16,7 +15,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
-#include "validate/invariant.hpp"
 #include "validate/oracles.hpp"
 
 namespace intox::sim {
@@ -26,7 +24,6 @@ class SchedulerDifferential : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(SchedulerDifferential, RandomOpSequenceNeverDivergesFromOracle) {
-  validate::ScopedInvariantMode guard{validate::InvariantMode::kThrow};
   Rng rng{GetParam()};
   Scheduler s;
   s.enable_oracle();
@@ -94,7 +91,6 @@ TEST_P(SchedulerDifferential, NestedSchedulingNeverDivergesFromOracle) {
   // Callbacks that schedule (at `now`, nearby, or clamped-past times)
   // and cancel during the drain — the paths where FIFO-within-instant
   // and the cursor rules are easiest to get wrong.
-  validate::ScopedInvariantMode guard{validate::InvariantMode::kThrow};
   Rng rng{GetParam() ^ 0xd1ffULL};
   Scheduler s;
   s.enable_oracle();

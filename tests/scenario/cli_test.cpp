@@ -1,7 +1,8 @@
 // The intox driver CLI contract: every malformed input dies with one
 // one-line stderr diagnostic and exit status 2 — never a silent default —
-// and a run with a failed claim exits 1. Each death test forks, so
-// driver_main's printf output stays out of the test's own stdout.
+// and a run with a failed claim or a violated invariant exits 1. Each
+// death test forks, so driver_main's printf output stays out of the
+// test's own stdout.
 #include "scenario/driver.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <initializer_list>
 #include <string>
 #include <vector>
+
+#include "obs/forensics.hpp"
 
 namespace intox::scenario {
 namespace {
@@ -203,6 +206,28 @@ TEST(CliDeathTest, FailedClaimExitsOne) {
   EXPECT_EXIT(std::exit(run({"intox", "run", "blink.tr-sweep", "--set",
                              "budget_s=60"})),
               ::testing::ExitedWithCode(1), "");
+}
+
+// A violated invariant fails the run: one stderr line, exit 1, and a
+// flight-recorder dump that names the violation.
+TEST(CliDeathTest, InvariantViolationExitsOneWithADump) {
+  const std::string dump_path =
+      ::testing::TempDir() + "cli_invariant.flightrec.json";
+  std::remove(dump_path.c_str());
+  EXPECT_EXIT(std::exit(run({"intox", "run", "debug.crash", "--set",
+                             "events=1000", "--set", "crash=invariant",
+                             "--flightrec-out", dump_path.c_str()})),
+              ::testing::ExitedWithCode(1),
+              "intox: .*invariant violated: debug\\.crash: forced fatal "
+              "invariant");
+  obs::FlightrecDump dump;
+  std::string error;
+  ASSERT_TRUE(obs::load_flightrec_dump(dump_path, &dump, &error)) << error;
+  EXPECT_EQ(dump.reason, "invariant");
+  EXPECT_EQ(dump.scenario, "debug.crash");
+  EXPECT_NE(dump.detail.find("debug.crash: forced fatal invariant"),
+            std::string::npos);
+  std::remove(dump_path.c_str());
 }
 
 TEST(CliDeathTest, HelpExitsZero) {

@@ -130,28 +130,12 @@ TEST(SeriesStats, ResamplesOntoGridAndMerges) {
 TEST(SeriesStats, MismatchedGridMergeRaisesInvariant) {
   // A silent no-op merge would drop the other shard's trials from the
   // sweep aggregate; the integrity layer makes it loud instead.
-  validate::ScopedInvariantMode guard{validate::InvariantMode::kThrow};
   SeriesStats a{0, seconds(20), seconds(10)};
   SeriesStats b{0, seconds(30), seconds(10)};
   TimeSeries s;
   s.record(0, 1.0);
   b.add(s);
   EXPECT_THROW(a.merge(b), validate::InvariantError);
-}
-
-TEST(SeriesStats, MismatchedGridMergeCountsAndSkipsInCounterMode) {
-  validate::ScopedInvariantMode guard{validate::InvariantMode::kCount};
-  validate::reset_invariant_violations();
-  SeriesStats a{0, seconds(20), seconds(10)};
-  SeriesStats b{0, seconds(30), seconds(10)};
-  TimeSeries s;
-  s.record(0, 1.0);
-  b.add(s);
-  a.merge(b);
-  EXPECT_EQ(validate::invariant_violations(), 1u);
-  // Degraded path: the mismatched shard is still skipped, not mixed in.
-  EXPECT_EQ(a.series_count(), 0u);
-  EXPECT_EQ(a.at(0).count(), 0u);
 }
 
 TEST(TimeSeries, StepInterpolation) {
@@ -201,7 +185,6 @@ TEST(TimeSeries, MeanOverWindowBeforeFirstSampleUsesZero) {
 }
 
 TEST(TimeSeries, RecordBackwardsRaisesInvariant) {
-  validate::ScopedInvariantMode guard{validate::InvariantMode::kThrow};
   TimeSeries ts;
   ts.record(10, 1.0);
   ts.record(10, 2.0);  // equal timestamps are fine (last wins)

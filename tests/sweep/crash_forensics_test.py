@@ -4,7 +4,7 @@
 Pins the dump-on-failure pipeline end to end against the real binary:
 
   1. A worker that SIGSEGVs mid-point commits a schema-valid
-     intox.flightrec.v1 dump into the sweep cache, and the orchestrator
+     intox.flightrec.v2 dump into the sweep cache, and the orchestrator
      writes an intox.sweep_failure.v1 sidecar referencing it and naming
      the point by index and banner.
   2. `intox forensics <dump>` renders a timeline naming the scenario
@@ -112,7 +112,7 @@ def main():
         fail(f"sidecar flightrec reference {dump_path!r} does not exist")
 
     dump = load_json(dump_path)
-    if dump.get("schema") != "intox.flightrec.v1":
+    if dump.get("schema") != "intox.flightrec.v2":
         fail(f"bad dump schema {dump.get('schema')!r}")
     if dump.get("scenario") != SCENARIO:
         fail(f"dump names scenario {dump.get('scenario')!r}")

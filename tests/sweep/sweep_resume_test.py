@@ -179,7 +179,7 @@ def main():
         # Commit atomicity: anything under the final name parses.
         with open(path, "r", encoding="utf-8") as f:
             record = json.load(f)
-        if record.get("schema") != "intox.point_record.v1":
+        if record.get("schema") != "intox.point_record.v2":
             fail(f"{path}: bad record schema {record.get('schema')!r}")
 
     # --- Resume. ---

@@ -8,16 +8,10 @@ namespace intox::validate {
 namespace {
 
 TEST(Invariant, PassingConditionIsFree) {
-  ScopedInvariantMode guard{InvariantMode::kThrow};
-  reset_invariant_violations();
-  INTOX_INVARIANT(1 + 1 == 2, "arithmetic broke");
-  EXPECT_EQ(invariant_violations(), 0u);
-  EXPECT_EQ(last_invariant_message(), "");
+  EXPECT_NO_THROW(INTOX_INVARIANT(1 + 1 == 2, "arithmetic broke"));
 }
 
 TEST(Invariant, ThrowModeThrowsWithFormattedMessage) {
-  ScopedInvariantMode guard{InvariantMode::kThrow};
-  reset_invariant_violations();
   try {
     INTOX_INVARIANT(false, "lost %d of %d shards", 3, 8);
     FAIL() << "expected InvariantError";
@@ -27,119 +21,19 @@ TEST(Invariant, ThrowModeThrowsWithFormattedMessage) {
     EXPECT_NE(what.find("lost 3 of 8 shards"), std::string::npos);
     EXPECT_NE(what.find("invariant_test.cpp"), std::string::npos);
   }
-  EXPECT_EQ(invariant_violations(), 1u);
-}
-
-TEST(Invariant, CountModeAccumulatesAndContinues) {
-  ScopedInvariantMode guard{InvariantMode::kCount};
-  reset_invariant_violations();
-  bool reached = false;
-  INTOX_INVARIANT(false, "first");
-  INTOX_INVARIANT(false, "second");
-  reached = true;  // control flow continues past violations
-  EXPECT_TRUE(reached);
-  EXPECT_EQ(invariant_violations(), 2u);
-  EXPECT_NE(last_invariant_message().find("second"), std::string::npos);
-}
-
-TEST(Invariant, ResetClearsCounterAndMessage) {
-  ScopedInvariantMode guard{InvariantMode::kCount};
-  INTOX_INVARIANT(false, "stale");
-  reset_invariant_violations();
-  EXPECT_EQ(invariant_violations(), 0u);
-  EXPECT_EQ(last_invariant_message(), "");
 }
 
 TEST(Invariant, ConditionEvaluatedExactlyOnce) {
-  ScopedInvariantMode guard{InvariantMode::kCount};
   int evals = 0;
-  auto touch = [&evals] {
+  auto touch = [&evals](bool result) {
     ++evals;
-    return true;
+    return result;
   };
-  INTOX_INVARIANT(touch(), "side effects must not double-fire");
+  INTOX_INVARIANT(touch(true), "side effects must not double-fire");
   EXPECT_EQ(evals, 1);
-}
-
-TEST(Invariant, ScopedModeRestoresPrevious) {
-  const InvariantMode before = invariant_mode();
-  {
-    ScopedInvariantMode guard{InvariantMode::kThrow};
-    EXPECT_EQ(invariant_mode(), InvariantMode::kThrow);
-    {
-      ScopedInvariantMode inner{InvariantMode::kCount};
-      EXPECT_EQ(invariant_mode(), InvariantMode::kCount);
-    }
-    EXPECT_EQ(invariant_mode(), InvariantMode::kThrow);
-  }
-  EXPECT_EQ(invariant_mode(), before);
-}
-
-TEST(Invariant, RecentMessagesKeepOldestFirstOrder) {
-  ScopedInvariantMode guard{InvariantMode::kCount};
-  reset_invariant_violations();
-  INTOX_INVARIANT(false, "first");
-  INTOX_INVARIANT(false, "second");
-  INTOX_INVARIANT(false, "third");
-  const std::vector<std::string> recent = recent_invariant_messages();
-  ASSERT_EQ(recent.size(), 3u);
-  EXPECT_NE(recent[0].find("first"), std::string::npos);
-  EXPECT_NE(recent[1].find("second"), std::string::npos);
-  EXPECT_NE(recent[2].find("third"), std::string::npos);
-}
-
-TEST(Invariant, RecentMessagesRingKeepsLastK) {
-  ScopedInvariantMode guard{InvariantMode::kCount};
-  reset_invariant_violations();
-  for (int i = 0; i < static_cast<int>(kRecentInvariantMessages) + 5; ++i) {
-    INTOX_INVARIANT(false, "violation %d", i);
-  }
-  const std::vector<std::string> recent = recent_invariant_messages();
-  ASSERT_EQ(recent.size(), kRecentInvariantMessages);
-  // The 5 oldest were evicted; the ring starts at "violation 5".
-  EXPECT_NE(recent.front().find("violation 5"), std::string::npos);
-  EXPECT_NE(recent.back().find("violation 20"), std::string::npos);
-}
-
-TEST(Invariant, ResetClearsRecentMessages) {
-  ScopedInvariantMode guard{InvariantMode::kCount};
-  INTOX_INVARIANT(false, "stale ring entry");
-  reset_invariant_violations();
-  EXPECT_TRUE(recent_invariant_messages().empty());
-}
-
-TEST(Invariant, ObserverSeesEveryViolationAndReturnsPrevious) {
-  ScopedInvariantMode guard{InvariantMode::kCount};
-  reset_invariant_violations();
-  static int observed = 0;
-  static std::string last_text;
-  auto observer = +[](const char* file, int line, const char* message) {
-    ++observed;
-    last_text = message;
-    EXPECT_NE(file, nullptr);
-    EXPECT_GT(line, 0);
-  };
-  InvariantObserver prev = set_invariant_observer(observer);
-  observed = 0;
-  INTOX_INVARIANT(false, "watched %d", 42);
-  INTOX_INVARIANT(false, "watched %d", 43);
-  EXPECT_EQ(set_invariant_observer(prev), observer);
-  EXPECT_EQ(observed, 2);
-  EXPECT_NE(last_text.find("watched 43"), std::string::npos);
-  // With the previous observer restored, firing again must not reach
-  // the uninstalled one.
-  INTOX_INVARIANT(false, "unwatched");
-  EXPECT_EQ(observed, 2);
-  reset_invariant_violations();
-}
-
-TEST(Invariant, FatalModeAborts) {
-  ASSERT_DEATH(
-      {
-        set_invariant_mode(InvariantMode::kFatal);
-        INTOX_INVARIANT(false, "fatal mode must abort, message=%s", "boom");
-      },
-      "invariant violated: fatal mode must abort");
+  EXPECT_THROW(INTOX_INVARIANT(touch(false), "failing once"),
+               InvariantError);
+  EXPECT_EQ(evals, 2);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // validate_sweep — the simulation-integrity sweep.
 //
 // Runs each bench family's configuration (scaled down so the sweep stays
-// in test-suite time) with invariants armed in throw mode, so any silent
+// in test-suite time). Every violated invariant throws, so any silent
 // corruption the integrity layer guards against — dropped shard merges,
 // wrapped checksums, non-monotonic clocks — fails the suite loudly.
 // Where a differential oracle exists, the fast path is cross-checked
@@ -20,8 +20,6 @@
 #include "net/packet.hpp"
 #include "pcc/experiment.hpp"
 #include "pytheas/experiment.hpp"
-#include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "sim/rng.hpp"
 #include "sim/runner.hpp"
 #include "sim/stats.hpp"
@@ -29,33 +27,14 @@
 #include "sketch/rotation.hpp"
 #include "trafficgen/driver.hpp"
 #include "trafficgen/synth.hpp"
-#include "validate/invariant.hpp"
 #include "validate/oracles.hpp"
 
 namespace intox {
 namespace {
 
-/// Arms throw-mode invariants for the duration of a test and asserts at
-/// scope exit that no violation fired (a throw would already have failed
-/// the test; the counter catches violations swallowed on other threads).
-class ArmedInvariants {
- public:
-  ArmedInvariants() : guard_(validate::InvariantMode::kThrow) {
-    validate::reset_invariant_violations();
-  }
-  ~ArmedInvariants() {
-    EXPECT_EQ(validate::invariant_violations(), 0u)
-        << validate::last_invariant_message();
-  }
-
- private:
-  validate::ScopedInvariantMode guard_;
-};
-
 // --- BLINK (FIG2 / BLINK-TR configurations) ----------------------------
 
 TEST(ValidateSweep, BlinkFig2GridUnderStatsOracle) {
-  ArmedInvariants armed;
   // The FIG2 aggregation shape: flow-level cell-process trials resampled
   // onto the bench's 25 s grid, SeriesStats folded in trial order, then
   // every grid cell cross-checked against two-pass exact recomputation.
@@ -86,7 +65,6 @@ TEST(ValidateSweep, BlinkFig2GridUnderStatsOracle) {
 }
 
 TEST(ValidateSweep, BlinkTrSweepParallelMatchesSerial) {
-  ArmedInvariants armed;
   // The BLINK-TR Monte-Carlo column: the sharded runner must reproduce
   // the serial fold bit-for-bit (determinism is itself an invariant —
   // thread count may change wall clock and nothing else).
@@ -107,7 +85,6 @@ TEST(ValidateSweep, BlinkTrSweepParallelMatchesSerial) {
 }
 
 TEST(ValidateSweep, BlinkPopulationUnderSchedulerOracle) {
-  ArmedInvariants armed;
   // The FIG2 packet-level trial, cut to 20 s, with every schedule,
   // reserve, cancel and fire mirrored on the reference queue. The mirror
   // is O(pending) per fire, which lazily built flows keep at ~2.1k.
@@ -150,14 +127,13 @@ TEST(ValidateSweep, BlinkPopulationUnderSchedulerOracle) {
 // --- PCC (PCC-OSC / PCC-FLEET configurations) --------------------------
 
 TEST(ValidateSweep, PccOscillationCleanAndAttacked) {
-  ArmedInvariants armed;
   pcc::PccExperimentConfig cfg;
   cfg.duration = sim::seconds(20);  // bench uses 90 s; same shape
   cfg.seed = 4;
   const auto clean = pcc::run_pcc_experiment(cfg);
   cfg.attack = true;
   const auto attacked = pcc::run_pcc_experiment(cfg);
-  // The full event-loop ran under armed invariants: monotonic clock,
+  // The full event-loop ran under the invariants: monotonic clock,
   // conserved link time arithmetic, ordered TimeSeries. Sanity on top:
   EXPECT_GT(clean.mean_rate_bps, 0.0);
   EXPECT_GT(clean.decisions, 0u);
@@ -185,7 +161,6 @@ TEST(ValidateSweep, PccOscillationCleanAndAttacked) {
 }
 
 TEST(ValidateSweep, PccFleetSharedBottleneck) {
-  ArmedInvariants armed;
   pcc::PccExperimentConfig cfg;
   cfg.flows = 3;
   cfg.duration = sim::seconds(15);
@@ -198,7 +173,6 @@ TEST(ValidateSweep, PccFleetSharedBottleneck) {
 // --- Pytheas (PYTH-QOE configuration) ----------------------------------
 
 TEST(ValidateSweep, PytheasPoisoningEpochLoop) {
-  ArmedInvariants armed;
   pytheas::PoisonConfig cfg;
   cfg.legit_sessions = 60;
   cfg.bot_sessions = 8;
@@ -212,7 +186,6 @@ TEST(ValidateSweep, PytheasPoisoningEpochLoop) {
 // --- Sketch (SKETCH-POLLUTE configuration) -----------------------------
 
 TEST(ValidateSweep, SketchPollutionAndRotation) {
-  ArmedInvariants armed;
   const std::size_t cells = 1024;
   const std::uint32_t hashes = 3, seed = 99;
   std::vector<std::uint64_t> legit;
@@ -235,7 +208,6 @@ TEST(ValidateSweep, SketchPollutionAndRotation) {
 // --- net: checksum + wire codec under the RFC 1071 oracle --------------
 
 TEST(ValidateSweep, ChecksumFuzzAgainstReference) {
-  ArmedInvariants armed;
   sim::Rng rng{123};
   for (int round = 0; round < 40; ++round) {
     // Cover the overflow regime: spans up to 256 KiB, odd sizes included.
@@ -254,7 +226,6 @@ TEST(ValidateSweep, ChecksumFuzzAgainstReference) {
 }
 
 TEST(ValidateSweep, PacketRoundTripAndCorruptionDetection) {
-  ArmedInvariants armed;
   sim::Rng rng{321};
   for (int round = 0; round < 60; ++round) {
     net::Packet p;
@@ -320,40 +291,9 @@ TEST(ValidateSweep, PacketRoundTripAndCorruptionDetection) {
   }
 }
 
-// --- Invariant counters exported through the metrics registry ----------
-
-// NDEBUG builds run invariants in count-and-continue mode; the degraded
-// paths only show up as a nonzero "validate.invariant_violations"
-// counter. This asserts the registry bridge reports exactly what the
-// validate/ layer counted — and that after the armed sweeps above, the
-// default-seed configurations left it at zero.
-TEST(ValidateSweep, InvariantCountersExportedThroughRegistry) {
-  obs::export_invariant_counters();
-  validate::reset_invariant_violations();
-
-  auto exported = [] {
-    return obs::Registry::global().snapshot().counters.at(
-        "validate.invariant_violations");
-  };
-  EXPECT_EQ(exported(), 0u)
-      << "default-seed sweep tripped an invariant degraded path: "
-      << validate::last_invariant_message();
-
-  // The bridge is live, not a stale copy: a counted violation is visible
-  // in the very next snapshot (and in any BENCH_*.json written then).
-  {
-    validate::ScopedInvariantMode count_mode{validate::InvariantMode::kCount};
-    INTOX_INVARIANT(false, "probe violation for the registry bridge");
-    EXPECT_EQ(exported(), 1u);
-  }
-  validate::reset_invariant_violations();
-  EXPECT_EQ(exported(), 0u);
-}
-
 // --- RunningStats shard merging vs exact recomputation -----------------
 
 TEST(ValidateSweep, ShardedMergeMatchesExactRecomputation) {
-  ArmedInvariants armed;
   sim::Rng rng{77};
   std::vector<double> all;
   std::vector<sim::RunningStats> shards(8);

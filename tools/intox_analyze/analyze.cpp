@@ -160,8 +160,8 @@ SuppressionMap parse_suppressions(const std::string& source,
 
 const std::vector<std::string>& check_names() {
   static const std::vector<std::string> kNames = {
-      "atomics", "determinism", "header",  "invariant",
-      "metrics", "pragma",      "sigsafe", "taint"};
+      "atomics", "determinism", "header", "metrics",
+      "pragma",  "sigsafe",     "taint"};
   return kNames;
 }
 

@@ -27,9 +27,9 @@ std::string last_component(const std::string& chain) {
 }
 
 // True when `suffix` matches the tail of `qname` on a `::` boundary:
-// "validate::invariant_violations" matches
-// "intox::validate::invariant_violations" but not
-// "intox::invalidate::invariant_violations".
+// "validate::invariant_failed" matches
+// "intox::validate::invariant_failed" but not
+// "intox::invalidate::invariant_failed".
 bool qname_suffix_match(const std::string& qname, const std::string& suffix) {
   if (suffix.size() > qname.size()) return false;
   if (qname.compare(qname.size() - suffix.size(), suffix.size(), suffix) != 0)

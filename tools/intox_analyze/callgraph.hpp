@@ -12,7 +12,7 @@
 //    though BenchSession::write exists);
 //  - an unqualified or member call resolves to all functions whose last
 //    name component matches;
-//  - a qualified chain (`validate::invariant_violations`) additionally
+//  - a qualified chain (`validate::invariant_failed`) additionally
 //    requires the chain to be a `::`-boundary suffix of the candidate's
 //    qualified name.
 #pragma once

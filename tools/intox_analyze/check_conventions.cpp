@@ -46,25 +46,6 @@ constexpr std::array<std::string_view, 13> kBannedCalls = {
     "clock",   "localtime", "gmtime",
 };
 
-// ---------------------------------------------------------------------------
-// invariant
-
-constexpr std::array<std::string_view, 11> kAssignmentOps = {
-    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="};
-
-// Methods that mutate their receiver; calling one inside an
-// INTOX_INVARIANT condition makes behavior depend on whether the
-// invariant is compiled in.
-constexpr std::array<std::string_view, 26> kMutatingMethods = {
-    "push",         "push_back",  "push_front", "pop",
-    "pop_back",     "pop_front",  "insert",     "erase",
-    "clear",        "reset",      "emplace",    "emplace_back",
-    "emplace_front", "resize",    "assign",     "swap",
-    "store",        "fetch_add",  "fetch_sub",  "exchange",
-    "compare_exchange_weak", "compare_exchange_strong",
-    "advance",      "consume",    "shuffle",    "merge",
-};
-
 template <typename Arr>
 bool contains(const Arr& arr, std::string_view s) {
   return std::find(arr.begin(), arr.end(), s) != arr.end();
@@ -164,52 +145,6 @@ void check_determinism(const std::string& rel_path, const TokenStream& toks,
   }
 }
 
-void check_invariants(const std::string& rel_path, const TokenStream& toks,
-                      std::vector<Finding>& out) {
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        toks[i].text != "INTOX_INVARIANT" || toks[i + 1].text != "(")
-      continue;
-    // Walk the first macro argument (the condition): everything up to
-    // the first top-level comma or the closing paren.
-    int depth = 1;
-    for (std::size_t j = i + 2; j < toks.size() && depth > 0; ++j) {
-      const Token& t = toks[j];
-      if (t.kind == TokenKind::kPunct) {
-        if (t.text == "(" || t.text == "[" || t.text == "{") ++depth;
-        if (t.text == ")" || t.text == "]" || t.text == "}") --depth;
-        if (depth == 0) break;
-        if (depth == 1 && t.text == ",") break;
-
-        if (t.text == "++" || t.text == "--") {
-          out.push_back(
-              {rel_path, t.line, "invariant",
-               "'" + t.text +
-                   "' inside an INTOX_INVARIANT condition; the condition "
-                   "vanishes under -DINTOX_INVARIANTS_DISABLED, so it must "
-                   "be side-effect-free"});
-        } else if (contains(kAssignmentOps, t.text)) {
-          out.push_back(
-              {rel_path, t.line, "invariant",
-               "assignment ('" + t.text +
-                   "') inside an INTOX_INVARIANT condition; did you mean a "
-                   "comparison? The condition compiles out when invariants "
-                   "are disabled"});
-        } else if ((t.text == "." || t.text == "->") && j + 2 < toks.size() &&
-                   toks[j + 1].kind == TokenKind::kIdentifier &&
-                   contains(kMutatingMethods, toks[j + 1].text) &&
-                   toks[j + 2].text == "(") {
-          out.push_back(
-              {rel_path, toks[j + 1].line, "invariant",
-               "call to mutating method '" + toks[j + 1].text +
-                   "()' inside an INTOX_INVARIANT condition; hoist the call "
-                   "out so disabled builds behave identically"});
-        }
-      }
-    }
-  }
-}
-
 const std::regex& metric_name_regex() {
   // family.name[.more]: lowercase dotted components, digits and
   // underscores allowed after the leading letter.
@@ -257,10 +192,6 @@ bool in_product_code(const std::string& rel_path) {
 void check_tokens(const std::string& rel_path, const TokenStream& toks,
                   std::vector<Finding>& out) {
   if (in_product_code(rel_path)) check_determinism(rel_path, toks, out);
-  // The invariant macro's own definition (and its doc examples) live in
-  // src/validate/invariant.hpp; every other check still applies there.
-  if (rel_path != "src/validate/invariant.hpp")
-    check_invariants(rel_path, toks, out);
   if (is_header(rel_path)) check_headers(rel_path, toks, out);
 }
 

@@ -1,4 +1,4 @@
-// The checks. Four enforce line-local project conventions on the token
+// The checks. Three enforce line-local project conventions on the token
 // stream; three walk the call graph. Each appends findings; the graph
 // checks also print the evidence they ran on (reachable-function lists,
 // atomic pairing tables) when `explain` is non-null, for humans and for
@@ -32,11 +32,6 @@ bool in_product_code(const std::string& rel_path);
 ///                Rng construction in src/ (seeds must be forked or
 ///                plumbed from config so `--threads` cannot perturb
 ///                them).
-///   invariant    INTOX_INVARIANT conditions compile out under
-///                -DINTOX_INVARIANTS_DISABLED, so assignment, ++/--, or
-///                a known-mutating method call inside one changes
-///                behavior between configurations. Applies everywhere
-///                but the macro's own header.
 ///   header       #pragma once in every header, no `using namespace`
 ///                at header scope, and no <iostream> in src/ headers
 ///                (hot-path translation units must not inherit stream

@@ -947,8 +947,7 @@ class Indexer {
     }
 
     // Metric registrations.
-    if (last == "counter" || last == "gauge" || last == "histogram" ||
-        last == "register_external_counter") {
+    if (last == "counter" || last == "gauge" || last == "histogram") {
       maybe_record_metric(last, end, line);
     }
 
@@ -1017,10 +1016,7 @@ class Indexer {
     std::size_t j = open + 1;
     if (at_end(j)) return;
     if (tok(j).kind != TokenKind::kString) return;
-    std::string kind = kind_fn == "register_external_counter"
-                           ? "external"
-                           : kind_fn;
-    out_.metric_regs.push_back({kind, tok(j).text, rel_, line});
+    out_.metric_regs.push_back({kind_fn, tok(j).text, rel_, line});
   }
 
   void maybe_record_signal_call(std::size_t open, int line) {

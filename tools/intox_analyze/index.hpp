@@ -23,7 +23,7 @@
 namespace intox::analyze {
 
 /// One call site inside a function body. `name` is the callee text as
-/// written ("std::strlen", "invariant_violations"); `receiver` is the
+/// written ("std::strlen", "invariant_failed"); `receiver` is the
 /// object chain of a member call ("w", "ring.head") or empty.
 struct CallSite {
   std::string name;
@@ -76,9 +76,9 @@ struct FunctionDef {
 };
 
 /// A metric registered by name from C++ (`.counter("x")`, `.gauge("x")`,
-/// `.histogram("x", ...)`, `register_external_counter("x", ...)`).
+/// `.histogram("x", ...)`).
 struct MetricReg {
-  std::string kind;  // "counter" | "gauge" | "histogram" | "external"
+  std::string kind;  // "counter" | "gauge" | "histogram"
   std::string name;
   std::string file;
   int line = 0;
