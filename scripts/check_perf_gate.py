@@ -28,6 +28,8 @@ Re-baselining (after a deliberate perf change or a runner upgrade):
         --metrics-out reports/BENCH_MICRO.json
     ./build/intox run blink.e2e \
         --metrics-out reports/BENCH_BLINK-E2E.json > /dev/null
+    ./build/intox run pcc.fleet --threads 1 --set duration_s=10 \
+        --metrics-out reports/BENCH_PCC-FLEET.json > /dev/null
     scripts/check_perf_gate.py --reports reports --update
 then commit the rewritten bench/baselines/*.json with a sentence in the
 commit message saying why the floor moved.

@@ -38,8 +38,17 @@ sim::TapAction PccMitm::omniscient(const net::Packet& pkt) {
   const MiPhase phase = sender->current_phase();
   const double rate = sender->current_mi_rate();
   const double eps = sender->epsilon();
+  auto [it, inserted] = memo_.try_emplace(sender);
+  Memo& m = it->second;
+  if (inserted || m.phase != phase || m.rate != rate || m.eps != eps) {
+    m = Memo{phase, rate, eps, drop_prob(phase, rate, eps)};
+  }
+  return (m.drop_prob > 0.0 && rng_.bernoulli(m.drop_prob))
+             ? sim::TapAction::kDrop
+             : sim::TapAction::kForward;
+}
 
-  double drop_prob = 0.0;
+double PccMitm::drop_prob(MiPhase phase, double rate, double eps) const {
   switch (phase) {
     case MiPhase::kUp:
     case MiPhase::kDown: {
@@ -52,26 +61,22 @@ sim::TapAction PccMitm::omniscient(const net::Packet& pkt) {
       const double base = phase == MiPhase::kUp ? rate / (1.0 + eps)
                                                 : rate / (1.0 - eps);
       const double target = utility(base * (1.0 - 2.0 * eps), 0.0);
-      drop_prob = loss_for_target_utility(rate, target);
-      break;
+      return loss_for_target_utility(rate, target);
     }
     case MiPhase::kWaiting:
       break;  // hold intervals are not part of any experiment
     case MiPhase::kAdjusting:
       // Any move away from the base gets punished so utility regresses
       // and the sender falls back into (rigged) experiments.
-      drop_prob = loss_for_target_utility(rate, utility(rate * 0.97, 0.0));
-      break;
+      return loss_for_target_utility(rate, utility(rate * 0.97, 0.0));
     case MiPhase::kStarting:
       if (config_.pin_rate_bps > 0.0 && rate > config_.pin_rate_bps) {
-        drop_prob =
-            loss_for_target_utility(rate, utility(config_.pin_rate_bps, 0.0));
+        const double target = utility(config_.pin_rate_bps, 0.0);
+        return loss_for_target_utility(rate, target);
       }
       break;
   }
-  return (drop_prob > 0.0 && rng_.bernoulli(drop_prob))
-             ? sim::TapAction::kDrop
-             : sim::TapAction::kForward;
+  return 0.0;
 }
 
 sim::TapAction PccMitm::shaper(const net::Packet& pkt) {

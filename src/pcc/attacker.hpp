@@ -13,7 +13,9 @@
 //    already knows the algorithm and utility function, this just skips
 //    the timing-estimation step). In +ε intervals it drops exactly
 //    enough, computed by inverting the utility function, to pull the +ε
-//    arm's utility down to the −ε arm's.
+//    arm's utility down to the −ε arm's. The drop rate is a function of
+//    the sender's (phase, MI rate, ε), not of the packet, so the
+//    inversion runs once per change of that triple per sender.
 //
 //  * kShaper — a realistic in-path attacker that estimates the flow's
 //    baseline rate from packet timing (the monitor interval is
@@ -26,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 
 #include "pcc/sender.hpp"
 #include "sim/link.hpp"
@@ -69,9 +72,23 @@ class PccMitm {
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
  private:
+  /// The last inputs seen for one sender and the drop probability they
+  /// give. ε is part of the key: it changes mid-MI (the previous MI's
+  /// evaluation lands while the next is in flight, and a guard may clamp
+  /// it at any time).
+  struct Memo {
+    MiPhase phase = MiPhase::kStarting;
+    double rate = 0.0;
+    double eps = 0.0;
+    double drop_prob = 0.0;
+  };
+
   sim::TapAction on_packet(net::Packet& pkt);
   sim::TapAction omniscient(const net::Packet& pkt);
   sim::TapAction shaper(const net::Packet& pkt);
+  /// Omniscient mode's drop probability. It must depend on nothing but
+  /// its arguments and config_, or the memo would return stale values.
+  [[nodiscard]] double drop_prob(MiPhase phase, double rate, double eps) const;
 
   sim::Scheduler& sched_;
   PccMitmConfig config_;
@@ -79,6 +96,7 @@ class PccMitm {
   sim::Rng rng_;
   std::uint64_t observed_ = 0;
   std::uint64_t dropped_ = 0;
+  std::unordered_map<const PccSender*, Memo> memo_;
 
   // Shaper state.
   double baseline_bps_ = 0.0;

@@ -9,7 +9,9 @@
 //
 // The §4.2 attacker knows this function (Kerckhoff) and uses
 // `loss_for_target_utility` to compute exactly how much to drop in the
-// higher-rate experiment phase so both phases look equally good.
+// higher-rate experiment phase so both phases look equally good. It
+// runs the inversion once per (phase, MI rate, ε) change per sender,
+// not per packet.
 #pragma once
 
 namespace intox::pcc {

@@ -8,7 +8,8 @@ namespace intox::supervisor {
 
 namespace {
 
-double median_of(std::vector<double> v) {
+/// Median (upper for even sizes) of `v`, which it reorders.
+double median_in_place(std::vector<double>& v) {
   const std::size_t mid = v.size() / 2;
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
                    v.end());
@@ -37,12 +38,10 @@ bool PytheasGuard::admit(const pytheas::SessionFeatures& group,
   const auto key = std::make_pair(pytheas::GroupKeyHash{}(group), report.arm);
   ArmHistory& hist = history_[key];
   if (hist.values.size() >= config_.warmup_reports) {
-    std::vector<double> values{hist.values.begin(), hist.values.end()};
-    const double med = median_of(values);
-    std::vector<double> deviations;
-    deviations.reserve(values.size());
-    for (double v : values) deviations.push_back(std::abs(v - med));
-    const double mad = median_of(std::move(deviations));
+    scratch_.assign(hist.values.begin(), hist.values.end());
+    const double med = median_in_place(scratch_);
+    for (double& v : scratch_) v = std::abs(v - med);
+    const double mad = median_in_place(scratch_);
     if (std::abs(report.qoe - med) >
         config_.outlier_k * mad + config_.outlier_slack) {
       ++quarantined_;

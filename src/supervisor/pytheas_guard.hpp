@@ -19,6 +19,7 @@
 #include <deque>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "pytheas/engine.hpp"
 #include "supervisor/supervisor.hpp"
@@ -62,6 +63,9 @@ class PytheasGuard : public pytheas::ReportFilter {
   std::map<std::pair<std::size_t, pytheas::ArmId>, ArmHistory> history_;
   std::unordered_map<pytheas::SessionId, std::pair<sim::Time, std::size_t>>
       session_window_;
+  /// One (group, arm) history at a time, reordered in place for the
+  /// median and then the MAD; kept to spare an allocation per report.
+  std::vector<double> scratch_;
 };
 
 }  // namespace intox::supervisor

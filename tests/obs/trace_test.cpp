@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -102,7 +103,9 @@ TEST(Trace, ReenableAccumulatesNewEvents) {
 // Recording threads and a flushing thread share the one event buffer:
 // the flush after the recorders finish must hold every span, once. Each
 // recorder pauses halfway until two more flushes have completed, so
-// flushes really do run while spans are being recorded.
+// flushes really do run while spans are being recorded. The flusher
+// sleeps between flushes: re-locking the tracer mutex back to back
+// starves the recorders (under TSan, for minutes).
 TEST(Trace, ConcurrentRecordAndFlushKeepsEverySpan) {
   const std::string path = ::testing::TempDir() + "/intox_trace_test3.json";
   set_trace_path(path);
@@ -128,6 +131,7 @@ TEST(Trace, ConcurrentRecordAndFlushKeepsEverySpan) {
   while (running.load(std::memory_order_acquire) > 0) {
     EXPECT_TRUE(trace_flush());
     flushes.fetch_add(1, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (auto& t : threads) t.join();
   ASSERT_TRUE(trace_flush());

@@ -63,6 +63,11 @@ TEST(PccExperiment, AttackerDropsFewPackets) {
   // "tampering with only a small fraction of traffic": < 5% dropped.
   EXPECT_LT(static_cast<double>(r.attacker_dropped),
             0.05 * static_cast<double>(r.attacker_observed));
+  // The exact counts at this seed. The drop probability is a function of
+  // the sender's (phase, MI rate, ε), so how often it is recomputed must
+  // not move a single drop.
+  EXPECT_EQ(r.attacker_observed, 74661u);
+  EXPECT_EQ(r.attacker_dropped, 862u);
 }
 
 TEST(PccExperiment, FleetAttackRaisesDestinationFluctuation) {
@@ -75,6 +80,9 @@ TEST(PccExperiment, FleetAttackRaisesDestinationFluctuation) {
   const auto attacked = run_pcc_experiment(cfg);
   // Aggregate arrivals at the destination fluctuate more under attack.
   EXPECT_GT(attacked.delivered_cv, clean.delivered_cv);
+  // Exact attacker counts with eight senders sharing one attacker.
+  EXPECT_EQ(attacked.attacker_observed, 261338u);
+  EXPECT_EQ(attacked.attacker_dropped, 2609u);
 }
 
 TEST(PccExperiment, ShaperModeAlsoDisrupts) {

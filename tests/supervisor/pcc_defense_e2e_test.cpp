@@ -15,6 +15,8 @@ struct RunResult {
   double osc_amplitude = 0.0;
   bool detected = false;
   double epsilon_cap = 0.0;
+  std::uint64_t observed = 0;
+  std::uint64_t dropped = 0;
 };
 
 RunResult run_attacked(bool with_guard, std::uint64_t seed = 5) {
@@ -70,6 +72,8 @@ RunResult run_attacked(bool with_guard, std::uint64_t seed = 5) {
                        : 0.0;
   out.detected = guard && guard->detected();
   out.epsilon_cap = sender.epsilon_cap();
+  out.observed = mitm.observed();
+  out.dropped = mitm.dropped();
   return out;
 }
 
@@ -77,6 +81,10 @@ TEST(PccDefenseE2E, GuardDetectsTheAttack) {
   const RunResult defended = run_attacked(true);
   EXPECT_TRUE(defended.detected);
   EXPECT_DOUBLE_EQ(defended.epsilon_cap, PccGuardConfig{}.clamped_epsilon);
+  // The exact attacker counts. The guard clamps ε mid-MI, and the
+  // attacker's drop probability must follow that change at once.
+  EXPECT_EQ(defended.observed, 81931u);
+  EXPECT_EQ(defended.dropped, 623u);
 }
 
 TEST(PccDefenseE2E, GuardCapsOscillationAmplitude) {
