@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
 """Validates the JSON documents emitted by the observability layer:
-intox.bench_report.v2, intox.sweep_report.v1.1, intox.point_record.v2,
-intox.flightrec.v2 crash dumps, intox.sweep_failure.v1 sidecars
-(dispatched on the top-level "schema" field) and, with --trace, Chrome
-trace-event files.
+intox.bench_report.v2, intox.sweep_report.v1.1, intox.point_record.v2
+and intox.flightrec.v2 crash dumps, dispatched on the top-level
+"schema" field.
 
 Usage:
     scripts/check_metrics_schema.py BENCH_FIG2.json [more.json ...]
     scripts/check_metrics_schema.py sweep_report.json
-    scripts/check_metrics_schema.py --trace out.trace.json
     scripts/check_metrics_schema.py --names names.txt report.json [...]
 
 With --names, every metric key appearing in a report's counters /
@@ -29,7 +27,6 @@ SCHEMA = "intox.bench_report.v2"
 SWEEP_SCHEMA = "intox.sweep_report.v1.1"
 POINT_SCHEMA = "intox.point_record.v2"
 FLIGHTREC_SCHEMA = "intox.flightrec.v2"
-FAILURE_SCHEMA = "intox.sweep_failure.v1"
 FLIGHTREC_TYPE_COUNT = 10
 
 
@@ -279,53 +276,9 @@ def check_flightrec(doc, path):
                        "must be a [time, type, a, b, c] array of numbers")
 
 
-def check_sweep_failure(doc, path):
-    expect(isinstance(doc, dict), path, "failure sidecar must be an object")
-    expect(doc.get("schema") == FAILURE_SCHEMA, f"{path}.schema",
-           f"must be '{FAILURE_SCHEMA}' (got {doc.get('schema')!r})")
-    expect(isinstance(doc.get("scenario"), str) and doc["scenario"],
-           f"{path}.scenario", "must be a non-empty string")
-    expect(is_uint(doc.get("point")), f"{path}.point",
-           "must be a non-negative integer")
-    expect(isinstance(doc.get("banner"), str), f"{path}.banner",
-           "must be a string")
-    expect(isinstance(doc.get("log"), str) and doc["log"], f"{path}.log",
-           "must be a non-empty string")
-    flightrec = doc.get("flightrec")
-    expect(flightrec is None or (isinstance(flightrec, str) and flightrec),
-           f"{path}.flightrec",
-           "must be a non-empty dump path or null (no dump committed)")
-
-
-def check_trace(doc, path):
-    expect(isinstance(doc, dict), path, "trace must be an object")
-    events = doc.get("traceEvents")
-    expect(isinstance(events, list), f"{path}.traceEvents", "must be an array")
-    expect(events, f"{path}.traceEvents", "must contain at least one event")
-    for i, ev in enumerate(events):
-        epath = f"{path}.traceEvents[{i}]"
-        expect(isinstance(ev, dict), epath, "event must be an object")
-        expect(isinstance(ev.get("name"), str) and ev["name"], f"{epath}.name",
-               "must be a non-empty string")
-        ph = ev.get("ph")
-        expect(ph in ("X", "i", "C", "M"), f"{epath}.ph",
-               "must be X (complete), i (instant), C (counter), or "
-               "M (metadata)")
-        expect(is_num(ev.get("ts")), f"{epath}.ts", "must be a number")
-        expect(is_uint(ev.get("pid")), f"{epath}.pid", "must be an integer")
-        expect(is_uint(ev.get("tid")), f"{epath}.tid", "must be an integer")
-        if ph == "X":
-            expect(is_num(ev.get("dur")) and ev["dur"] >= 0, f"{epath}.dur",
-                   "complete events need a non-negative dur")
-
-
 def main(argv):
     global KNOWN_METRIC_NAMES
     args = argv[1:]
-    trace_mode = False
-    if args and args[0] == "--trace":
-        trace_mode = True
-        args = args[1:]
     if args and args[0] == "--names":
         if len(args) < 2:
             print("--names requires a names file", file=sys.stderr)
@@ -359,25 +312,16 @@ def main(argv):
             if not raw.strip():
                 raise SchemaError("empty input file (no JSON content)")
             doc = json.loads(raw.decode("utf-8"))
-            if trace_mode:
-                kind = "trace"
-                check_trace(doc, filename)
-            elif (isinstance(doc, dict)
-                  and doc.get("schema") == SWEEP_SCHEMA):
+            schema = doc.get("schema") if isinstance(doc, dict) else None
+            if schema == SWEEP_SCHEMA:
                 kind = "sweep report"
                 check_sweep_report(doc, filename)
-            elif (isinstance(doc, dict)
-                  and doc.get("schema") == POINT_SCHEMA):
+            elif schema == POINT_SCHEMA:
                 kind = "point record"
                 check_point_record(doc, filename)
-            elif (isinstance(doc, dict)
-                  and doc.get("schema") == FLIGHTREC_SCHEMA):
+            elif schema == FLIGHTREC_SCHEMA:
                 kind = "flightrec dump"
                 check_flightrec(doc, filename)
-            elif (isinstance(doc, dict)
-                  and doc.get("schema") == FAILURE_SCHEMA):
-                kind = "sweep failure"
-                check_sweep_failure(doc, filename)
             else:
                 kind = "report"
                 check_report(doc, filename)

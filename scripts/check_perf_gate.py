@@ -116,12 +116,12 @@ def check(baseline_path, reports_dir):
         need = floor * tolerance
         got = current[name]
         verdict = "ok" if got >= need else "REGRESSION"
-        print(f"  {family}/{name}: {got:,.0f} trials/s "
-              f"(baseline {floor:,.0f}, floor {need:,.0f}) {verdict}")
+        print(f"  {family}/{name}: {got:,.2f} trials/s "
+              f"(baseline {floor:,.2f}, floor {need:,.2f}) {verdict}")
         if got < need:
             failures.append(
-                f"  {name}: {got:,.0f} trials/s < floor {need:,.0f} "
-                f"({tolerance:.0%} of baseline {floor:,.0f})")
+                f"  {name}: {got:,.2f} trials/s < floor {need:,.2f} "
+                f"({tolerance:.0%} of baseline {floor:,.2f})")
     return failures
 
 
@@ -147,7 +147,7 @@ def update(baseline_path, reports_dir, allow_drop):
                  f"floor. Re-run the bench that produces it, or pass "
                  f"--allow-drop {name} if it was deleted on purpose.")
         sweeps[name] = {"trials_per_s": round(current[name], 1)}
-        print(f"  {family}/{name}: baseline := {current[name]:,.0f} trials/s")
+        print(f"  {family}/{name}: baseline := {current[name]:,.2f} trials/s")
     baseline["schema"] = BASELINE_SCHEMA
     baseline["sweeps"] = sweeps
     baseline.setdefault("tolerance", DEFAULT_TOLERANCE)

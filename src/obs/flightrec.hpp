@@ -33,7 +33,7 @@
 // The "time" word is producer-defined: sim::Time nanoseconds for
 // scheduler/link/blink/pcc records, the epoch index for Pytheas, 0 when
 // no clock is in scope. `intox forensics <dump>` renders the merged,
-// (time, tid, seq)-sorted timeline and a Chrome-trace view.
+// (time, tid, seq)-sorted timeline.
 //
 // Sizes are fixed: 4096 hot-lane and 1024 decision-lane records per
 // thread. The crash-dump destination is set only by

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
 
 #include "obs/json.hpp"
 
@@ -141,12 +140,8 @@ bool load_flightrec_dump(const std::string& path, FlightrecDump* out,
     }
     const auto tid = static_cast<std::uint32_t>(tid_value->as_u64());
     for (const JsonValue& lane : lanes->items) {
-      const JsonValue* lane_name = lane.find("lane");
       const JsonValue* records = lane.find("records");
       if (records == nullptr || !records->is_array()) continue;
-      const bool hot =
-          lane_name != nullptr && lane_name->is_string() &&
-          lane_name->text == "hot";
       if (const JsonValue* dropped = lane.find("dropped")) {
         out->dropped_records += dropped->as_u64();
       }
@@ -162,7 +157,6 @@ bool load_flightrec_dump(const std::string& path, FlightrecDump* out,
         r.b = rec.items[3].as_u64();
         r.c = rec.items[4].as_u64();
         r.tid = tid;
-        r.hot_lane = hot;
         r.seq = seq++;
         out->records.push_back(r);
       }
@@ -206,97 +200,6 @@ std::string render_flightrec_timeline(const FlightrecDump& dump) {
     out += "\n";
   }
   return out;
-}
-
-std::string render_flightrec_chrome_trace(const FlightrecDump& dump) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("displayTimeUnit").value("ms");
-  w.key("traceEvents").begin_array();
-  // Process metadata names the lane in chrome://tracing / Perfetto.
-  w.begin_object();
-  w.key("name").value("process_name");
-  w.key("ph").value("M");
-  w.key("ts").value(0.0);
-  w.key("pid").value(dump.pid);
-  w.key("tid").value(std::uint64_t{0});
-  w.key("args").begin_object();
-  w.key("name").value("intox " +
-                      (dump.scenario.empty() ? std::string("(unknown)")
-                                             : dump.scenario) +
-                      " [" + dump.reason + "]");
-  w.end_object();
-  w.end_object();
-  for (const FlightrecRecord& r : dump.records) {
-    w.begin_object();
-    w.key("name").value(flightrec_type_name(r.type));
-    w.key("cat").value(r.hot_lane ? "flightrec.hot" : "flightrec.decision");
-    w.key("ph").value("i");
-    // Sim nanoseconds rendered on the trace's microsecond axis.
-    w.key("ts").value(static_cast<double>(r.time) / 1e3);
-    w.key("pid").value(dump.pid);
-    w.key("tid").value(static_cast<std::uint64_t>(r.tid));
-    w.key("args").begin_object();
-    w.key("a").value(r.a);
-    w.key("b").value(r.b);
-    w.key("c").value(r.c);
-    const std::string detail = describe(r);
-    if (!detail.empty()) w.key("detail").value(detail);
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
-bool merge_chrome_traces(const std::vector<std::string>& paths,
-                         const std::vector<std::string>& labels,
-                         const std::string& out_path, std::string* error) {
-  std::size_t readable = 0;
-  // pid -> label of the first input that produced events under it.
-  std::map<std::uint64_t, std::string> pid_labels;
-  JsonWriter w;
-  w.begin_object();
-  w.key("displayTimeUnit").value("ms");
-  w.key("traceEvents").begin_array();
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    JsonValue doc;
-    if (!json_parse_file(paths[i], &doc, nullptr)) continue;
-    const JsonValue* events = doc.find("traceEvents");
-    if (events == nullptr || !events->is_array()) continue;
-    ++readable;
-    for (const JsonValue& event : events->items) {
-      if (!event.is_object()) continue;
-      w.value(event);
-      if (const JsonValue* pid = event.find("pid")) {
-        const std::uint64_t pid_value = pid->as_u64();
-        if (pid_labels.find(pid_value) == pid_labels.end()) {
-          pid_labels.emplace(pid_value,
-                             i < labels.size() ? labels[i] : paths[i]);
-        }
-      }
-    }
-  }
-  if (readable == 0) {
-    if (error != nullptr) *error = "no readable trace inputs";
-    return false;
-  }
-  for (const auto& [pid, label] : pid_labels) {
-    w.begin_object();
-    w.key("name").value("process_name");
-    w.key("ph").value("M");
-    w.key("ts").value(0.0);
-    w.key("pid").value(pid);
-    w.key("tid").value(std::uint64_t{0});
-    w.key("args").begin_object();
-    w.key("name").value(label);
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return write_file(out_path, w.str(), error);
 }
 
 }  // namespace intox::obs

@@ -2,12 +2,8 @@
 //
 // `intox forensics <dump>` loads a dump (written async-signal-safely by
 // obs/flightrec at crash time), merges every thread's lanes into one
-// (time, tid, seq)-ordered decision timeline, and renders it two ways:
-// a human-readable text timeline naming the scenario's last decisions,
-// and a Chrome-trace file of instant events for chrome://tracing /
-// Perfetto. The sweep orchestrator also uses merge_chrome_traces() to
-// fold per-worker trace files into one session trace with per-pid
-// lanes.
+// (time, tid, seq)-ordered decision timeline, and renders it as a
+// human-readable text timeline naming the scenario's last decisions.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +22,6 @@ struct FlightrecRecord {
   std::uint64_t b = 0;
   std::uint64_t c = 0;
   std::uint32_t tid = 0;
-  bool hot_lane = false;
   std::uint64_t seq = 0;  // per-lane order, for stable tie-breaks
 };
 
@@ -48,18 +43,5 @@ bool load_flightrec_dump(const std::string& path, FlightrecDump* out,
 
 /// Human-readable decision timeline (multi-line, trailing newline).
 std::string render_flightrec_timeline(const FlightrecDump& dump);
-
-/// Chrome-trace JSON document (instant events per record, one lane per
-/// recorder thread, process metadata naming scenario and crash reason).
-std::string render_flightrec_chrome_trace(const FlightrecDump& dump);
-
-/// Merges the traceEvents of every *readable* Chrome-trace file in
-/// `paths` into one document at `out_path`; `labels` (same length as
-/// `paths`) names each input's process lane via "M" metadata events.
-/// Unreadable/unparseable inputs are skipped. Returns false only when
-/// the output cannot be written or no input could be read.
-bool merge_chrome_traces(const std::vector<std::string>& paths,
-                         const std::vector<std::string>& labels,
-                         const std::string& out_path, std::string* error);
 
 }  // namespace intox::obs

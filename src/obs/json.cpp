@@ -121,28 +121,6 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const JsonValue& v) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNull:
-      return raw("null");
-    case JsonValue::Kind::kBool:
-      return value(v.boolean);
-    case JsonValue::Kind::kNumber:
-      return value(v.number);
-    case JsonValue::Kind::kString:
-      return value(std::string_view{v.text});
-    case JsonValue::Kind::kArray:
-      begin_array();
-      for (const JsonValue& item : v.items) value(item);
-      return end_array();
-    case JsonValue::Kind::kObject:
-      begin_object();
-      for (const auto& [name, member] : v.members) key(name).value(member);
-      return end_object();
-  }
-  return *this;
-}
-
 JsonWriter& JsonWriter::raw(std::string_view token) {
   element_prefix();
   out_ += token;

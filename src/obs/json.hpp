@@ -2,12 +2,12 @@
 // and the file helpers every artifact goes through.
 //
 // Every machine-readable artifact this repo emits — the per-sweep perf
-// lines, the BENCH_<family>.json run reports, point records, the Chrome
-// trace files — goes through JsonWriter so string escaping and number
-// formatting are correct in one place. json_parse reads back exactly
-// what the writer emits (point records, flightrec dumps, traces); it is
-// not a general-purpose parser: UTF-8 only, \uXXXX limited to the BMP,
-// and the first error is reported with a byte offset.
+// lines, the BENCH_<family>.json run reports, point records, sweep
+// reports — goes through JsonWriter so string escaping and number
+// formatting are correct in one place. json_parse reads back point
+// records and flightrec dumps; it is not a general-purpose parser:
+// UTF-8 only, \uXXXX limited to the BMP, and the first error is
+// reported with a byte offset.
 //
 // Numbers: doubles are rendered with std::to_chars (shortest round-trip
 // form); NaN and infinities have no JSON representation and are emitted
@@ -85,8 +85,6 @@ class JsonWriter {
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(bool v);
-  /// Re-serializes a parsed node compactly (members in source order).
-  JsonWriter& value(const JsonValue& v);
   /// Splices a pre-rendered JSON token (e.g. a nested document).
   JsonWriter& raw(std::string_view token);
 

@@ -5,7 +5,6 @@
 #include "obs/flightrec.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace intox::obs {
 
@@ -36,7 +35,6 @@ BenchSession::~BenchSession() {
   // the registry section is the point for the benches that never touch
   // a ParallelRunner.
   if (!path_.empty()) write();
-  if (trace_enabled()) trace_flush();
 }
 
 void BenchSession::record_sweep(SweepPerf sweep) {

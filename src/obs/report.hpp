@@ -63,8 +63,7 @@ class BenchSession {
   /// report. Also installs the flight recorder's crash plumbing.
   BenchSession(std::string family, std::size_t threads,
                std::string report_path);
-  /// Writes the report (if a destination is configured) and flushes the
-  /// trace sink.
+  /// Writes the report if a destination is configured.
   ~BenchSession();
 
   BenchSession(const BenchSession&) = delete;

@@ -15,9 +15,7 @@
 
 #include "obs/flightrec.hpp"
 #include "obs/forensics.hpp"
-#include "obs/json.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "scenario/console.hpp"
 #include "scenario/knob.hpp"
 #include "scenario/registry.hpp"
@@ -53,7 +51,6 @@ void usage(std::FILE* out) {
                "      --threads N            worker threads (0 = auto)\n"
                "      --metrics-out FILE     write the BENCH_<family>.json "
                "report here\n"
-               "      --trace-out FILE       write trace spans here\n"
                "      --flightrec-out FILE   write the flight-recorder "
                "crash dump here\n"
                "      --point N              run only point N of the sweep "
@@ -64,11 +61,8 @@ void usage(std::FILE* out) {
                "processes\n"
                "      (run + --workers N, --cache-dir DIR, --out FILE; see "
                "'intox sweep --help')\n"
-               "  forensics <dump> [--trace-out FILE]\n"
-               "                             render a flight-recorder crash "
+               "  forensics <dump>           render a flight-recorder crash "
                "dump as a timeline\n"
-               "                             (and optionally a Chrome-trace "
-               "file)\n"
                "  validate [scenario...]     run quietly; report failed "
                "claims and invariants\n"
                "  help                       this text\n");
@@ -246,7 +240,6 @@ int cmd_run(int argc, char** argv) {
   if (!sinks.flightrec_out.empty()) {
     obs::set_flightrec_dump_path(sinks.flightrec_out);
   }
-  obs::set_trace_path(sinks.trace_out);
   obs::BenchSession session{sc->family, sinks.threads.value_or(0),
                             sinks.metrics_out};
   sim::ParallelRunner runner{sinks.threads.value_or(0)};
@@ -339,15 +332,11 @@ int cmd_validate(int argc, char** argv) {
 
 int cmd_forensics(int argc, char** argv) {
   std::string dump_path;
-  std::string trace_out;
   for (int i = 2; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--trace-out") {
-      if (i + 1 >= argc) return fail("--trace-out requires a value");
-      trace_out = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
+    if (!arg.empty() && arg[0] == '-') {
       return fail("forensics: unknown argument '" + std::string(arg) +
-                  "' (usage: intox forensics <dump> [--trace-out FILE])");
+                  "' (usage: intox forensics <dump>)");
     } else if (dump_path.empty()) {
       dump_path = arg;
     } else {
@@ -363,14 +352,6 @@ int cmd_forensics(int argc, char** argv) {
   }
   const std::string timeline = obs::render_flightrec_timeline(dump);
   std::fwrite(timeline.data(), 1, timeline.size(), stdout);
-  if (!trace_out.empty()) {
-    if (!obs::write_file(trace_out, obs::render_flightrec_chrome_trace(dump),
-                         &error)) {
-      return fail("forensics: " + error);
-    }
-    std::fprintf(stderr, "forensics: wrote Chrome trace to %s\n",
-                 trace_out.c_str());
-  }
   return 0;
 }
 
@@ -467,7 +448,6 @@ std::string KnobFlags::apply(std::string_view flag, const char* value) {
 bool SinkFlags::consume(int argc, char** argv, int* i, std::string* error) {
   const std::string_view flag = argv[*i];
   std::string* path = flag == "--metrics-out"     ? &metrics_out
-                      : flag == "--trace-out"     ? &trace_out
                       : flag == "--flightrec-out" ? &flightrec_out
                                                   : nullptr;
   if (path == nullptr && flag != "--threads") return false;

@@ -48,8 +48,8 @@ class KnobFlags {
 };
 
 /// `intox run`'s sink flags, which say where a run's artifacts go:
-/// --threads N (0 = auto), --metrics-out FILE, --trace-out FILE and
-/// --flightrec-out FILE. The last of a repeated flag wins.
+/// --threads N (0 = auto), --metrics-out FILE and --flightrec-out FILE.
+/// The last of a repeated flag wins.
 struct SinkFlags {
   /// If argv[*i] is a sink flag, stores its value, leaves *i on the
   /// value and returns true with *error set to the one-line diagnostic
@@ -58,7 +58,6 @@ struct SinkFlags {
 
   std::optional<std::size_t> threads;  // unset without --threads
   std::string metrics_out;             // empty = no run report
-  std::string trace_out;               // empty = no trace
   std::string flightrec_out;           // empty = the caller's default
 };
 

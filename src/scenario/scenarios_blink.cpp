@@ -9,7 +9,6 @@
 #include "blink/attacker.hpp"
 #include "blink/cell_process.hpp"
 #include "dataplane/switch.hpp"
-#include "obs/trace.hpp"
 #include "scenario/registry.hpp"
 #include "sim/network.hpp"
 
@@ -40,15 +39,11 @@ void run_fig2(Ctx& ctx) {
   // sharded across the runner. Each trial is seeded by its index alone
   // and the aggregates are folded in trial order below, so the output
   // does not depend on scheduling.
-  std::vector<blink::Fig2Result> trials;
-  {
-    obs::TraceSpan phase{"FIG2.simulate", "bench"};
-    trials = ctx.runner.map(runs, [bots](std::size_t r) {
-      blink::Fig2Config cfg = blink::default_fig2_config(r);
-      cfg.malicious_flows = bots;
-      return blink::run_fig2_experiment(cfg);
-    });
-  }
+  const auto trials = ctx.runner.map(runs, [bots](std::size_t r) {
+    blink::Fig2Config cfg = blink::default_fig2_config(r);
+    cfg.malicious_flows = bots;
+    return blink::run_fig2_experiment(cfg);
+  });
   ctx.perf("FIG2");
 
   sim::SeriesStats sampled{0, sim::seconds(500), sim::seconds(25)};

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/trace.hpp"
 #include "pcc/experiment.hpp"
 #include "scenario/registry.hpp"
 
@@ -62,13 +61,9 @@ void run_oscillation(Ctx& ctx) {
     scenarios.emplace_back("reno + mitm(omnisc.)", reno);
   }
 
-  std::vector<pcc::PccExperimentResult> results;
-  {
-    obs::TraceSpan phase{"PCC-OSC.scenarios", "bench"};
-    results = ctx.runner.map(scenarios.size(), [&](std::size_t i) {
-      return pcc::run_pcc_experiment(scenarios[i].second);
-    });
-  }
+  const auto results = ctx.runner.map(scenarios.size(), [&](std::size_t i) {
+    return pcc::run_pcc_experiment(scenarios[i].second);
+  });
   ctx.perf("PCC-OSC");
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     print(scenarios[i].first, results[i]);
@@ -97,16 +92,12 @@ void run_oscillation(Ctx& ctx) {
   ctx.out.row();
   ctx.out.row("ablation: epsilon_max under attack");
   const std::vector<double> emaxes{0.02, 0.05, 0.10};
-  std::vector<pcc::PccExperimentResult> ablations;
-  {
-    obs::TraceSpan phase{"PCC-OSC.ablation", "bench"};
-    ablations = ctx.runner.map(emaxes.size(), [&](std::size_t i) {
-      auto cfg = base();
-      cfg.attack = true;
-      cfg.pcc.epsilon_max = emaxes[i];
-      return pcc::run_pcc_experiment(cfg);
-    });
-  }
+  const auto ablations = ctx.runner.map(emaxes.size(), [&](std::size_t i) {
+    auto cfg = base();
+    cfg.attack = true;
+    cfg.pcc.epsilon_max = emaxes[i];
+    return pcc::run_pcc_experiment(cfg);
+  });
   ctx.perf("PCC-OSC-ABLATION");
   for (std::size_t i = 0; i < emaxes.size(); ++i) {
     ctx.out.row("  eps_max %.2f -> rate-cv %5.2f%%, amp %5.2f%%", emaxes[i],
@@ -146,14 +137,11 @@ void run_fleet(Ctx& ctx) {
 
   const std::vector<std::size_t> fleet_sizes{1, 4, 16, 48};
   // Trials 2k / 2k+1 are fleet k clean / attacked.
-  std::vector<pcc::PccExperimentResult> results;
-  {
-    obs::TraceSpan phase{"PCC-FLEET.sweep", "bench"};
-    results = ctx.runner.map(2 * fleet_sizes.size(), [&](std::size_t i) {
-      return pcc::run_pcc_experiment(
-          fleet_config(fleet_sizes[i / 2], i % 2 == 1));
-    });
-  }
+  const auto results =
+      ctx.runner.map(2 * fleet_sizes.size(), [&](std::size_t i) {
+        return pcc::run_pcc_experiment(
+            fleet_config(fleet_sizes[i / 2], i % 2 == 1));
+      });
   ctx.perf("PCC-FLEET");
 
   ctx.out.row("%6s | %14s %14s | %14s %14s", "flows", "clean agg[Mb]",

@@ -2,7 +2,6 @@
 
 #include "obs/flightrec.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "validate/invariant.hpp"
 #include "validate/oracles.hpp"
 
@@ -121,37 +120,22 @@ bool Scheduler::fire_next(Time bound) {
 }
 
 std::size_t Scheduler::run(std::size_t limit) {
-  // Drain-batch span: one event per run() call, not per event — the
-  // enabled() check keeps the disabled-path cost to one atomic load.
-  const bool tracing = obs::trace_enabled();
-  const double span_start = tracing ? obs::trace_now_us() : 0.0;
   std::size_t n = 0;
   const std::uint64_t before = processed_;
   while (n < limit && fire_next(kTimeMax)) {
     n = static_cast<std::size_t>(processed_ - before);
   }
-  if (tracing && n > 0) {
-    obs::trace_complete("scheduler.drain", "sim", span_start, "events", n,
-                        "pending", pending());
-  }
   return n;
 }
 
 std::size_t Scheduler::run_until(Time t) {
-  const bool tracing = obs::trace_enabled();
-  const double span_start = tracing ? obs::trace_now_us() : 0.0;
   const std::uint64_t before = processed_;
   while (fire_next(t)) {
   }
   if (now_ < t) now_ = t;
   wheel_.advance_cursor(t);
   if (oracle_) oracle_->mirror_boundary(t, pending());
-  const auto n = static_cast<std::size_t>(processed_ - before);
-  if (tracing && n > 0) {
-    obs::trace_complete("scheduler.drain_until", "sim", span_start, "events",
-                        n, "pending", pending());
-  }
-  return n;
+  return static_cast<std::size_t>(processed_ - before);
 }
 
 }  // namespace intox::sim

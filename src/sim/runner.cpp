@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "validate/invariant.hpp"
 
 namespace intox::sim {
@@ -24,12 +23,9 @@ void ParallelRunner::dispatch(std::size_t n_trials,
   // only); trial *results* depend solely on Rng::fork(i).
   // intox-analyze: allow(determinism, perf telemetry, not results)
   const auto start = std::chrono::steady_clock::now();
-  obs::TraceSpan span{"runner.dispatch", "runner"};
   INTOX_INVARIANT(threads_ >= 1, "runner resolved to zero workers");
   const std::size_t workers =
       n_trials > 0 ? std::min(threads_, n_trials) : std::size_t{1};
-  span.arg0("trials", n_trials);
-  span.arg1("workers", workers);
   std::vector<double> shard_seconds(workers, 0.0);
 
   if (workers <= 1) {
@@ -40,16 +36,13 @@ void ParallelRunner::dispatch(std::size_t n_trials,
     std::exception_ptr first_error;
 
     auto worker = [&](std::size_t shard) {
-      obs::TraceSpan shard_span{"runner.shard", "runner"};
       // intox-analyze: allow(determinism, per-shard perf telemetry)
       const auto shard_start = std::chrono::steady_clock::now();
-      std::size_t claimed = 0;
       for (;;) {
         const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
         if (i >= n_trials) break;
         try {
           body(i);
-          ++claimed;
         } catch (...) {
           std::lock_guard<std::mutex> lock(error_mutex);
           if (!first_error) first_error = std::current_exception();
@@ -61,7 +54,6 @@ void ParallelRunner::dispatch(std::size_t n_trials,
       shard_seconds[shard] = std::chrono::duration<double>(
           // intox-analyze: allow(determinism, per-shard perf telemetry)
           std::chrono::steady_clock::now() - shard_start).count();
-      shard_span.arg0("trials", claimed);
     };
 
     std::vector<std::thread> pool;

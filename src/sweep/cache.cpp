@@ -107,14 +107,6 @@ std::string PointCache::dump_path(const CacheKey& key) const {
   return dir_ + "/" + key.hex() + ".flightrec.json";
 }
 
-std::string PointCache::failure_path(const CacheKey& key) const {
-  return dir_ + "/" + key.hex() + ".fail.json";
-}
-
-std::string PointCache::trace_path(const CacheKey& key) const {
-  return dir_ + "/" + key.hex() + ".trace.json";
-}
-
 bool PointCache::has(const CacheKey& key) const {
   struct stat st{};
   return ::stat(record_path(key).c_str(), &st) == 0 && S_ISREG(st.st_mode);

@@ -44,10 +44,6 @@ CacheKey point_cache_key(
 ///   <dir>/<key>.json            committed point records
 ///   <dir>/<key>.log             the producing worker's stderr
 ///   <dir>/<key>.flightrec.json  the worker's crash dump, if it crashed
-///   <dir>/<key>.fail.json       intox.sweep_failure.v1 sidecar for a
-///                               failed point (never the record path, so
-///                               presence-of-record == completion holds)
-///   <dir>/<key>.trace.json      the worker's Chrome trace (--trace-out)
 class PointCache {
  public:
   explicit PointCache(std::string dir) : dir_(std::move(dir)) {}
@@ -61,8 +57,6 @@ class PointCache {
   [[nodiscard]] std::string record_path(const CacheKey& key) const;
   [[nodiscard]] std::string log_path(const CacheKey& key) const;
   [[nodiscard]] std::string dump_path(const CacheKey& key) const;
-  [[nodiscard]] std::string failure_path(const CacheKey& key) const;
-  [[nodiscard]] std::string trace_path(const CacheKey& key) const;
 
   /// True when a committed record exists for `key`.
   [[nodiscard]] bool has(const CacheKey& key) const;

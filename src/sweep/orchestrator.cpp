@@ -20,11 +20,8 @@
 #include <vector>
 
 #include "obs/flightrec.hpp"
-#include "obs/forensics.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "scenario/driver.hpp"
 #include "scenario/knob.hpp"
 #include "scenario/registry.hpp"
@@ -57,8 +54,6 @@ void sweep_usage(std::FILE* out) {
       "  --workers N            concurrent worker processes (0 = auto)\n"
       "  --cache-dir DIR        point cache (default .intox-sweep-cache)\n"
       "  --out FILE             merged report path (default: stdout)\n"
-      "  --trace-out FILE       merged Chrome trace: orchestrator plus\n"
-      "                         every worker, one lane per pid\n"
       "\n"
       "Completed points are cached by (binary, scenario, knob vector);\n"
       "rerunning the same command resumes an interrupted sweep and\n"
@@ -146,70 +141,6 @@ bool file_exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
 }
 
-/// Commits an intox.sweep_failure.v1 sidecar next to where the failed
-/// point's record would live, pointing at the worker's stderr log and —
-/// when the worker crashed hard enough to dump — its flight-recorder
-/// dump. Best-effort: a failed point already exits the sweep non-zero.
-void write_failure_sidecar(const std::string& path,
-                           const std::string& scenario, std::size_t point,
-                           const std::string& banner,
-                           const std::string& log_path,
-                           const std::string& flightrec_path) {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("schema").value("intox.sweep_failure.v1");
-  w.key("scenario").value(scenario);
-  w.key("point").value(static_cast<std::uint64_t>(point));
-  w.key("banner").value(banner);
-  w.key("log").value(log_path);
-  w.key("flightrec");
-  if (flightrec_path.empty()) {
-    w.raw("null");
-  } else {
-    w.value(flightrec_path);
-  }
-  w.end_object();
-  obs::write_file(path, w.str() + "\n", nullptr);
-}
-
-/// Folds the orchestrator's own trace buffer plus every existing
-/// per-point worker trace into the requested --trace-out file, one
-/// process lane per pid. Every process in the sweep writing that one
-/// file would clobber it, so each traces to a private path first. Runs
-/// on every exit path that follows the worker pool, including
-/// incomplete sweeps (partial traces are exactly what a postmortem
-/// wants).
-void finalize_session_trace(const SweepArgs& args, const PointCache& cache,
-                            const std::vector<CacheKey>& keys) {
-  const std::string& out = args.sinks.trace_out;
-  if (out.empty()) return;
-  const std::string tmp = out + ".orch.tmp.json";
-  obs::trace_flush();
-  // Disable before BenchSession teardown re-flushes over the merge.
-  obs::set_trace_path("");
-  std::vector<std::string> paths;
-  std::vector<std::string> labels;
-  if (file_exists(tmp)) {
-    paths.push_back(tmp);
-    labels.push_back("orchestrator");
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::string p = cache.trace_path(keys[i]);
-    if (!file_exists(p)) continue;
-    paths.push_back(p);
-    labels.push_back("point " + std::to_string(i));
-  }
-  std::string error;
-  if (paths.empty() ||
-      !obs::merge_chrome_traces(paths, labels, out, &error)) {
-    std::fprintf(stderr, "intox sweep: trace merge failed: %s\n",
-                 error.empty() ? "no readable trace inputs" : error.c_str());
-  } else {
-    std::fprintf(stderr, "intox sweep: merged trace -> %s\n", out.c_str());
-  }
-  std::remove(tmp.c_str());
-}
-
 /// Runs one worker child to completion, stderr redirected to
 /// `log_path`. Returns true when the child could be spawned and waited
 /// (the point outcome is judged by the cache afterwards, not here).
@@ -293,9 +224,6 @@ int sweep_main(int argc, char** argv) {
   if (!args.sinks.flightrec_out.empty()) {
     obs::set_flightrec_dump_path(args.sinks.flightrec_out);
   }
-  if (!args.sinks.trace_out.empty()) {
-    obs::set_trace_path(args.sinks.trace_out + ".orch.tmp.json");
-  }
   obs::BenchSession session{"SWEEP", args.sinks.threads.value_or(0),
                             args.sinks.metrics_out};
   obs::Registry& reg = obs::Registry::global();
@@ -339,14 +267,9 @@ int sweep_main(int argc, char** argv) {
                      {"--point", std::to_string(idx), "--point-record",
                       cache.record_path(keys[idx]), "--flightrec-out",
                       cache.dump_path(keys[idx])});
-        if (!args.sinks.trace_out.empty()) {
-          child.insert(child.end(),
-                       {"--trace-out", cache.trace_path(keys[idx])});
-        }
-        // A crash dump or failure sidecar from an earlier attempt must
-        // not survive a clean rerun of the same point.
+        // A crash dump from an earlier attempt must not survive a clean
+        // rerun of the same point.
         std::remove(cache.dump_path(keys[idx]).c_str());
-        std::remove(cache.failure_path(keys[idx]).c_str());
         std::string err;
         const bool spawned =
             run_child(child, cache.log_path(keys[idx]), &err);
@@ -357,13 +280,12 @@ int sweep_main(int argc, char** argv) {
         failed.fetch_add(1, std::memory_order_relaxed);
         const std::string dump = cache.dump_path(keys[idx]);
         const bool have_dump = file_exists(dump);
-        write_failure_sidecar(cache.failure_path(keys[idx]), args.sc->name,
-                              idx, point_banner(point_at(axes, idx)),
-                              cache.log_path(keys[idx]),
-                              have_dump ? dump : std::string{});
+        std::string label = "point " + std::to_string(idx);
+        const std::string banner = point_banner(point_at(axes, idx));
+        if (!banner.empty()) label += " (" + banner + ")";
         std::lock_guard<std::mutex> lock(stderr_mu);
-        std::fprintf(stderr, "intox sweep: point %zu failed%s%s (see %s)\n",
-                     idx, err.empty() ? "" : ": ", err.c_str(),
+        std::fprintf(stderr, "intox sweep: %s failed%s%s (see %s)\n",
+                     label.c_str(), err.empty() ? "" : ": ", err.c_str(),
                      cache.log_path(keys[idx]).c_str());
         if (have_dump) {
           std::fprintf(stderr,
@@ -402,7 +324,6 @@ int sweep_main(int argc, char** argv) {
                args.sc->name.c_str(), total, total - pending.size(),
                executed.load(std::memory_order_relaxed),
                failed.load(std::memory_order_relaxed));
-  finalize_session_trace(args, cache, keys);
   if (missing > 0) {
     std::fprintf(stderr,
                  "intox sweep: %zu of %zu points incomplete; rerun the "

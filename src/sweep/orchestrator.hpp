@@ -5,8 +5,7 @@
 //
 //   intox sweep <scenario> [--set k=v] [--config F] [--sweep k=a:b:step]
 //               [--threads N] [--workers N] [--cache-dir DIR] [--out FILE]
-//               [--metrics-out FILE] [--trace-out FILE]
-//               [--flightrec-out FILE]
+//               [--metrics-out FILE] [--flightrec-out FILE]
 //
 // The orchestrator enumerates the sweep cross product (sweep/point.hpp),
 // content-addresses every point (sweep/cache.hpp), and runs N worker

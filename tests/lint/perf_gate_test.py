@@ -6,7 +6,9 @@ for a baseline-named sweep missing from the fresh reports and exit 0 —
 the documented re-baseline recipe would then commit a baseline without
 the floor, and the gate never checked that sweep again. Missing sweeps
 are now a hard failure in both modes, with an explicit --allow-drop
-escape hatch for deliberate benchmark deletions.
+escape hatch for deliberate benchmark deletions. Near a floor the
+printed numbers must tell a pass from a failure: rounded to whole
+numbers, a failing 5.85 and a passing 5.95 both printed as 6.
 
 Usage: perf_gate_test.py <path-to-check_perf_gate.py>
 """
@@ -75,6 +77,26 @@ def main():
         res = gate(script, "--reports", reports, "--baselines", baselines)
         if res.returncode == 0:
             fail("a 10x throughput drop passed the gate")
+
+    # Near a floor the printed numbers tell a pass from a failure:
+    # baseline 11.8 puts the floor at 5.9, so 5.85 fails and 5.95 passes.
+    printed = {}
+    for tps, want in ((5.85, 1), (5.95, 0)):
+        with tempfile.TemporaryDirectory() as tmp:
+            baselines, reports = setup(
+                tmp, {"sched": {"trials_per_s": 11.8}}, {"sched": tps})
+            res = gate(script, "--reports", reports, "--baselines",
+                       baselines)
+            if res.returncode != want:
+                fail(f"{tps} trials/s against floor 5.9 exited "
+                     f"{res.returncode}, expected {want}")
+            printed[tps] = [line.strip() for line in res.stdout.splitlines()
+                            if "CORE/sched" in line]
+    for tps, verdict in ((5.85, "REGRESSION"), (5.95, "ok")):
+        want = (f"CORE/sched: {tps:.2f} trials/s (baseline 11.80, "
+                f"floor 5.90) {verdict}")
+        if printed[tps] != [want]:
+            fail(f"printed {printed[tps]!r}, expected [{want!r}]")
 
     # check: a baseline-named sweep absent from the report is a failure.
     with tempfile.TemporaryDirectory() as tmp:

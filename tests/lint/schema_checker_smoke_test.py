@@ -84,7 +84,7 @@ def main():
         proc = run(script, str(good))
         check(proc.returncode == 0, "valid minimal report exits 0")
 
-        # Minimal flightrec dump and failure sidecar pass too.
+        # A minimal flightrec dump passes too.
         dump = tmpdir / "dump.flightrec.json"
         dump_doc = {
             "schema": "intox.flightrec.v2",
@@ -123,15 +123,6 @@ def main():
         }))
         expect_one_line_fail(script, bad_dump,
                              "flightrec dump with a bad type table")
-
-        sidecar = tmpdir / "fail.json"
-        sidecar.write_text(json.dumps({
-            "schema": "intox.sweep_failure.v1",
-            "scenario": "smoke", "point": 3, "banner": "seed=3",
-            "log": "/tmp/x.log", "flightrec": None,
-        }))
-        proc = run(script, str(sidecar))
-        check(proc.returncode == 0, "valid failure sidecar exits 0")
 
         # One bad file among good ones still fails the batch.
         proc = run(script, str(good), str(empty))

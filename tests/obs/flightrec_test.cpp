@@ -196,54 +196,7 @@ TEST(Flightrec, ForensicsRendersTheDump) {
   EXPECT_NE(timeline.find("REROUTE"), std::string::npos);
   EXPECT_NE(timeline.find("10.0.0.0/8"), std::string::npos);
   EXPECT_NE(timeline.find("rate DOWN"), std::string::npos);
-
-  const std::string trace = render_flightrec_chrome_trace(dump);
-  JsonValue doc;
-  ASSERT_TRUE(json_parse(trace, &doc, &error)) << error;
-  const JsonValue* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_FALSE(events->items.empty());
-  EXPECT_EQ(events->items[0].find("ph")->text, "M");
   std::remove(path.c_str());
-}
-
-TEST(Flightrec, MergeChromeTracesFoldsLanesAndSkipsUnreadable) {
-  const std::string a = temp_path("flightrec_trace_a.json");
-  const std::string b = temp_path("flightrec_trace_b.json");
-  const std::string out = temp_path("flightrec_trace_merged.json");
-  auto write = [](const std::string& path, const char* body) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(body, f);
-    std::fclose(f);
-  };
-  write(a,
-        "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"i\",\"ts\":1,"
-        "\"pid\":100,\"tid\":1,\"s\":\"t\"}]}");
-  write(b,
-        "{\"traceEvents\":[{\"name\":\"y\",\"ph\":\"i\",\"ts\":2,"
-        "\"pid\":200,\"tid\":1,\"s\":\"t\"}]}");
-  std::string error;
-  ASSERT_TRUE(merge_chrome_traces({a, "/nonexistent/trace.json", b},
-                                  {"first", "gone", "second"}, out, &error))
-      << error;
-  JsonValue doc;
-  ASSERT_TRUE(json_parse_file(out, &doc, &error)) << error;
-  const JsonValue* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  std::size_t instants = 0;
-  std::size_t labels = 0;
-  for (const JsonValue& e : events->items) {
-    if (e.find("ph")->text == "i") ++instants;
-    if (e.find("ph")->text == "M") ++labels;
-  }
-  EXPECT_EQ(instants, 2u);
-  EXPECT_EQ(labels, 2u);  // one process_name per distinct pid
-
-  // No readable input at all is an error.
-  EXPECT_FALSE(merge_chrome_traces({"/nonexistent/only.json"}, {"x"}, out,
-                                   &error));
-  for (const std::string& p : {a, b, out}) std::remove(p.c_str());
 }
 
 using FlightrecDeathTest = ::testing::Test;

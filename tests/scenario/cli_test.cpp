@@ -102,10 +102,25 @@ TEST(CliDeathTest, SweepOnStringKnobExitsTwo) {
               "knob 'crash' is string; only u64/double knobs sweep");
 }
 
+// --trace-out is no sink: it is refused, not parsed and dropped.
 TEST(CliDeathTest, UnknownArgumentExitsTwo) {
   EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--bogus"})),
               ::testing::ExitedWithCode(2),
               "intox: unknown argument '--bogus'");
+  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--trace-out",
+                             "x"})),
+              ::testing::ExitedWithCode(2),
+              "intox: unknown argument '--trace-out'");
+}
+
+TEST(CliDeathTest, ForensicsUnknownArgumentExitsTwo) {
+  EXPECT_EXIT(std::exit(run({"intox", "forensics", "dump.json", "--bogus"})),
+              ::testing::ExitedWithCode(2),
+              "intox: forensics: unknown argument '--bogus'");
+  EXPECT_EXIT(std::exit(run({"intox", "forensics", "dump.json",
+                             "--trace-out", "x"})),
+              ::testing::ExitedWithCode(2),
+              "intox: forensics: unknown argument '--trace-out'");
 }
 
 TEST(CliDeathTest, MissingConfigFileExitsTwo) {

@@ -105,8 +105,7 @@ TEST(CliParityDeathTest, RunAndSweepRejectSinkFlagsAlike) {
     expect_exit_two(scenario::driver_main, "run", args, diagnostic);
     expect_exit_two(sweep_main, "sweep", args, diagnostic);
   }
-  for (const char* flag :
-       {"--threads", "--metrics-out", "--trace-out", "--flightrec-out"}) {
+  for (const char* flag : {"--threads", "--metrics-out", "--flightrec-out"}) {
     const std::string diagnostic = std::string(flag) + " requires a value";
     expect_exit_two(scenario::driver_main, "run", {"blink.fig2", flag},
                     diagnostic);
@@ -117,8 +116,11 @@ TEST(CliParityDeathTest, RunAndSweepRejectSinkFlagsAlike) {
 TEST(CliParityDeathTest, SweepRejectsItsOwnBadFlags) {
   expect_exit_two(sweep_main, "sweep", {"blink.fig2", "--workers", "abc"},
                   "--workers expects a non-negative integer, got 'abc'");
-  expect_exit_two(sweep_main, "sweep", {"blink.fig2", "--bogus"},
-                  "unknown argument '--bogus' (try 'intox sweep --help')");
+  for (const char* flag : {"--bogus", "--trace-out"}) {
+    expect_exit_two(sweep_main, "sweep", {"blink.fig2", flag, "x"},
+                    "unknown argument '" + std::string(flag) +
+                        "' (try 'intox sweep --help')");
+  }
 }
 
 }  // namespace

@@ -96,9 +96,8 @@ def read_counter(metrics_path, name):
 
 
 def committed_records(cache):
-    # Record files are 32-hex-digit content addresses; worker logs,
-    # traces and failure sidecars share the directory but not the
-    # pattern.
+    # Record files are 32-hex-digit content addresses; worker logs and
+    # dumps share the directory but not the pattern.
     return [p for p in glob.glob(os.path.join(cache, "*.json"))
             if len(os.path.basename(p)) == len("0" * 32 + ".json")
             and ".tmp." not in p]
