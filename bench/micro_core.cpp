@@ -1,7 +1,8 @@
 // Microbenchmarks of the hot data-plane paths: flow hashing, LPM lookup,
-// event-queue throughput, and packet (de)serialization. These are not
-// paper experiments; they document that the substrate is fast enough for
-// the packet-level reproductions to run at the scale the paper used.
+// event-queue throughput, link delivery, and the per-packet work of the
+// reproduced systems. These are not paper experiments; they document
+// that the substrate is fast enough for the packet-level reproductions
+// to run at the scale the paper used.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -131,8 +132,8 @@ void BM_SchedulerSteadyStateTimers(benchmark::State& state) {
 BENCHMARK(BM_SchedulerSteadyStateTimers);
 
 void BM_LinkDelivery(benchmark::State& state) {
-  // Packet transmit -> serialize -> deliver through a Link: exercises
-  // the in-flight packet slab and the small-buffer delivery closures.
+  // Packet transmit -> queue -> deliver through a Link: exercises the
+  // in-flight packet slab and the small-buffer delivery closures.
   for (auto _ : state) {
     sim::Scheduler s;
     std::uint64_t delivered = 0;
@@ -213,20 +214,6 @@ void BM_InNetMlpInference(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_InNetMlpInference);
-
-void BM_PacketSerializeParse(benchmark::State& state) {
-  net::Packet p;
-  p.src = net::Ipv4Addr{10, 0, 0, 1};
-  p.dst = net::Ipv4Addr{10, 0, 0, 2};
-  p.l4 = net::TcpHeader{1234, 80, 42, 0};
-  p.payload_bytes = 512;
-  for (auto _ : state) {
-    auto wire = net::serialize(p);
-    auto back = net::parse(wire);
-    benchmark::DoNotOptimize(back);
-  }
-}
-BENCHMARK(BM_PacketSerializeParse);
 
 // Console reporter that additionally records every finished benchmark as
 // a SweepPerf into the BenchSession, so `--metrics-out FILE` produces a

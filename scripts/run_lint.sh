@@ -58,8 +58,8 @@ for entry in json.load(open("build-lint/compile_commands.json")):
 EOF
 )
   if command -v run-clang-tidy > /dev/null; then
-    if ! run-clang-tidy -p build-lint -quiet "${tus[@]}" > /tmp/tidy.log 2>&1; then
-      cat /tmp/tidy.log
+    if ! run-clang-tidy -p build-lint -quiet "${tus[@]}" > build-lint/tidy.log 2>&1; then
+      cat build-lint/tidy.log
       status=1
     else
       echo "clang-tidy: ${#tus[@]} translation units clean"

@@ -72,9 +72,6 @@ class TcpDiagnoser {
   [[nodiscard]] const std::vector<WindowStats>& windows() const {
     return windows_;
   }
-  [[nodiscard]] Verdict latest_verdict() const {
-    return windows_.empty() ? Verdict::kHealthy : windows_.back().verdict;
-  }
   /// Fraction of closed windows carrying each verdict.
   [[nodiscard]] double verdict_fraction(Verdict v) const;
 

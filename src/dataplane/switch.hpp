@@ -22,7 +22,6 @@ class RoutedSwitch : public sim::Node {
   void add_route(const net::Prefix& prefix, int port) {
     routes_.insert(prefix, static_cast<std::uint32_t>(port));
   }
-  bool remove_route(const net::Prefix& prefix) { return routes_.erase(prefix); }
 
   /// Appends a pipeline stage; stages run in insertion order and may
   /// override the routing decision. The switch does not own processors.

@@ -22,13 +22,7 @@ std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed = 0);
 /// 64-bit FNV-1a with seed mixed into the offset basis.
 std::uint64_t fnv1a64(std::span<const std::byte> data, std::uint64_t seed = 0);
 
-/// Convenience overloads for trivially-copyable values.
-template <typename T>
-std::uint32_t crc32_of(const T& value, std::uint32_t seed = 0) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return crc32(std::as_bytes(std::span<const T, 1>{&value, 1}), seed);
-}
-
+/// Convenience overload for trivially-copyable values.
 template <typename T>
 std::uint64_t fnv1a64_of(const T& value, std::uint64_t seed = 0) {
   static_assert(std::is_trivially_copyable_v<T>);

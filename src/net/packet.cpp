@@ -3,9 +3,7 @@
 #include <array>
 #include <cstring>
 
-#include "net/checksum.hpp"
 #include "net/hash.hpp"
-#include "validate/invariant.hpp"
 
 namespace intox::net {
 
@@ -16,32 +14,6 @@ constexpr std::size_t kTcpHeaderLen = 20;
 constexpr std::size_t kUdpHeaderLen = 8;
 constexpr std::size_t kIcmpHeaderLen = 8;
 
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v & 0xff));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
-}
-
-std::uint16_t get_u16(std::span<const std::byte> in, std::size_t off) {
-  return static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(static_cast<std::uint8_t>(in[off])) << 8) |
-      static_cast<std::uint16_t>(static_cast<std::uint8_t>(in[off + 1])));
-}
-
-std::uint32_t get_u32(std::span<const std::byte> in, std::size_t off) {
-  return (static_cast<std::uint32_t>(get_u16(in, off)) << 16) |
-         get_u16(in, off + 2);
-}
-
-void patch_u16(std::vector<std::byte>& buf, std::size_t off, std::uint16_t v) {
-  buf[off] = static_cast<std::byte>(v >> 8);
-  buf[off + 1] = static_cast<std::byte>(v & 0xff);
-}
-
 std::size_t l4_header_len(const Packet& p) {
   switch (p.proto()) {
     case IpProto::kTcp: return kTcpHeaderLen;
@@ -49,18 +21,6 @@ std::size_t l4_header_len(const Packet& p) {
     case IpProto::kIcmp: return kIcmpHeaderLen;
   }
   return 0;
-}
-
-// Pseudo-header partial sum for TCP/UDP checksums.
-std::uint32_t pseudo_header_sum(const Packet& p, std::size_t l4_len) {
-  std::uint32_t sum = 0;
-  sum += p.src.value() >> 16;
-  sum += p.src.value() & 0xffff;
-  sum += p.dst.value() >> 16;
-  sum += p.dst.value() & 0xffff;
-  sum += static_cast<std::uint32_t>(p.proto());
-  sum += static_cast<std::uint32_t>(l4_len);
-  return sum;
 }
 
 }  // namespace
@@ -97,152 +57,6 @@ FiveTuple Packet::five_tuple() const {
 std::uint32_t Packet::size_bytes() const {
   return static_cast<std::uint32_t>(kIpv4HeaderLen + l4_header_len(*this)) +
          payload_bytes;
-}
-
-std::vector<std::byte> serialize(const Packet& p) {
-  const std::size_t l4_len = l4_header_len(p) + p.payload_bytes;
-  const std::size_t total = kIpv4HeaderLen + l4_len;
-  // The IPv4 total-length field is 16 bits; a larger modeled payload
-  // would silently truncate on the wire and fail to round-trip.
-  INTOX_INVARIANT(total <= 0xffff,
-                  "packet of %zu bytes does not fit the 16-bit IPv4 total "
-                  "length field", total);
-  std::vector<std::byte> out;
-  out.reserve(total);
-
-  // IPv4 header (no options).
-  out.push_back(static_cast<std::byte>(0x45));  // version 4, IHL 5
-  out.push_back(std::byte{0});                  // DSCP/ECN
-  put_u16(out, static_cast<std::uint16_t>(total));
-  put_u16(out, 0);  // identification
-  put_u16(out, 0);  // flags/fragment offset
-  out.push_back(static_cast<std::byte>(p.ttl));
-  out.push_back(static_cast<std::byte>(p.proto()));
-  put_u16(out, 0);  // checksum placeholder
-  put_u32(out, p.src.value());
-  put_u32(out, p.dst.value());
-  const std::uint16_t ip_csum =
-      internet_checksum(std::span{out}.subspan(0, kIpv4HeaderLen));
-  patch_u16(out, 10, ip_csum);
-
-  const std::size_t l4_off = out.size();
-  if (const auto* t = p.tcp()) {
-    put_u16(out, t->src_port);
-    put_u16(out, t->dst_port);
-    put_u32(out, t->seq);
-    put_u32(out, t->ack);
-    std::uint16_t off_flags = static_cast<std::uint16_t>(5u << 12);
-    if (t->fin) off_flags |= 0x001;
-    if (t->syn) off_flags |= 0x002;
-    if (t->rst) off_flags |= 0x004;
-    if (t->ack_flag) off_flags |= 0x010;
-    put_u16(out, off_flags);
-    put_u16(out, t->window);
-    put_u16(out, 0);  // checksum placeholder
-    put_u16(out, 0);  // urgent pointer
-  } else if (const auto* u = p.udp()) {
-    put_u16(out, u->src_port);
-    put_u16(out, u->dst_port);
-    put_u16(out, static_cast<std::uint16_t>(l4_len));
-    put_u16(out, 0);  // checksum placeholder
-  } else if (const auto* ic = p.icmp()) {
-    out.push_back(static_cast<std::byte>(ic->type));
-    out.push_back(static_cast<std::byte>(ic->code));
-    put_u16(out, 0);  // checksum placeholder
-    put_u16(out, ic->id);
-    put_u16(out, ic->seq);
-  }
-  out.resize(total, std::byte{0});  // zero payload
-
-  const auto l4_span = std::span{out}.subspan(l4_off);
-  switch (p.proto()) {
-    case IpProto::kTcp:
-      patch_u16(out, l4_off + 16,
-                internet_checksum(l4_span, pseudo_header_sum(p, l4_len)));
-      break;
-    case IpProto::kUdp:
-      patch_u16(out, l4_off + 6,
-                internet_checksum(l4_span, pseudo_header_sum(p, l4_len)));
-      break;
-    case IpProto::kIcmp:
-      patch_u16(out, l4_off + 2, internet_checksum(l4_span));
-      break;
-  }
-  INTOX_INVARIANT(out.size() == total,
-                  "serialize emitted %zu bytes for a %zu-byte packet",
-                  out.size(), total);
-  // A receiver verifies by summing the header including the patched
-  // checksum field and expecting zero; check we produce exactly that.
-  INTOX_INVARIANT(
-      internet_checksum(std::span{out}.subspan(0, kIpv4HeaderLen)) == 0,
-      "serialized IPv4 header fails its own checksum");
-  return out;
-}
-
-std::optional<Packet> parse(std::span<const std::byte> wire) {
-  if (wire.size() < kIpv4HeaderLen) return std::nullopt;
-  const auto version_ihl = static_cast<std::uint8_t>(wire[0]);
-  if (version_ihl != 0x45) return std::nullopt;
-  const std::size_t total = get_u16(wire, 2);
-  if (total < kIpv4HeaderLen || total > wire.size()) return std::nullopt;
-  if (internet_checksum(wire.subspan(0, kIpv4HeaderLen)) != 0) {
-    return std::nullopt;
-  }
-
-  Packet p;
-  p.ttl = static_cast<std::uint8_t>(wire[8]);
-  const auto proto = static_cast<std::uint8_t>(wire[9]);
-  p.src = Ipv4Addr{get_u32(wire, 12)};
-  p.dst = Ipv4Addr{get_u32(wire, 16)};
-
-  const auto l4 = wire.subspan(kIpv4HeaderLen, total - kIpv4HeaderLen);
-  switch (proto) {
-    case 6: {
-      if (l4.size() < kTcpHeaderLen) return std::nullopt;
-      TcpHeader t;
-      t.src_port = get_u16(l4, 0);
-      t.dst_port = get_u16(l4, 2);
-      t.seq = get_u32(l4, 4);
-      t.ack = get_u32(l4, 8);
-      const std::uint16_t off_flags = get_u16(l4, 12);
-      t.fin = off_flags & 0x001;
-      t.syn = off_flags & 0x002;
-      t.rst = off_flags & 0x004;
-      t.ack_flag = off_flags & 0x010;
-      t.window = get_u16(l4, 14);
-      p.l4 = t;
-      p.payload_bytes = static_cast<std::uint32_t>(l4.size() - kTcpHeaderLen);
-      if (internet_checksum(l4, pseudo_header_sum(p, l4.size())) != 0)
-        return std::nullopt;
-      break;
-    }
-    case 17: {
-      if (l4.size() < kUdpHeaderLen) return std::nullopt;
-      UdpHeader u;
-      u.src_port = get_u16(l4, 0);
-      u.dst_port = get_u16(l4, 2);
-      p.l4 = u;
-      p.payload_bytes = static_cast<std::uint32_t>(l4.size() - kUdpHeaderLen);
-      if (internet_checksum(l4, pseudo_header_sum(p, l4.size())) != 0)
-        return std::nullopt;
-      break;
-    }
-    case 1: {
-      if (l4.size() < kIcmpHeaderLen) return std::nullopt;
-      IcmpHeader ic;
-      ic.type = static_cast<IcmpType>(l4[0]);
-      ic.code = static_cast<std::uint8_t>(l4[1]);
-      ic.id = get_u16(l4, 4);
-      ic.seq = get_u16(l4, 6);
-      p.l4 = ic;
-      p.payload_bytes = static_cast<std::uint32_t>(l4.size() - kIcmpHeaderLen);
-      if (internet_checksum(l4) != 0) return std::nullopt;
-      break;
-    }
-    default:
-      return std::nullopt;
-  }
-  return p;
 }
 
 std::string to_string(const Packet& p) {

@@ -3,17 +3,13 @@
 // Packets carry real protocol fields (the ones the attacks manipulate:
 // TCP sequence numbers and flags, TTL, ICMP type/code) but model payloads
 // by size only — the systems under study never inspect payload bytes.
-// A wire codec (`serialize` / `parse`) is provided for interoperability
-// tests and for exercising checksum handling; the simulator itself passes
-// `Packet` values around directly.
+// There is no wire format: every component passes `Packet` values, and
+// `size_bytes` is the one place header lengths enter the model.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "net/ipv4.hpp"
 
@@ -105,16 +101,6 @@ struct Packet {
   /// Total on-wire size: IPv4 header + L4 header + payload.
   [[nodiscard]] std::uint32_t size_bytes() const;
 };
-
-/// Serializes to an RFC-791-shaped byte stream (IPv4 header without
-/// options, then the L4 header, then `payload_bytes` zero bytes), with
-/// valid IP and L4 checksums.
-std::vector<std::byte> serialize(const Packet& p);
-
-/// Parses a buffer produced by `serialize` (or any well-formed minimal
-/// IPv4+TCP/UDP/ICMP packet). Returns nullopt on truncation, bad version,
-/// bad checksum, or unsupported protocol.
-std::optional<Packet> parse(std::span<const std::byte> wire);
 
 /// Human-readable one-line description, for logs and debugging.
 std::string to_string(const Packet& p);

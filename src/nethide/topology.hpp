@@ -36,9 +36,6 @@ class Topology {
 
   [[nodiscard]] std::size_t node_count() const { return adj_.size(); }
   [[nodiscard]] std::size_t link_count() const;
-  [[nodiscard]] const std::vector<NodeId>& neighbors(NodeId u) const {
-    return adj_[u];
-  }
   [[nodiscard]] std::vector<Edge> links() const;
 
   /// Router address of a node (deterministic from id): 10.255.<id>/32-ish.

@@ -129,8 +129,6 @@ std::atomic<std::uint32_t> g_thread_count{0};
 thread_local ThreadSlot* t_slot = nullptr;
 thread_local bool t_rejected = false;
 
-std::atomic<bool> g_enabled{true};
-
 AtomicText g_scenario;
 AtomicText g_dump_path;
 
@@ -287,18 +285,9 @@ const char* flightrec_type_name(FrType type) {
   return idx < kFrTypeCount ? kTypeNames[idx] : kTypeNames[0];
 }
 
-bool flightrec_enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void set_flightrec_enabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 void flightrec_record(FrType type, std::uint64_t time, std::uint64_t a,
                       std::uint64_t b, std::uint64_t c) {
   // intox-analyze: hot-lane
-  if (!flightrec_enabled()) return;
   ThreadSlot* slot = t_slot;
   if (slot == nullptr) [[unlikely]] {
     if (t_rejected) return;

@@ -38,7 +38,7 @@
 // Sizes are fixed: 4096 hot-lane and 1024 decision-lane records per
 // thread. The crash-dump destination is set only by
 // set_flightrec_dump_path (`intox run --flightrec-out FILE`). Recording
-// is always on; only tests switch it off, through set_flightrec_enabled.
+// is always on.
 #pragma once
 
 #include <cstddef>
@@ -82,14 +82,9 @@ enum class FrAttackerKind : std::uint64_t {
   kBlinkFig2Start = 2  // b=malicious flows, c=legitimate flows
 };
 
-/// True when recording is active: from process start until a test
-/// calls set_flightrec_enabled(false).
-bool flightrec_enabled();
-void set_flightrec_enabled(bool enabled);
-
 /// Appends one record to this thread's lane for `type`. Lock-free,
 /// allocation-free after the first call per thread, safe from any
-/// thread. No-op when disabled.
+/// thread.
 void flightrec_record(FrType type, std::uint64_t time, std::uint64_t a = 0,
                       std::uint64_t b = 0, std::uint64_t c = 0);
 

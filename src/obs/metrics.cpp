@@ -149,25 +149,6 @@ Registry::Snapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::mark_placement_dependent(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& n : placement_dependent_) {
-    if (n == name) return;
-  }
-  placement_dependent_.emplace_back(name);
-}
-
-Registry::Snapshot Registry::deterministic_snapshot() const {
-  Snapshot snap = snapshot();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& name : placement_dependent_) {
-    snap.counters.erase(name);
-    snap.gauges.erase(name);
-    snap.histograms.erase(name);
-  }
-  return snap;
-}
-
 std::string Registry::to_json(const Snapshot& snap) {
   JsonWriter w;
   w.begin_object();

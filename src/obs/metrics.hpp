@@ -15,8 +15,7 @@
 //  1. Placement-invariant values. Counter and histogram-bucket values
 //     are integer sums, identical for any thread count, because the
 //     *work* is identical (trials are seeded by index) and only its
-//     placement moves. Gauges expose set / update_max, and
-//     instrumentation uses the max form, which is also
+//     placement moves. Gauges are high-water marks (update_max), also
 //     placement-invariant. The one exception is a histogram's running
 //     `sum` of double samples: it is added in record order, so one
 //     thread's sum is the serial double sum bit for bit, while
@@ -60,16 +59,10 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Point-in-time value. `set` is last-writer-wins (use it only from one
-/// thread, e.g. a bench main); `update_max` is a CAS-max and therefore
-/// deterministic under any thread placement — instrumentation on shared
-/// paths uses this form (high-water marks).
+/// High-water mark. `update_max` is a CAS-max and therefore
+/// deterministic under any thread placement.
 class Gauge {
  public:
-  void set(double v) {
-    // intox-analyze: hot-lane
-    value_.store(v, std::memory_order_relaxed);
-  }
   void update_max(double v) {
     // intox-analyze: hot-lane
     double cur = value_.load(std::memory_order_relaxed);
@@ -141,31 +134,16 @@ class Registry {
   HistogramMetric& histogram(std::string_view name, double lo, double hi,
                              std::size_t buckets);
 
-  /// Declares a metric as placement-dependent: its value describes this
-  /// process's scheduling (e.g. the runner's shard-imbalance high-water
-  /// mark), not the simulated system, so it is excluded from
-  /// deterministic snapshots. Call once, next to the registration site.
-  void mark_placement_dependent(std::string_view name);
-
   struct Snapshot {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, double> gauges;
     std::map<std::string, HistogramMetric::Snapshot> histograms;
   };
   [[nodiscard]] Snapshot snapshot() const;
-  /// Like snapshot(), minus every placement-dependent metric: the view
-  /// whose serialization is a pure function of the work performed (at
-  /// --threads 1 byte-exact; at higher thread counts histogram double
-  /// `sum` fields may still differ in the last ulp — see the header
-  /// comment). Point records (obs/report.hpp) embed this view.
-  [[nodiscard]] Snapshot deterministic_snapshot() const;
 
   /// Serializes a snapshot as the report schema's "metrics" object.
   static std::string to_json(const Snapshot& snap);
   [[nodiscard]] std::string json() const { return to_json(snapshot()); }
-  [[nodiscard]] std::string deterministic_json() const {
-    return to_json(deterministic_snapshot());
-  }
 
   /// Zeroes every registered metric (registrations survive). Test
   /// isolation only.
@@ -179,7 +157,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<HistogramMetric>, std::less<>>
       histograms_;
-  std::vector<std::string> placement_dependent_;
 };
 
 }  // namespace intox::obs

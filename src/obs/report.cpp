@@ -106,7 +106,7 @@ bool write_point_record(const std::string& path, const PointRecord& record) {
   w.key("banner").value(record.banner);
   w.key("exit").value(static_cast<std::int64_t>(record.exit_code));
   w.key("stdout").value(record.stdout_text);
-  w.key("metrics").raw(Registry::global().deterministic_json());
+  w.key("metrics").raw(Registry::global().json());
   w.end_object();
 
   // Committed by rename: a record's presence means the point completed.

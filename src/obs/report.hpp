@@ -107,11 +107,11 @@ struct PointRecord {
   std::string stdout_text;
 };
 
-/// Serializes `record` (plus the metrics registry's deterministic
-/// snapshot) and writes it to `path` via write-temp-then-rename: a
-/// worker killed mid-write leaves at most a *.tmp.<pid> turd, never a
-/// torn record. Returns false on I/O failure with a one-line stderr
-/// warning.
+/// Serializes `record` (plus the metrics registry's snapshot, which is
+/// placement-invariant: see obs/metrics.hpp) and writes it to `path`
+/// via write-temp-then-rename: a worker killed mid-write leaves at most
+/// a *.tmp.<pid> turd, never a torn record. Returns false on I/O
+/// failure with a one-line stderr warning.
 bool write_point_record(const std::string& path, const PointRecord& record);
 
 }  // namespace intox::obs

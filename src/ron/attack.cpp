@@ -6,7 +6,6 @@ namespace intox::ron {
 
 void RonProbeAttacker::attach(Overlay& overlay, NodeId from, NodeId to) {
   overlay.link(from, to).set_tap([this](net::Packet& p) {
-    ++observed_;
     const auto* u = p.udp();
     const bool is_probe = u && (u->dst_port == 7001 || u->dst_port == 7002);
     if (is_probe) {
@@ -16,7 +15,6 @@ void RonProbeAttacker::attach(Overlay& overlay, NodeId from, NodeId to) {
       }
       return sim::TapAction::kForward;
     }
-    ++data_observed_;
     return config_.spare_data ? sim::TapAction::kForward
                               : sim::TapAction::kDrop;
   });

@@ -37,15 +37,11 @@ class RonProbeAttacker {
   void attach(Overlay& overlay, NodeId from, NodeId to);
 
   [[nodiscard]] std::uint64_t probes_dropped() const { return probes_dropped_; }
-  [[nodiscard]] std::uint64_t packets_observed() const { return observed_; }
-  [[nodiscard]] std::uint64_t data_observed() const { return data_observed_; }
 
  private:
   RonAttackConfig config_;
   sim::Rng rng_;
   std::uint64_t probes_dropped_ = 0;
-  std::uint64_t observed_ = 0;
-  std::uint64_t data_observed_ = 0;
 };
 
 /// The canonical 4-node diversion experiment:

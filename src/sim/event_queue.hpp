@@ -145,13 +145,6 @@ class Timer {
       on_expire_();
     });
   }
-  void arm_at(Time t) {
-    cancel();
-    id_ = sched_.schedule_at(t, [this] {
-      id_ = {};
-      on_expire_();
-    });
-  }
   void cancel() {
     if (id_.valid()) {
       sched_.cancel(id_);

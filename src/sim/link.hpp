@@ -62,11 +62,9 @@ class Link {
   void transmit(net::Packet pkt);
 
   void set_tap(Tap tap) { tap_ = std::move(tap); }
-  void clear_tap() { tap_ = nullptr; }
 
   /// Injects / repairs a link failure. While down, every packet is lost.
   void set_up(bool up) { up_ = up; }
-  [[nodiscard]] bool is_up() const { return up_; }
 
   [[nodiscard]] const LinkConfig& config() const { return config_; }
   /// Current queueing backlog, in bytes not yet serialized.

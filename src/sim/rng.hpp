@@ -52,10 +52,6 @@ class Rng {
   }
   /// Pareto with scale x_m > 0 and shape alpha > 0.
   double pareto(double x_m, double alpha);
-  std::uint64_t poisson(double mean) {
-    return static_cast<std::uint64_t>(
-        std::poisson_distribution<long>{mean}(engine_));
-  }
 
   /// Exponential inter-arrival duration with the given mean.
   Duration exp_duration(Duration mean) {
@@ -67,8 +63,6 @@ class Rng {
   void shuffle(Container& c) {
     std::shuffle(c.begin(), c.end(), engine_);
   }
-
-  std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;

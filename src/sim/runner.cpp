@@ -72,25 +72,16 @@ void ParallelRunner::dispatch(std::size_t n_trials,
   report_.wall_seconds = elapsed.count();
   report_.shard_seconds = std::move(shard_seconds);
 
-  // Registry accounting is aggregate-only (nothing per-trial): totals
-  // fold deterministically across thread counts; the imbalance gauge is
-  // a high-water mark, which is placement-dependent by nature — it
-  // describes this process's scheduling, not the simulated statistics.
+  // Registry accounting is aggregate-only (nothing per-trial), so the
+  // totals fold deterministically across thread counts. Shard imbalance
+  // describes this process's scheduling, not the simulated system, so
+  // it lives only in report_.
   static obs::Counter& trials_counter =
       obs::Registry::global().counter("sim.runner.trials");
   static obs::Counter& dispatch_counter =
       obs::Registry::global().counter("sim.runner.dispatches");
-  static obs::Gauge& imbalance_gauge = []() -> obs::Gauge& {
-    // Placement-dependent by nature (it measures this process's thread
-    // scheduling), so deterministic snapshots — the sweep point records
-    // — leave it out.
-    obs::Registry::global().mark_placement_dependent(
-        "sim.runner.shard_imbalance_hwm");
-    return obs::Registry::global().gauge("sim.runner.shard_imbalance_hwm");
-  }();
   trials_counter.add(n_trials);
   dispatch_counter.add(1);
-  imbalance_gauge.update_max(report_.shard_imbalance());
 }
 
 }  // namespace intox::sim

@@ -110,9 +110,6 @@ class SlabPool {
   [[nodiscard]] std::uint32_t generation_at(std::uint32_t idx) const {
     return slots_[idx].generation;
   }
-  [[nodiscard]] bool live_at(std::uint32_t idx) const {
-    return idx < slots_.size() && slots_[idx].live;
-  }
 
   [[nodiscard]] std::size_t size() const { return live_count_; }
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }

@@ -30,9 +30,6 @@ constexpr Duration seconds(double s) {
 constexpr Duration millis(double ms) {
   return static_cast<Duration>(ms * static_cast<double>(kMillisecond));
 }
-constexpr Duration micros(double us) {
-  return static_cast<Duration>(us * static_cast<double>(kMicrosecond));
-}
 
 /// Converts a Duration to fractional seconds (for reporting).
 constexpr double to_seconds(Duration d) {

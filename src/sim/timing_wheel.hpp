@@ -106,8 +106,6 @@ class TimingWheel {
     return ref.index < nodes_.size() && nodes_[ref.index].bucket != kNoBucket
         && nodes_[ref.index].gen == ref.gen;
   }
-  /// Timestamp of a live event (undefined for stale refs).
-  [[nodiscard]] Time time_of(Ref ref) const { return nodes_[ref.index].time; }
 
  private:
   static constexpr std::uint16_t kNoBucket = UINT16_MAX;

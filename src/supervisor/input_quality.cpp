@@ -5,7 +5,6 @@
 namespace intox::supervisor {
 
 void ActiveProber::verify(Decision decide) {
-  ++rounds_;
   // Per-round state kept alive by the chained events.
   struct Round {
     int sent = 0;

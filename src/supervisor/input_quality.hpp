@@ -60,13 +60,10 @@ class ActiveProber {
   /// and the decision latency the verification added.
   void verify(Decision decide);
 
-  [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
-
  private:
   sim::Scheduler& sched_;
   Config config_;
   ProbeFn probe_;
-  std::uint64_t rounds_ = 0;
 };
 
 }  // namespace intox::supervisor

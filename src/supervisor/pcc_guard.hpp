@@ -40,7 +40,6 @@ class PccGuard {
   void observe(const pcc::PccSender::ExperimentOutcome& outcome);
 
   [[nodiscard]] bool detected() const { return detected_; }
-  [[nodiscard]] int suspicious_streak() const { return streak_; }
   [[nodiscard]] const GuardStats& stats() const { return stats_; }
 
  private:

@@ -5,10 +5,10 @@
 // to not rely solely on data-plane signals but to have an additional
 // feedback loop that checks the plausibility of the signals."  (Fig. 3)
 //
-// The generic interface below is deliberately small: a supervisor sees
-// (state, proposed action) and returns an assessment; drivers consult it
-// before committing state changes. The concrete guards in this module
-// implement it for the paper's three case studies:
+// This header holds the vocabulary the guards share: every guard counts
+// its judgements in GuardStats, and BlinkRtoGuard returns each one as
+// an Assessment. The guards in this module cover the paper's three case
+// studies:
 //   * BlinkRtoGuard    — intervention point I/III: input plausibility.
 //   * PytheasGuard     — intervention point I: input quality filtering.
 //   * PccGuard         — intervention point III/IV: constrained range.
@@ -29,15 +29,6 @@ struct Assessment {
   std::string reason;
 
   [[nodiscard]] bool allowed() const { return verdict == Verdict::kAllow; }
-};
-
-/// A supervisor judging proposed driver actions. State and Action are
-/// domain types (e.g. FlowSelector snapshot / "reroute prefix").
-template <typename State, typename Action>
-class Supervisor {
- public:
-  virtual ~Supervisor() = default;
-  virtual Assessment assess(const State& state, const Action& action) = 0;
 };
 
 struct GuardStats {

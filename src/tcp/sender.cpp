@@ -54,7 +54,6 @@ void TcpSender::enter_established() {
   state_ = TcpState::kEstablished;
   snd_una_ = iss_ + 1;  // SYN consumes one sequence number
   next_seq_ = snd_una_;
-  cwnd_series_.record(sched_.now(), cwnd_);
   try_send();
 }
 
@@ -133,7 +132,6 @@ void TcpSender::on_rto() {
   dupacks_ = 0;
   in_recovery_ = true;
   recover_seq_ = next_seq_;
-  cwnd_series_.record(sched_.now(), cwnd_);
   rto_ = std::min<sim::Duration>(rto_ * 2, config_.rto_max);
   ++counters_.rto_retransmits;
   send_segment(snd_una_, true);
@@ -190,7 +188,6 @@ void TcpSender::on_ack(std::uint32_t ack, std::uint16_t window) {
     } else {
       cwnd_ += static_cast<double>(newly) / config_.mss / cwnd_;  // CA
     }
-    cwnd_series_.record(sched_.now(), cwnd_);
     if (bytes_in_flight() > 0) arm_rto();
     maybe_finish();
     try_send();
@@ -206,7 +203,6 @@ void TcpSender::on_ack(std::uint32_t ack, std::uint16_t window) {
       cwnd_ = ssthresh_;
       in_recovery_ = true;
       recover_seq_ = next_seq_;
-      cwnd_series_.record(sched_.now(), cwnd_);
       ++counters_.fast_retransmits;
       send_segment(snd_una_, true);
       arm_rto();

@@ -22,7 +22,6 @@
 
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/stats.hpp"
 
 namespace intox::tcp {
 
@@ -64,9 +63,6 @@ class TcpSender {
   [[nodiscard]] double cwnd_segments() const { return cwnd_; }
   [[nodiscard]] std::uint64_t delivered_bytes() const { return acked_bytes_; }
   [[nodiscard]] double srtt_seconds() const { return srtt_s_; }
-  [[nodiscard]] const sim::TimeSeries& cwnd_series() const {
-    return cwnd_series_;
-  }
 
   struct Counters {
     std::uint64_t segments_sent = 0;
@@ -126,7 +122,6 @@ class TcpSender {
   // seq -> (send time, was-retransmitted?)
   std::map<std::uint32_t, std::pair<sim::Time, bool>> send_times_;
 
-  sim::TimeSeries cwnd_series_;
   Counters counters_;
 };
 

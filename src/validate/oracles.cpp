@@ -7,34 +7,6 @@
 
 namespace intox::validate {
 
-namespace {
-
-inline std::uint32_t fold16(std::uint32_t sum) {
-  while (sum >> 16) sum = (sum & 0xffffu) + (sum >> 16);
-  return sum;
-}
-
-}  // namespace
-
-std::uint32_t reference_checksum_partial(std::span<const std::byte> data,
-                                         std::uint32_t initial) {
-  std::uint32_t sum = fold16(initial);
-  bool high = true;  // big-endian 16-bit words: even offsets are the high byte
-  for (std::byte b : data) {
-    const auto v = static_cast<std::uint32_t>(static_cast<std::uint8_t>(b));
-    sum += high ? (v << 8) : v;
-    sum = fold16(sum);
-    high = !high;
-  }
-  return sum;
-}
-
-std::uint16_t reference_internet_checksum(std::span<const std::byte> data,
-                                          std::uint32_t initial) {
-  return static_cast<std::uint16_t>(
-      ~reference_checksum_partial(data, initial) & 0xffffu);
-}
-
 ExactStats exact_stats(const std::vector<double>& xs) {
   ExactStats out;
   out.n = xs.size();

@@ -1,39 +1,21 @@
 // Differential oracles: slow, obviously-correct reference implementations
 // of the hot-path components the Monte-Carlo benches aggregate through.
 //
-// Each oracle recomputes a result a second way — byte-at-a-time RFC 1071
-// folding for the internet checksum, a sorted-vector queue for the event
-// scheduler, two-pass recomputation for the streaming statistics — so
-// tests (and the `validate_sweep` binary) can cross-check the fast paths
-// instead of trusting them. None of these are meant for production speed.
+// Each oracle recomputes a result a second way — a sorted-vector queue
+// for the event scheduler, two-pass recomputation for the streaming
+// statistics — so tests (and the `validate_sweep` binary) can
+// cross-check the fast paths instead of trusting them. None of these are
+// meant for production speed.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace intox::validate {
-
-// --- RFC 1071 reference checksum --------------------------------------
-//
-// Byte-at-a-time one's-complement sum that folds the end-around carry
-// after every addition, so the accumulator never exceeds 17 bits and the
-// result is exact for spans of any length. This is the oracle the fast
-// word-at-a-time `net::checksum_partial` is checked against (the fast
-// path used to wrap its 32-bit accumulator on spans >= 128 KiB).
-
-/// Fully-folded (<= 16-bit) partial sum; chainable via `initial` exactly
-/// like `net::checksum_partial` (any unfolded partial sum is accepted).
-std::uint32_t reference_checksum_partial(std::span<const std::byte> data,
-                                         std::uint32_t initial = 0);
-
-/// Complemented final checksum, as `net::internet_checksum`.
-std::uint16_t reference_internet_checksum(std::span<const std::byte> data,
-                                          std::uint32_t initial = 0);
 
 // --- Exact statistics --------------------------------------------------
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "net/checksum.hpp"
-
 namespace intox::net {
 namespace {
 
@@ -62,88 +60,13 @@ TEST(Packet, SizeAccounting) {
   u.l4 = UdpHeader{53, 53};
   u.payload_bytes = 10;
   EXPECT_EQ(u.size_bytes(), 20u + 8u + 10u);
-}
-
-TEST(PacketWire, TcpRoundTrip) {
-  Packet p = make_tcp_packet();
-  auto wire = serialize(p);
-  EXPECT_EQ(wire.size(), p.size_bytes());
-  auto back = parse(wire);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->src, p.src);
-  EXPECT_EQ(back->dst, p.dst);
-  EXPECT_EQ(back->ttl, p.ttl);
-  ASSERT_NE(back->tcp(), nullptr);
-  EXPECT_EQ(back->tcp()->seq, 0xdeadbeefu);
-  EXPECT_TRUE(back->tcp()->syn);
-  EXPECT_TRUE(back->tcp()->ack_flag);
-  EXPECT_FALSE(back->tcp()->fin);
-  EXPECT_EQ(back->payload_bytes, 100u);
-}
-
-TEST(PacketWire, UdpRoundTrip) {
-  Packet p;
-  p.src = Ipv4Addr{1, 2, 3, 4};
-  p.dst = Ipv4Addr{5, 6, 7, 8};
-  p.l4 = UdpHeader{33434, 53};
-  p.payload_bytes = 32;
-  auto back = parse(serialize(p));
-  ASSERT_TRUE(back.has_value());
-  ASSERT_NE(back->udp(), nullptr);
-  EXPECT_EQ(back->udp()->src_port, 33434);
-  EXPECT_EQ(back->payload_bytes, 32u);
-}
-
-TEST(PacketWire, IcmpRoundTrip) {
-  Packet p;
-  p.src = Ipv4Addr{9, 9, 9, 9};
-  p.dst = Ipv4Addr{8, 8, 8, 8};
-  IcmpHeader ic;
-  ic.type = IcmpType::kTimeExceeded;
-  ic.code = 0;
-  ic.id = 777;
-  ic.seq = 3;
-  p.l4 = ic;
-  auto back = parse(serialize(p));
-  ASSERT_TRUE(back.has_value());
-  ASSERT_NE(back->icmp(), nullptr);
-  EXPECT_EQ(back->icmp()->type, IcmpType::kTimeExceeded);
-  EXPECT_EQ(back->icmp()->id, 777);
-}
-
-TEST(PacketWire, CorruptionDetected) {
-  auto wire = serialize(make_tcp_packet());
-  wire[15] ^= std::byte{0x01};  // flip a bit in the source address
-  EXPECT_FALSE(parse(wire).has_value());
-}
-
-TEST(PacketWire, TruncationDetected) {
-  auto wire = serialize(make_tcp_packet());
-  wire.resize(wire.size() / 2);
-  EXPECT_FALSE(parse(wire).has_value());
-}
-
-TEST(PacketWire, L4CorruptionDetected) {
-  auto wire = serialize(make_tcp_packet());
-  wire[24] ^= std::byte{0x40};  // flip a bit in the TCP sequence number
-  EXPECT_FALSE(parse(wire).has_value());
-}
-
-TEST(Checksum, Rfc1071Example) {
-  // Example bytes from RFC 1071 §3: 00 01 f2 03 f4 f5 f6 f7.
-  const std::array<std::byte, 8> data{
-      std::byte{0x00}, std::byte{0x01}, std::byte{0xf2}, std::byte{0x03},
-      std::byte{0xf4}, std::byte{0xf5}, std::byte{0xf6}, std::byte{0xf7}};
-  // Folded one's-complement sum of the words is 0xddf2, checksum is its
-  // complement.
-  EXPECT_EQ(internet_checksum(data), static_cast<std::uint16_t>(~0xddf2));
-}
-
-TEST(Checksum, OddLengthPadsWithZero) {
-  const std::array<std::byte, 3> data{std::byte{0x01}, std::byte{0x02},
-                                      std::byte{0x03}};
-  // Words: 0x0102, 0x0300 -> sum 0x0402.
-  EXPECT_EQ(internet_checksum(data), static_cast<std::uint16_t>(~0x0402));
+  // An ICMP TTL-exceeded reply as RoutedSwitch builds it (28 bytes of
+  // quoted header). Link charges this size for serialization delay,
+  // queue bytes and RED.
+  Packet ic;
+  ic.l4 = IcmpHeader{IcmpType::kTimeExceeded, 0, 0, 0};
+  ic.payload_bytes = 28;
+  EXPECT_EQ(ic.size_bytes(), 20u + 8u + 28u);
 }
 
 TEST(Packet, ToStringMentionsFlags) {

@@ -43,22 +43,11 @@ const JsonValue* find_lane(const JsonValue& doc, std::uint32_t tid,
 }
 
 TEST(Flightrec, RecordingBumpsTheProcessCounter) {
-  set_flightrec_enabled(true);
   const std::uint64_t before = flightrec_records_recorded();
   flightrec_record(FrType::kNote, 1, 2, 3, 4);
   flightrec_record(FrType::kSchedFire, 5);
   EXPECT_EQ(flightrec_records_recorded(), before + 2);
   EXPECT_GE(flightrec_registered_threads(), 1u);
-}
-
-TEST(Flightrec, DisabledRecordingIsANoOp) {
-  set_flightrec_enabled(true);
-  flightrec_record(FrType::kNote, 1);  // ensure the thread is registered
-  set_flightrec_enabled(false);
-  const std::uint64_t before = flightrec_records_recorded();
-  flightrec_record(FrType::kNote, 2);
-  EXPECT_EQ(flightrec_records_recorded(), before);
-  set_flightrec_enabled(true);
 }
 
 TEST(Flightrec, TypeNamesAreStable) {
@@ -69,7 +58,6 @@ TEST(Flightrec, TypeNamesAreStable) {
 }
 
 TEST(Flightrec, DumpIsSchemaValidAndAccountsForEveryRecord) {
-  set_flightrec_enabled(true);
   flightrec_set_scenario("flightrec.unit");
   const std::uint32_t tid = flightrec_this_thread_tid();
   // A sentinel in each lane: kSchedFire lands hot, kNote decision.
@@ -116,7 +104,6 @@ TEST(Flightrec, DumpIsSchemaValidAndAccountsForEveryRecord) {
 }
 
 TEST(Flightrec, RingKeepsTheLastRecordsWhenOverflowed) {
-  set_flightrec_enabled(true);
   const std::uint32_t tid = flightrec_this_thread_tid();
   // Well past the decision-lane capacity (1024): the ring must keep
   // the *newest* records and account for the evictions.
@@ -143,7 +130,6 @@ TEST(Flightrec, RingKeepsTheLastRecordsWhenOverflowed) {
 TEST(Flightrec, ConcurrentRecordAndDumpIsRaceFree) {
   // TSan target: four writers flooding both lanes while the main thread
   // dumps repeatedly. Torn records are acceptable; races are not.
-  set_flightrec_enabled(true);
   const std::string path = temp_path("flightrec_stress.json");
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerThread = 50000;
@@ -174,7 +160,6 @@ TEST(Flightrec, ConcurrentRecordAndDumpIsRaceFree) {
 }
 
 TEST(Flightrec, ForensicsRendersTheDump) {
-  set_flightrec_enabled(true);
   flightrec_set_scenario("flightrec.render");
   flightrec_record(FrType::kBlinkReroute, 2500000000ull, 0x0a000000u, 8, 3);
   flightrec_record(FrType::kPccDecision, 3000000000ull, 2, 4000000, 2000000);

@@ -66,7 +66,7 @@ TEST(Counter, ConcurrentIncrementStress) {
 TEST(Gauge, SetAndMax) {
   Gauge g;
   EXPECT_EQ(g.value(), 0.0);
-  g.set(3.5);
+  g.update_max(3.5);
   EXPECT_EQ(g.value(), 3.5);
   g.update_max(2.0);  // lower: no effect
   EXPECT_EQ(g.value(), 3.5);
@@ -181,7 +181,7 @@ TEST(Registry, SnapshotAndJsonCoverAllKinds) {
   Registry& reg = Registry::global();
   reg.reset_values_for_test();
   reg.counter("test.json.counter").add(3);
-  reg.gauge("test.json.gauge").set(1.5);
+  reg.gauge("test.json.gauge").update_max(1.5);
   reg.histogram("test.json.hist", 0.0, 4.0, 4).observe(2.0);
 
   const auto snap = reg.snapshot();

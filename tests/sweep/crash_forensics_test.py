@@ -22,6 +22,7 @@ import glob
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -32,8 +33,14 @@ POINTS = 4
 CRASH_SEED = "3"
 
 
+# The work directory: removed when the test passes, kept (and named in
+# the FAIL line) when it fails.
+WORK = None
+
+
 def fail(msg):
-    print(f"crash_forensics_test: FAIL: {msg}", file=sys.stderr)
+    kept = f" (work dir kept: {WORK})" if WORK else ""
+    print(f"crash_forensics_test: FAIL{kept}: {msg}", file=sys.stderr)
     sys.exit(1)
 
 
@@ -68,7 +75,8 @@ def main():
         fail("usage: crash_forensics_test.py <intox-binary> "
              "<check_metrics_schema.py>")
     intox, checker = sys.argv[1:]
-    tmp = tempfile.mkdtemp(prefix="intox_crash_forensics_")
+    global WORK
+    tmp = WORK = tempfile.mkdtemp(prefix="intox_crash_forensics_")
 
     # --- Reference: a sweep that never crashes. ---
     ref_out = os.path.join(tmp, "ref.json")
@@ -131,6 +139,7 @@ def main():
     if glob.glob(os.path.join(cache, "*.flightrec.json")):
         fail("stale flight-recorder dump survived a successful rerun")
 
+    shutil.rmtree(tmp)
     print("crash_forensics_test: OK (dump committed, named on stderr, "
           "forensics rendered, resume byte-identical)")
 

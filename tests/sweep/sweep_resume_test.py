@@ -33,6 +33,7 @@ Usage: sweep_resume_test.py <path-to-intox-binary> <check_metrics_schema.py>
 import glob
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -48,8 +49,14 @@ POINTS = 32
 KILL_AFTER_S = 0.35
 
 
+# The work directory: removed when the test passes, kept (and named in
+# the FAIL line) when it fails.
+WORK = None
+
+
 def fail(msg):
-    print(f"sweep_resume_test: FAIL: {msg}", file=sys.stderr)
+    kept = f" (work dir kept: {WORK})" if WORK else ""
+    print(f"sweep_resume_test: FAIL{kept}: {msg}", file=sys.stderr)
     sys.exit(1)
 
 
@@ -108,7 +115,8 @@ def main():
         fail("usage: sweep_resume_test.py <intox-binary> "
              "<check_metrics_schema.py>")
     intox, checker = sys.argv[1:]
-    tmp = tempfile.mkdtemp(prefix="intox_sweep_resume_")
+    global WORK
+    tmp = WORK = tempfile.mkdtemp(prefix="intox_sweep_resume_")
 
     clean_cache = os.path.join(tmp, "clean-cache")
     clean_out = os.path.join(tmp, "clean.json")
@@ -218,6 +226,7 @@ def main():
         if f.read() != clean_bytes:
             fail("warm-cache merged report drifted")
 
+    shutil.rmtree(tmp)
     print(f"sweep_resume_test: OK ({before}/{POINTS} points survived "
           f"the kill; resume executed {executed}, re-executed 0)")
 

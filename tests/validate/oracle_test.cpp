@@ -12,22 +12,6 @@
 namespace intox::validate {
 namespace {
 
-TEST(ReferenceChecksum, KnownVectors) {
-  const std::vector<std::byte> empty;
-  EXPECT_EQ(reference_checksum_partial(empty), 0u);
-  EXPECT_EQ(reference_internet_checksum(empty), 0xffff);
-
-  std::vector<std::byte> two{std::byte{0x12}, std::byte{0x34}};
-  EXPECT_EQ(reference_checksum_partial(two), 0x1234u);
-  EXPECT_EQ(reference_internet_checksum(two), 0xffff - 0x1234);
-}
-
-TEST(ReferenceChecksum, FoldsInitialBeforeUse) {
-  const std::vector<std::byte> empty;
-  // An unfolded 32-bit partial must fold to the same 16-bit value.
-  EXPECT_EQ(reference_checksum_partial(empty, 0x0001ffffu), 0x0001u);
-}
-
 TEST(ExactStatsOracle, AgreesWithRunningStats) {
   sim::Rng rng{7};
   std::vector<double> xs;

@@ -3,7 +3,7 @@
 // Runs each bench family's configuration (scaled down so the sweep stays
 // in test-suite time). Every violated invariant throws, so any silent
 // corruption the integrity layer guards against — dropped shard merges,
-// wrapped checksums, non-monotonic clocks — fails the suite loudly.
+// non-monotonic clocks — fails the suite loudly.
 // Where a differential oracle exists, the fast path is cross-checked
 // against it on the same inputs the benches use.
 //
@@ -16,7 +16,6 @@
 
 #include "blink/attacker.hpp"
 #include "blink/cell_process.hpp"
-#include "net/checksum.hpp"
 #include "net/packet.hpp"
 #include "pcc/experiment.hpp"
 #include "pytheas/experiment.hpp"
@@ -203,92 +202,6 @@ TEST(ValidateSweep, SketchPollutionAndRotation) {
   sketch::RotatingBloom rotating{rot};
   for (std::uint64_t k = 0; k < 4096; ++k) rotating.insert(k * 2654435761u);
   EXPECT_EQ(rotating.rotations(), 8u);
-}
-
-// --- net: checksum + wire codec under the RFC 1071 oracle --------------
-
-TEST(ValidateSweep, ChecksumFuzzAgainstReference) {
-  sim::Rng rng{123};
-  for (int round = 0; round < 40; ++round) {
-    // Cover the overflow regime: spans up to 256 KiB, odd sizes included.
-    const auto size = static_cast<std::size_t>(
-        rng.uniform_int(0, round < 30 ? 2048 : 256 * 1024));
-    std::vector<std::byte> buf(size);
-    for (auto& b : buf) {
-      b = static_cast<std::byte>(rng.uniform_int(0, 255));
-    }
-    const auto initial =
-        static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffu));
-    ASSERT_EQ(net::internet_checksum(buf, initial),
-              validate::reference_internet_checksum(buf, initial))
-        << "size=" << size << " initial=" << initial;
-  }
-}
-
-TEST(ValidateSweep, PacketRoundTripAndCorruptionDetection) {
-  sim::Rng rng{321};
-  for (int round = 0; round < 60; ++round) {
-    net::Packet p;
-    p.src = net::Ipv4Addr{static_cast<std::uint32_t>(
-        rng.uniform_int(1, 0xfffffffeu))};
-    p.dst = net::Ipv4Addr{static_cast<std::uint32_t>(
-        rng.uniform_int(1, 0xfffffffeu))};
-    p.ttl = static_cast<std::uint8_t>(rng.uniform_int(1, 255));
-    p.payload_bytes =
-        static_cast<std::uint32_t>(rng.uniform_int(0, 60000));
-    switch (round % 3) {
-      case 0: {
-        net::TcpHeader t;
-        t.src_port = static_cast<std::uint16_t>(rng.uniform_int(1, 65535));
-        t.dst_port = static_cast<std::uint16_t>(rng.uniform_int(1, 65535));
-        t.seq = static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffu));
-        t.ack = static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffu));
-        t.syn = rng.bernoulli(0.5);
-        t.ack_flag = rng.bernoulli(0.5);
-        p.l4 = t;
-        break;
-      }
-      case 1: {
-        net::UdpHeader u;
-        u.src_port = static_cast<std::uint16_t>(rng.uniform_int(1, 65535));
-        u.dst_port = static_cast<std::uint16_t>(rng.uniform_int(1, 65535));
-        p.l4 = u;
-        break;
-      }
-      default: {
-        net::IcmpHeader ic;
-        ic.id = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
-        ic.seq = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
-        p.l4 = ic;
-        break;
-      }
-    }
-
-    const auto wire = net::serialize(p);
-    const auto parsed = net::parse(wire);
-    ASSERT_TRUE(parsed.has_value()) << "round " << round;
-    EXPECT_EQ(parsed->src.value(), p.src.value());
-    EXPECT_EQ(parsed->dst.value(), p.dst.value());
-    EXPECT_EQ(parsed->ttl, p.ttl);
-    EXPECT_EQ(parsed->proto(), p.proto());
-    EXPECT_EQ(parsed->payload_bytes, p.payload_bytes);
-    if (const auto* t = p.tcp()) {
-      ASSERT_NE(parsed->tcp(), nullptr);
-      EXPECT_EQ(parsed->tcp()->seq, t->seq);
-      EXPECT_EQ(parsed->tcp()->src_port, t->src_port);
-    }
-
-    // Every wire byte is covered by either the IP or the L4 checksum, so
-    // any single-bit flip must be rejected (one's-complement sums detect
-    // all single-bit errors).
-    auto corrupted = wire;
-    const auto at = static_cast<std::size_t>(
-        rng.uniform_int(0, corrupted.size() - 1));
-    const auto bit = static_cast<int>(rng.uniform_int(0, 7));
-    corrupted[at] ^= static_cast<std::byte>(1 << bit);
-    EXPECT_FALSE(net::parse(corrupted).has_value())
-        << "flip at byte " << at << " bit " << bit << " went undetected";
-  }
 }
 
 // --- RunningStats shard merging vs exact recomputation -----------------
