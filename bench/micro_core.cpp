@@ -133,7 +133,7 @@ BENCHMARK(BM_SchedulerSteadyStateTimers);
 
 void BM_LinkDelivery(benchmark::State& state) {
   // Packet transmit -> queue -> deliver through a Link: exercises the
-  // in-flight packet slab and the small-buffer delivery closures.
+  // in-flight packet ring and the small-buffer delivery closures.
   for (auto _ : state) {
     sim::Scheduler s;
     std::uint64_t delivered = 0;

@@ -4,9 +4,11 @@
 Compares the `trials_per_s` of every sweep named in a committed baseline
 (bench/baselines/*.json) against a freshly produced BENCH_<family>.json
 and fails when throughput drops below `baseline * tolerance`. The gate
-guards the hot-path engine (timing-wheel scheduler, slab-allocated
-packets, SoA flow state): an accidental O(log n) or per-event allocation
-sneaking back in shows up here, not weeks later in a slow experiment.
+guards the hot-path engine (timing-wheel scheduler, the links' in-flight
+packet rings, SoA flow state): an accidental O(log n) or per-event
+allocation sneaking back in shows up here, not weeks later in a slow
+experiment. A report may carry several sweeps of one name (one per
+google-benchmark repetition); the gate reads their median.
 
 Usage:
     scripts/check_perf_gate.py --reports reports [--baselines bench/baselines]
@@ -25,6 +27,7 @@ sweep missing from the fresh reports fails both `check` and `--update`
 Re-baselining (after a deliberate perf change or a runner upgrade):
     ./build/bench/bench_micro_core \
         --benchmark_filter='Scheduler|LinkDelivery' \
+        --benchmark_repetitions=5 \
         --metrics-out reports/BENCH_MICRO.json
     ./build/intox run blink.e2e \
         --metrics-out reports/BENCH_BLINK-E2E.json > /dev/null
@@ -40,6 +43,7 @@ Stdlib-only on purpose, same as check_metrics_schema.py.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 BASELINE_SCHEMA = "intox.perf_baseline.v1"
@@ -61,17 +65,18 @@ def load_json(path):
 
 
 def report_sweeps(report, path):
+    """Maps each sweep name to the median trials_per_s of its entries."""
     if report.get("schema") != REPORT_SCHEMA:
         fail(f"{path}: schema is {report.get('schema')!r}, "
              f"expected {REPORT_SCHEMA!r}")
-    out = {}
+    runs = {}
     for sweep in report.get("sweeps", []):
         name = sweep.get("sweep")
         tps = sweep.get("trials_per_s")
         if not isinstance(name, str) or not isinstance(tps, (int, float)):
             fail(f"{path}: malformed sweep entry {sweep!r}")
-        out[name] = float(tps)
-    return out
+        runs.setdefault(name, []).append(float(tps))
+    return {name: statistics.median(tps) for name, tps in runs.items()}
 
 
 def find_report(reports_dir, family):

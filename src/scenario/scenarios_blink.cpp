@@ -315,9 +315,16 @@ void run_e2e(Ctx& ctx) {
                 "fake retransmissions trigger a reroute");
   ctx.out.claim(legit_to_attacker > 0,
                 "legitimate traffic flows through the attacker's next-hop");
-  ctx.out.claim(hijacked_share > 0.2,
-                "a large share of the remaining horizon's traffic is "
-                "hijacked");
+  // Every legitimate packet after the reroute goes to the attacker, so
+  // the share tracks the part of the horizon left after it.
+  const double horizon_left =
+      reroutes.empty() ? 0.0
+                       : 1.0 - sim::to_seconds(reroutes[0].when) /
+                                   sim::to_seconds(trace.horizon);
+  ctx.out.claim(!reroutes.empty() &&
+                    std::abs(hijacked_share - horizon_left) < 0.03,
+                "legitimate traffic after the reroute is hijacked (share "
+                "within 0.03 of the horizon left)");
   ctx.out.note("no TCP handshake was ever performed: malicious drivers "
                "emit raw duplicate segments only (cf. §3.1).");
 }

@@ -118,14 +118,22 @@ void Link::transmit(net::Packet pkt) {
                   static_cast<long long>(arrival),
                   static_cast<long long>(now));
 
-  const auto h = in_flight_.allocate();
-  in_flight_[h] = std::move(pkt);
-  sched_.schedule_at(arrival, [this, h] {
+  if (queued_ == in_flight_.size()) {
+    // Full (or never used): move the oldest packet to slot 0, then double.
+    std::rotate(in_flight_.begin(), in_flight_.begin() + head_,
+                in_flight_.end());
+    head_ = 0;
+    in_flight_.resize(std::max<std::size_t>(1, 2 * in_flight_.size()));
+  }
+  in_flight_[(head_ + queued_) & (in_flight_.size() - 1)] = std::move(pkt);
+  ++queued_;
+  sched_.schedule_at(arrival, [this] {
     ++counters_.delivered_packets;
-    // Move out and release before delivering: the sink may reenter
-    // transmit() and reuse (or grow past) this slot.
-    net::Packet delivered = std::move(in_flight_[h]);
-    in_flight_.release(h);
+    // Take the packet out before delivering: the sink may re-enter
+    // transmit() and write (or grow) the ring.
+    net::Packet delivered = std::move(in_flight_[head_]);
+    head_ = (head_ + 1) & (in_flight_.size() - 1);
+    --queued_;
     deliver_(std::move(delivered));
   });
 }

@@ -9,13 +9,14 @@
 //     detect — and what attackers fake).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
-#include "sim/slab.hpp"
 
 namespace intox::sim {
 
@@ -90,11 +91,14 @@ class Link {
   Time next_free_ = 0;  // when the transmitter finishes its current backlog
   Counters counters_;
   Rng red_rng_;  // forked per link in the constructor
-  /// In-flight packets parked between serialization and delivery. The
-  /// delivery closure captures only {this, handle} (16 bytes), so it
-  /// fits std::function's small-buffer storage — the per-packet path
-  /// stops heap-allocating, and packet payloads reuse slab slots.
-  SlabPool<net::Packet> in_flight_;
+  /// Packets between serialization and delivery, oldest first. A link
+  /// delivers in send order (`next_free_` strictly grows and
+  /// `prop_delay` is fixed), so each delivery event takes the head and
+  /// its closure captures only `this`. A power-of-two ring that doubles
+  /// when full; it allocates nothing until the first transmit.
+  std::vector<net::Packet> in_flight_;
+  std::size_t head_ = 0;    // ring index of the oldest in-flight packet
+  std::size_t queued_ = 0;  // packets in flight
 };
 
 }  // namespace intox::sim

@@ -22,23 +22,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const std::size_t n = n_ + other.n_;
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(n);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) /
-                         static_cast<double>(n);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ = n;
-}
-
 double RunningStats::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
@@ -108,25 +91,6 @@ void SeriesStats::add(const TimeSeries& series) {
     cells_[i].add(series.at(time_at(i)));
   }
   ++series_;
-}
-
-void SeriesStats::merge(const SeriesStats& other) {
-  // A silent return here used to drop the other shard's trials from the
-  // sweep aggregate — exactly the input corruption the paper warns
-  // about, applied to ourselves.
-  INTOX_INVARIANT(other.cells_.size() == cells_.size() &&
-                      other.from_ == from_ && other.step_ == step_,
-                  "SeriesStats::merge grid mismatch (%zu cells from %lld "
-                  "step %lld vs %zu cells from %lld step %lld) would drop "
-                  "%zu series",
-                  cells_.size(), static_cast<long long>(from_),
-                  static_cast<long long>(step_), other.cells_.size(),
-                  static_cast<long long>(other.from_),
-                  static_cast<long long>(other.step_), other.series_);
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i].merge(other.cells_[i]);
-  }
-  series_ += other.series_;
 }
 
 }  // namespace intox::sim

@@ -1,12 +1,12 @@
 // Streaming statistics for trial results: running moments, (time,
-// value) series, and the per-grid-point fold of many series that the
-// parallel runner merges across shards.
+// value) series, and the per-grid-point fold of many series. Callers
+// fold per-trial results with `add`, in trial order.
 //
 // Aggregation paths raise INTOX_INVARIANT violations instead of
-// silently degrading: NaN samples, non-monotonic series timestamps and
-// mismatched grid merges are the internal equivalent of the paper's
-// "intoxicated inputs" — they corrupt every downstream sweep statistic
-// if allowed through quietly.
+// silently degrading: NaN samples and non-monotonic series timestamps
+// are the internal equivalent of the paper's "intoxicated inputs" —
+// they corrupt every downstream sweep statistic if allowed through
+// quietly.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +21,6 @@ namespace intox::sim {
 class RunningStats {
  public:
   void add(double x);
-  /// Folds another accumulator in (Chan et al. parallel Welford merge):
-  /// the result is what a single accumulator would hold after seeing both
-  /// sample sets. Used to combine per-trial stats from parallel sweeps.
-  void merge(const RunningStats& other);
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
   [[nodiscard]] double variance() const;  // sample variance (n-1)
@@ -76,14 +72,11 @@ class TimeSeries {
 
 /// Cross-trial aggregate of many (time, value) series: a RunningStats per
 /// grid point. Each added series is step-resampled onto the grid, so
-/// ragged per-trial sampling is fine. `merge` combines two aggregates
-/// built on the same grid — the reduction step of parallel sweeps.
-/// Merging mismatched grids violates an invariant.
+/// ragged per-trial sampling is fine.
 class SeriesStats {
  public:
   SeriesStats(Time from, Time to, Duration step);
   void add(const TimeSeries& series);
-  void merge(const SeriesStats& other);
   [[nodiscard]] std::size_t points() const { return cells_.size(); }
   [[nodiscard]] Time time_at(std::size_t i) const {
     return from_ + step_ * static_cast<Time>(i);

@@ -2,10 +2,9 @@
 //
 // The paper's thesis is that data-driven systems mis-decide when their
 // inputs are subtly wrong. Our reproduction has the same exposure
-// *internally*: a silently-dropped shard merge or a clock that runs
-// backwards corrupts the very statistics the Fig. 2 validation rests
-// on. INTOX_INVARIANT turns those silent-failure paths into loud,
-// diagnosable errors.
+// *internally*: a NaN sample or a clock that runs backwards corrupts
+// the very statistics the Fig. 2 validation rests on. INTOX_INVARIANT
+// turns those silent-failure paths into loud, diagnosable errors.
 //
 // A violated invariant has one outcome in every build: it throws
 // InvariantError, whose what() is "file:line: invariant violated: ...".

@@ -20,7 +20,7 @@ namespace intox::validate {
 // --- Exact statistics --------------------------------------------------
 
 /// Two-pass recomputation of what RunningStats holds after seeing `xs`:
-/// the oracle for Welford/Chan merge paths.
+/// the oracle for its streaming Welford updates.
 struct ExactStats {
   std::size_t n = 0;
   double mean = 0.0;

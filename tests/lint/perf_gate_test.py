@@ -8,7 +8,9 @@ the floor, and the gate never checked that sweep again. Missing sweeps
 are now a hard failure in both modes, with an explicit --allow-drop
 escape hatch for deliberate benchmark deletions. Near a floor the
 printed numbers must tell a pass from a failure: rounded to whole
-numbers, a failing 5.85 and a passing 5.95 both printed as 6.
+numbers, a failing 5.85 and a passing 5.95 both printed as 6. A report
+with one sweep per benchmark repetition is judged on their median, not
+on whichever repetition came last.
 
 Usage: perf_gate_test.py <path-to-check_perf_gate.py>
 """
@@ -52,7 +54,8 @@ def setup(tmp, baseline_sweeps, report_sweeps):
         "threads_requested": 0,
         "sweeps": [{"sweep": name, "trials": 10, "threads": 1,
                     "wall_s": 1.0, "trials_per_s": tps}
-                   for name, tps in report_sweeps.items()],
+                   for name, runs in report_sweeps.items()
+                   for tps in (runs if isinstance(runs, list) else [runs])],
     })
     return baselines, reports
 
@@ -97,6 +100,23 @@ def main():
                 f"floor 5.90) {verdict}")
         if printed[tps] != [want]:
             fail(f"printed {printed[tps]!r}, expected [{want!r}]")
+
+    # Repetitions: the median decides. The last of [60, 70, 55, 80, 40]
+    # is under the floor of 50 but the median, 60, is not; the last of
+    # [40, 70, 30, 45, 90] clears it but the median, 45, does not.
+    for runs, want, median in (([60.0, 70.0, 55.0, 80.0, 40.0], 0, 60.0),
+                               ([40.0, 70.0, 30.0, 45.0, 90.0], 1, 45.0)):
+        with tempfile.TemporaryDirectory() as tmp:
+            baselines, reports = setup(
+                tmp, {"sched": {"trials_per_s": 100.0}}, {"sched": runs})
+            res = gate(script, "--reports", reports, "--baselines",
+                       baselines)
+            if res.returncode != want:
+                fail(f"repetitions {runs} against floor 50 exited "
+                     f"{res.returncode}, expected {want}")
+            if f"CORE/sched: {median:.2f} trials/s" not in res.stdout:
+                fail(f"repetitions {runs}: median {median:.2f} not "
+                     f"printed in {res.stdout!r}")
 
     # check: a baseline-named sweep absent from the report is a failure.
     with tempfile.TemporaryDirectory() as tmp:

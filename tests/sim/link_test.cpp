@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <tuple>
+#include <vector>
 
 #include "sim/network.hpp"
 
@@ -187,6 +190,40 @@ TEST(Link, BacklogReportsQueuedBytes) {
   EXPECT_DOUBLE_EQ(link.backlog_bytes(), 0.0);
   link.transmit(make_packet(972));
   EXPECT_NEAR(link.backlog_bytes(), 1000.0, 1.0);
+}
+
+TEST(Link, DeliversInSendOrderWhileTheSinkRefillsAWrappedRing) {
+  // The in-flight ring doubles when full. Every delivery re-enters
+  // transmit() on the same link with two packets, so the in-flight
+  // count climbs past 16 and then 64 after the head has left slot 0:
+  // each of those growths unwraps a wrapped ring.
+  Scheduler s;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;  // one 1000-byte packet per millisecond
+  std::uint64_t sent = 0;
+  std::uint64_t most_in_flight = 0;
+  std::vector<std::uint64_t> got;
+  auto tagged = [&sent] {
+    net::Packet p = make_packet(972);
+    p.flow_tag = sent++;
+    return p;
+  };
+  Link link{s, cfg, [&](net::Packet p) {
+              got.push_back(p.flow_tag);
+              for (int i = 0; i < 2 && sent < 200; ++i) {
+                link.transmit(tagged());
+              }
+              most_in_flight = std::max(most_in_flight, sent - got.size());
+            }};
+
+  for (int i = 0; i < 8; ++i) link.transmit(tagged());
+  s.run();
+
+  EXPECT_GT(most_in_flight, 64u);
+  std::vector<std::uint64_t> in_send_order(sent);
+  std::iota(in_send_order.begin(), in_send_order.end(), std::uint64_t{0});
+  EXPECT_EQ(got, in_send_order);  // each tag once, oldest first
+  EXPECT_EQ(link.counters().delivered_packets, sent);
 }
 
 class EchoNode : public Node {

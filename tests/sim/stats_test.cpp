@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "sim/rng.hpp"
 #include "validate/invariant.hpp"
 
 namespace intox::sim {
@@ -27,115 +24,22 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStatsMerge, EmptyIntoNonEmptyIsIdentity) {
-  RunningStats s, empty;
-  for (double x : {1.0, 2.0, 3.0}) s.add(x);
-  s.merge(empty);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(RunningStatsMerge, NonEmptyIntoEmptyCopies) {
-  RunningStats s, other;
-  for (double x : {1.0, 2.0, 3.0}) other.add(x);
-  s.merge(other);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(RunningStatsMerge, BothEmptyStaysEmpty) {
-  RunningStats s, other;
-  s.merge(other);
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatsMerge, SingleSampleEachSide) {
-  RunningStats a, b;
-  a.add(2.0);
-  b.add(6.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(a.variance(), 8.0);  // ((2-4)^2 + (6-4)^2) / (2-1)
-  EXPECT_DOUBLE_EQ(a.min(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 6.0);
-}
-
-TEST(RunningStatsMerge, MatchesSerialOnLargeSkewedSample) {
-  // Chan-merge vs one serial Welford pass over 200k lognormal samples
-  // (mean offset provokes the catastrophic-cancellation case the merge
-  // formula exists to avoid).
-  Rng rng{31};
-  RunningStats serial, left, right;
-  for (int i = 0; i < 200000; ++i) {
-    const double x = 1e6 + rng.lognormal(0.0, 1.5);
-    serial.add(x);
-    (i < 150000 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), serial.count());
-  EXPECT_NEAR(left.mean(), serial.mean(), std::abs(serial.mean()) * 1e-12);
-  EXPECT_NEAR(left.variance(), serial.variance(),
-              serial.variance() * 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), serial.min());
-  EXPECT_DOUBLE_EQ(left.max(), serial.max());
-}
-
-TEST(RunningStatsMerge, ManySmallShardsMatchSerial) {
-  // The parallel-sweep shape: one stats per trial, folded in order.
-  Rng rng{8};
-  RunningStats serial, folded;
-  for (int shard = 0; shard < 64; ++shard) {
-    RunningStats s;
-    for (int i = 0; i <= shard; ++i) {
-      const double x = rng.normal(10.0, 3.0);
-      s.add(x);
-      serial.add(x);
-    }
-    folded.merge(s);
-  }
-  EXPECT_EQ(folded.count(), serial.count());
-  EXPECT_NEAR(folded.mean(), serial.mean(), 1e-10);
-  EXPECT_NEAR(folded.variance(), serial.variance(), 1e-8);
-}
-
-TEST(SeriesStats, ResamplesOntoGridAndMerges) {
+TEST(SeriesStats, ResamplesOntoGrid) {
   TimeSeries a, b;
   a.record(0, 1.0);
   a.record(seconds(10), 3.0);
   b.record(0, 5.0);
 
-  SeriesStats left{0, seconds(20), seconds(10)};
-  left.add(a);
-  SeriesStats right{0, seconds(20), seconds(10)};
-  right.add(b);
-  left.merge(right);
+  SeriesStats agg{0, seconds(20), seconds(10)};
+  agg.add(a);
+  agg.add(b);
 
-  ASSERT_EQ(left.points(), 3u);
-  EXPECT_EQ(left.series_count(), 2u);
-  EXPECT_DOUBLE_EQ(left.at(0).mean(), 3.0);  // (1 + 5) / 2
-  EXPECT_DOUBLE_EQ(left.at(1).mean(), 4.0);  // (3 + 5) / 2
-  EXPECT_DOUBLE_EQ(left.at(2).mean(), 4.0);  // step-extended
-  EXPECT_EQ(left.time_at(2), seconds(20));
-}
-
-TEST(SeriesStats, MismatchedGridMergeRaisesInvariant) {
-  // A silent no-op merge would drop the other shard's trials from the
-  // sweep aggregate; the integrity layer makes it loud instead.
-  SeriesStats a{0, seconds(20), seconds(10)};
-  SeriesStats b{0, seconds(30), seconds(10)};
-  TimeSeries s;
-  s.record(0, 1.0);
-  b.add(s);
-  EXPECT_THROW(a.merge(b), validate::InvariantError);
+  ASSERT_EQ(agg.points(), 3u);
+  EXPECT_EQ(agg.series_count(), 2u);
+  EXPECT_DOUBLE_EQ(agg.at(0).mean(), 3.0);  // (1 + 5) / 2
+  EXPECT_DOUBLE_EQ(agg.at(1).mean(), 4.0);  // (3 + 5) / 2
+  EXPECT_DOUBLE_EQ(agg.at(2).mean(), 4.0);  // step-extended
+  EXPECT_EQ(agg.time_at(2), seconds(20));
 }
 
 TEST(TimeSeries, StepInterpolation) {

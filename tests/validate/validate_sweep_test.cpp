@@ -2,7 +2,7 @@
 //
 // Runs each bench family's configuration (scaled down so the sweep stays
 // in test-suite time). Every violated invariant throws, so any silent
-// corruption the integrity layer guards against — dropped shard merges,
+// corruption the integrity layer guards against — NaN samples,
 // non-monotonic clocks — fails the suite loudly.
 // Where a differential oracle exists, the fast path is cross-checked
 // against it on the same inputs the benches use.
@@ -202,27 +202,6 @@ TEST(ValidateSweep, SketchPollutionAndRotation) {
   sketch::RotatingBloom rotating{rot};
   for (std::uint64_t k = 0; k < 4096; ++k) rotating.insert(k * 2654435761u);
   EXPECT_EQ(rotating.rotations(), 8u);
-}
-
-// --- RunningStats shard merging vs exact recomputation -----------------
-
-TEST(ValidateSweep, ShardedMergeMatchesExactRecomputation) {
-  sim::Rng rng{77};
-  std::vector<double> all;
-  std::vector<sim::RunningStats> shards(8);
-  for (int i = 0; i < 8000; ++i) {
-    const double x = 1e5 + rng.normal(0.0, 25.0);
-    all.push_back(x);
-    shards[static_cast<std::size_t>(i) % shards.size()].add(x);
-  }
-  sim::RunningStats folded;
-  for (const auto& s : shards) folded.merge(s);
-  const validate::ExactStats ex = validate::exact_stats(all);
-  EXPECT_EQ(folded.count(), ex.n);
-  EXPECT_NEAR(folded.mean(), ex.mean, std::abs(ex.mean) * 1e-12);
-  EXPECT_NEAR(folded.variance(), ex.variance, ex.variance * 1e-8);
-  EXPECT_DOUBLE_EQ(folded.min(), ex.min);
-  EXPECT_DOUBLE_EQ(folded.max(), ex.max);
 }
 
 }  // namespace
