@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates the JSON documents emitted by the observability layer:
-intox.bench_report.v2, intox.sweep_report.v1.1, intox.point_record.v2
+intox.bench_report.v2, intox.sweep_report.v2, intox.point_record.v3
 and intox.flightrec.v2 crash dumps, dispatched on the top-level
 "schema" field.
 
@@ -24,8 +24,8 @@ import json
 import sys
 
 SCHEMA = "intox.bench_report.v2"
-SWEEP_SCHEMA = "intox.sweep_report.v1.1"
-POINT_SCHEMA = "intox.point_record.v2"
+SWEEP_SCHEMA = "intox.sweep_report.v2"
+POINT_SCHEMA = "intox.point_record.v3"
 FLIGHTREC_SCHEMA = "intox.flightrec.v2"
 FLIGHTREC_TYPE_COUNT = 10
 
@@ -160,8 +160,6 @@ def check_point_record(doc, path):
     for name, value in knobs.items():
         expect(isinstance(value, str), f"{path}.knobs.{name}",
                "must be a string (knobs are recorded as rendered text)")
-    expect(isinstance(doc.get("banner"), str), f"{path}.banner",
-           "must be a string (empty for a pointless run)")
     expect(is_uint(doc.get("exit")), f"{path}.exit",
            "must be a non-negative integer")
     expect(isinstance(doc.get("stdout"), str), f"{path}.stdout",

@@ -116,6 +116,7 @@ struct ThreadSlot {
   std::uint32_t tid;
   Ring hot;
   Ring decision;
+  ThreadSlot* next_free = nullptr;  // guarded by g_free_mu
 
   explicit ThreadSlot(std::uint32_t tid_in)
       : tid(tid_in), hot(kHotCapacity), decision(kDecisionCapacity) {}
@@ -126,8 +127,29 @@ struct ThreadSlot {
 std::atomic<ThreadSlot*> g_slots[kMaxThreads];
 std::atomic<std::uint32_t> g_thread_count{0};
 
+// Rings of exited threads, which the next registering thread takes over
+// (it keeps their tid and appends after their records). Never held
+// while taking another lock, and never taken by a dump.
+std::mutex g_free_mu;
+ThreadSlot* g_free = nullptr;
+
 thread_local ThreadSlot* t_slot = nullptr;
 thread_local bool t_rejected = false;
+
+// Hands the thread's rings to the free list when the thread exits;
+// records made by later thread-exit destructors are dropped.
+struct ThreadExitHook {
+  ThreadSlot* slot = nullptr;
+  ~ThreadExitHook() {
+    if (slot == nullptr) return;
+    t_slot = nullptr;
+    t_rejected = true;
+    std::lock_guard<std::mutex> lock(g_free_mu);
+    slot->next_free = g_free;
+    g_free = slot;
+  }
+};
+thread_local ThreadExitHook t_exit_hook;
 
 AtomicText g_scenario;
 AtomicText g_dump_path;
@@ -135,11 +157,20 @@ AtomicText g_dump_path;
 std::atomic<bool> g_dumped{false};
 
 ThreadSlot* register_thread() {
-  const std::uint32_t idx =
-      g_thread_count.fetch_add(1, std::memory_order_acq_rel);
-  if (idx >= kMaxThreads) return nullptr;
-  auto* slot = new ThreadSlot(idx + 1);
-  g_slots[idx].store(slot, std::memory_order_release);
+  ThreadSlot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(g_free_mu);
+    slot = g_free;
+    if (slot != nullptr) g_free = slot->next_free;
+  }
+  if (slot == nullptr) {
+    const std::uint32_t idx =
+        g_thread_count.fetch_add(1, std::memory_order_acq_rel);
+    if (idx >= kMaxThreads) return nullptr;
+    slot = new ThreadSlot(idx + 1);
+    g_slots[idx].store(slot, std::memory_order_release);
+  }
+  t_exit_hook.slot = slot;
   return slot;
 }
 

@@ -9,7 +9,12 @@
 // to stay enabled in NDEBUG production runs.
 //
 // Design:
-//  * Each thread owns two rings ("lanes") of fixed-size records:
+//  * Each recording thread owns two rings ("lanes") of fixed-size
+//    records, registered on its first record and handed on when it
+//    exits: the next new thread takes them over, keeping their records
+//    and their id. A dump's `tid` therefore names a pair of rings,
+//    which successive threads may share. Rings are never freed, so a
+//    signal-time dump can read any of them. The lanes are:
 //    a hot lane for per-packet/per-event noise (scheduler fires, link
 //    drops, attacker packet actions, Blink retransmission hits) and a
 //    decision lane for the rare control-plane records (reroutes,
@@ -116,13 +121,13 @@ bool flightrec_dump(const char* path, const char* reason,
 /// false when already dumped or no path is configured.
 bool flightrec_dump_on_crash(const char* reason, const char* detail);
 
-/// Test introspection: total records ever recorded / threads that have
-/// registered rings (monotonic; rings are leaked by design so a dump
-/// from a signal handler can always read them).
+/// Test introspection: total records ever recorded / ring pairs ever
+/// registered (monotonic: exited threads' rings are reused, never
+/// freed, so a dump from a signal handler can always read them).
 std::uint64_t flightrec_records_recorded();
 std::size_t flightrec_registered_threads();
-/// The calling thread's ring id as it appears in dumps (registers the
-/// thread if needed).
+/// The id of the calling thread's rings as it appears in dumps
+/// (registers the thread if needed).
 std::uint32_t flightrec_this_thread_tid();
 
 }  // namespace intox::obs

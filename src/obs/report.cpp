@@ -103,7 +103,6 @@ bool write_point_record(const std::string& path, const PointRecord& record) {
     w.key(key).value(value);
   }
   w.end_object();
-  w.key("banner").value(record.banner);
   w.key("exit").value(static_cast<std::int64_t>(record.exit_code));
   w.key("stdout").value(record.stdout_text);
   w.key("metrics").raw(Registry::global().json());

@@ -34,7 +34,7 @@
 namespace intox::obs {
 
 inline constexpr const char* kReportSchema = "intox.bench_report.v2";
-inline constexpr const char* kPointRecordSchema = "intox.point_record.v2";
+inline constexpr const char* kPointRecordSchema = "intox.point_record.v3";
 
 /// One sweep's timing: what sim::ParallelRunner measures per dispatch
 /// (sim::RunReport is this type) and what a run report records per
@@ -88,21 +88,20 @@ class BenchSession {
   std::vector<SweepPerf> sweeps_;
 };
 
-/// One sweep point's deterministic run record (intox.point_record.v2):
-/// what the `intox run ... --point N --point-record FILE` protocol
-/// leaves behind for the sweep orchestrator's cache, and what the merge
-/// path folds into the combined sweep report. Deliberately excludes
-/// every wall-clock quantity (no SweepPerf), so a record's bytes are a
-/// pure function of (binary, scenario, knob vector) and a resumed sweep
-/// merges byte-identically to an uninterrupted one.
+/// One sweep point's deterministic run record (intox.point_record.v3):
+/// what the `intox run ... --point-record FILE` protocol leaves behind
+/// for the sweep orchestrator's cache, and what the merge path folds
+/// into the combined sweep report. Deliberately excludes every
+/// wall-clock quantity (no SweepPerf) and the sweep's axes, so a
+/// record's bytes are a pure function of (binary, scenario, knob
+/// vector) and a resumed sweep merges byte-identically to an
+/// uninterrupted one.
 struct PointRecord {
   std::string scenario;
   std::string family;
   /// The *full* resolved knob vector (declaration order), swept and
   /// fixed knobs alike, in canonical render_value form.
   std::vector<std::pair<std::string, std::string>> knobs;
-  /// The swept subset, "k=v k2=v2" — the serial path's banner body.
-  std::string banner;
   int exit_code = 0;
   std::string stdout_text;
 };

@@ -2,13 +2,11 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/runner.hpp"
-#include "sweep/point.hpp"
 #include "validate/invariant.hpp"
 
 namespace intox::scenario {
@@ -43,24 +40,21 @@ void usage(std::FILE* out) {
                "usage: intox <command> [args]\n"
                "  list                       enumerate registered scenarios\n"
                "  knobs <scenario>           show a scenario's knobs\n"
-               "  run <scenario> [options]   run one scenario\n"
+               "  run <scenario> [options]   run one configuration\n"
                "      --set key=value        override a knob\n"
-               "      --sweep key=a:b:step   sweep a numeric knob "
-               "(cross-product)\n"
                "      --config FILE          key=value lines, '#' comments\n"
                "      --threads N            worker threads (0 = auto)\n"
                "      --metrics-out FILE     write the BENCH_<family>.json "
                "report here\n"
                "      --flightrec-out FILE   write the flight-recorder "
                "crash dump here\n"
-               "      --point N              run only point N of the sweep "
-               "cross-product\n"
-               "      --point-record FILE    with --point: write a point "
-               "record instead of stdout\n"
-               "  sweep <scenario> [options] run a sweep across worker "
-               "processes\n"
-               "      (run + --workers N, --cache-dir DIR, --out FILE; see "
-               "'intox sweep --help')\n"
+               "      --point-record FILE    write a sweep point record "
+               "instead of stdout\n"
+               "  sweep <scenario> [options] run the --sweep key=a:b:step "
+               "cross product\n"
+               "      (run's options + --sweep, --workers N, --cache-dir "
+               "DIR, --out FILE;\n"
+               "      see 'intox sweep --help')\n"
                "  forensics <dump>           render a flight-recorder crash "
                "dump as a timeline\n"
                "  validate [scenario...]     run quietly; report failed "
@@ -194,11 +188,8 @@ int cmd_run(int argc, char** argv) {
 
   KnobFlags flags;
   if (sc->declare_knobs != nullptr) sc->declare_knobs(flags.knobs);
-  KnobSet& knobs = flags.knobs;
-  const std::vector<sweep::SweepAxis>& axes = flags.axes;
   SinkFlags sinks;
 
-  std::optional<std::size_t> point;
   std::string point_record_path;
   for (int i = 3; i < argc; ++i) {
     if (flags.consume(argc, argv, &i, &error) ||
@@ -207,33 +198,13 @@ int cmd_run(int argc, char** argv) {
       continue;
     }
     const std::string_view arg = argv[i];
-    if (arg == "--point") {
-      if (i + 1 >= argc) return fail("--point requires an index");
-      std::size_t index = 0;
-      error = parse_count(arg, argv[++i], &index);
-      if (!error.empty()) return fail(error);
-      point = index;
-    } else if (arg == "--point-record") {
+    if (arg == "--point-record") {
       if (i + 1 >= argc) return fail("--point-record requires a file path");
       point_record_path = argv[++i];
     } else {
       return fail("unknown argument '" + std::string(arg) +
                   "' (try 'intox help')");
     }
-  }
-
-  if (!point_record_path.empty() && !point.has_value()) {
-    return fail("--point-record requires --point");
-  }
-  const std::size_t total = sweep::point_count(axes);
-  if (total == 0) {
-    return fail("--sweep cross product exceeds " +
-                std::to_string(sweep::kMaxSweepPoints) + " points");
-  }
-  if (point.has_value() && *point >= total) {
-    return fail("--point " + std::to_string(*point) +
-                " out of range (sweep has " + std::to_string(total) +
-                (total == 1 ? " point)" : " points)"));
   }
 
   obs::flightrec_set_scenario(sc->name.c_str());
@@ -244,42 +215,25 @@ int cmd_run(int argc, char** argv) {
                             sinks.metrics_out};
   sim::ParallelRunner runner{sinks.threads.value_or(0)};
   Console console;
-  Ctx ctx{knobs, console, runner, session};
+  Ctx ctx{flags.knobs, console, runner, session};
 
-  // Points [first, last) of the cross product, in flag order (first
-  // --sweep varies slowest): one point in worker mode (--point), else
-  // all of them. With --point-record, stdout goes into the record file
-  // instead of the terminal — the orchestrator merges records in point
-  // order, so the concatenated output is byte-identical to the serial
-  // sweep. One console tallies every point, so a failed claim fails the
-  // run.
-  const std::size_t first = point.value_or(0);
-  const std::size_t last = point.has_value() ? first + 1 : total;
+  // With --point-record (an `intox sweep` worker), stdout goes into the
+  // record file instead of the terminal; the orchestrator prints the
+  // records in point order.
   StdoutCapture capture;
   const bool recording = !point_record_path.empty();
   if (recording && !capture.begin()) {
     return fail("--point-record: cannot capture stdout");
   }
-  for (std::size_t i = first; i < last; ++i) {
-    const sweep::Point pt = sweep::point_at(axes, i);
-    for (const auto& [key, value] : pt) {
-      std::string err = knobs.set(key, value);
-      if (!err.empty()) return fail(err);  // range-rejected sweep point
-    }
-    if (!axes.empty()) {
-      std::printf("[sweep] %s\n", sweep::point_banner(pt).c_str());
-    }
-    sc->run(ctx);
-  }
+  sc->run(ctx);
   const int exit_code = claims_exit(console);
   if (recording) {
     obs::PointRecord record;
     record.scenario = sc->name;
     record.family = sc->family;
-    for (const Knob& k : knobs.all()) {
+    for (const Knob& k : flags.knobs.all()) {
       record.knobs.emplace_back(k.name, render_value(k));
     }
-    record.banner = sweep::point_banner(sweep::point_at(axes, first));
     record.exit_code = exit_code;
     record.stdout_text = capture.end();
     if (!obs::write_point_record(point_record_path, record)) return 1;
@@ -397,52 +351,24 @@ int driver_main(int argc, char** argv) {
 
 bool KnobFlags::consume(int argc, char** argv, int* i, std::string* error) {
   const std::string_view flag = argv[*i];
-  if (flag != "--set" && flag != "--sweep" && flag != "--config") {
-    return false;
-  }
+  if (flag != "--set" && flag != "--config") return false;
   *error = apply(flag, *i + 1 < argc ? argv[++*i] : nullptr);
   return true;
 }
 
 std::string KnobFlags::apply(std::string_view flag, const char* value) {
-  const auto swept = [this](std::string_view key) {
-    return std::any_of(axes.begin(), axes.end(),
-                       [&](const sweep::SweepAxis& a) { return a.key == key; });
-  };
-  if (flag == "--set") {
-    if (value == nullptr) return "--set requires key=value";
-    const std::string kv = value;
-    const auto eq = kv.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return "--set expects key=value, got '" + kv + "'";
-    }
-    std::string key = kv.substr(0, eq);
-    if (swept(key)) {
-      return "--set and --sweep both name knob '" + key +
-             "' (a sweep decides that knob's value)";
-    }
-    std::string err = knobs.set(key, kv.substr(eq + 1));
-    set_keys_.push_back(std::move(key));
-    return err;
+  if (flag == "--config") {
+    if (value == nullptr) return "--config requires a file path";
+    return apply_config(value, &knobs);
   }
-  if (flag == "--sweep") {
-    if (value == nullptr) return "--sweep requires key=a:b:step";
-    sweep::SweepAxis axis;
-    std::string err = sweep::parse_sweep_axis(value, knobs, &axis);
-    if (!err.empty()) return err;
-    if (std::find(set_keys_.begin(), set_keys_.end(), axis.key) !=
-        set_keys_.end()) {
-      return "--set and --sweep both name knob '" + axis.key +
-             "' (a sweep decides that knob's value)";
-    }
-    if (swept(axis.key)) {
-      return "--sweep: knob '" + axis.key + "' swept twice";
-    }
-    axes.push_back(std::move(axis));
-    return "";
+  if (value == nullptr) return "--set requires key=value";
+  const std::string kv = value;
+  const auto eq = kv.find('=');
+  if (eq == std::string::npos || eq == 0) {
+    return "--set expects key=value, got '" + kv + "'";
   }
-  if (value == nullptr) return "--config requires a file path";
-  return apply_config(value, &knobs);
+  set_keys.push_back(kv.substr(0, eq));
+  return knobs.set(set_keys.back(), kv.substr(eq + 1));
 }
 
 bool SinkFlags::consume(int argc, char** argv, int* i, std::string* error) {

@@ -10,9 +10,9 @@
 // driver_main returns the process exit code instead of exiting, so tests
 // can call it in-process.
 //
-// `intox sweep` (sweep/orchestrator.hpp) parses its command line with
-// KnobFlags, SinkFlags and parse_count, so it accepts and rejects
-// exactly what `intox run` does.
+// `intox sweep` (sweep/orchestrator.hpp) parses its knob and sink flags
+// with KnobFlags, SinkFlags and parse_count, so it accepts and rejects
+// them exactly as `intox run` does; it parses --sweep itself.
 #pragma once
 
 #include <cstddef>
@@ -22,15 +22,13 @@
 #include <vector>
 
 #include "scenario/knob.hpp"
-#include "sweep/point.hpp"
 
 namespace intox::scenario {
 
 int driver_main(int argc, char** argv);
 
-/// `intox run`'s knob flags: --set key=value, --sweep key=a:b:step and
-/// --config FILE, applied in flag order over the declared knobs. A knob
-/// is either set or swept, and swept at most once.
+/// `intox run`'s knob flags: --set key=value and --config FILE, applied
+/// in flag order over the declared knobs.
 class KnobFlags {
  public:
   /// If argv[*i] is a knob flag, applies it, leaves *i on the flag's
@@ -38,13 +36,11 @@ class KnobFlags {
   /// (empty on success). Returns false for any other argument.
   bool consume(int argc, char** argv, int* i, std::string* error);
 
-  KnobSet knobs;                       // declare the scenario's knobs first
-  std::vector<sweep::SweepAxis> axes;  // in flag order
+  KnobSet knobs;                      // declare the scenario's knobs first
+  std::vector<std::string> set_keys;  // knobs named by --set, in flag order
 
  private:
   std::string apply(std::string_view flag, const char* value);
-
-  std::vector<std::string> set_keys_;  // knobs named by --set
 };
 
 /// `intox run`'s sink flags, which say where a run's artifacts go:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
-#include <cstdio>
 #include <map>
 
 #include "obs/json.hpp"
@@ -61,7 +60,7 @@ void write_aggregate_section(obs::JsonWriter& w, const char* section,
 }  // namespace
 
 std::string render_merged_report(const MergeInput& in, int* worst_exit,
-                                 std::string* error) {
+                                 std::string* text, std::string* error) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("schema").value(kSweepReportSchema);
@@ -82,8 +81,12 @@ std::string render_merged_report(const MergeInput& in, int* worst_exit,
   std::map<std::string, MetricAgg> gauge_aggs;
   w.key("records").begin_array();
   *worst_exit = 0;
+  text->clear();
   std::string record;
   for (std::size_t i = 0; i < in.record_paths.size(); ++i) {
+    if (!in.axes.empty()) {
+      *text += "[sweep] " + point_banner(point_at(in.axes, i)) + "\n";
+    }
     if (!obs::read_file(in.record_paths[i], &record)) {
       *error = "cannot read point record '" + in.record_paths[i] + "'";
       return "";
@@ -101,11 +104,14 @@ std::string render_merged_report(const MergeInput& in, int* worst_exit,
     }
     w.raw(record);
     // Cross-point aggregates: a record without a parseable metrics
-    // section (foreign or hand-written) simply contributes nothing. One
-    // without an integer exit counts as a failed point.
+    // section (foreign or hand-written) simply contributes nothing, and
+    // one without a string stdout prints nothing. One without an integer
+    // exit counts as a failed point.
     obs::JsonValue parsed;
     int exit_code = 1;
     if (obs::json_parse(record, &parsed, nullptr)) {
+      const obs::JsonValue* out = parsed.find("stdout");
+      if (out != nullptr && out->is_string()) *text += out->text;
       if (const obs::JsonValue* metrics = parsed.find("metrics")) {
         fold_metric_section(*metrics, "counters", &counter_aggs);
         fold_metric_section(*metrics, "gauges", &gauge_aggs);
@@ -126,19 +132,6 @@ std::string render_merged_report(const MergeInput& in, int* worst_exit,
   w.end_object();
   w.end_object();
   return w.str() + "\n";
-}
-
-std::string commit_report(const std::string& path, const std::string& doc) {
-  if (path.empty()) {
-    if (std::fwrite(doc.data(), 1, doc.size(), stdout) != doc.size()) {
-      return "cannot write report to stdout";
-    }
-    std::fflush(stdout);
-    return "";
-  }
-  std::string error;
-  if (!obs::commit_file(path, doc, &error)) return error;
-  return "";
 }
 
 }  // namespace intox::sweep

@@ -1,7 +1,7 @@
 // Merged sweep report: one deterministic document per completed sweep.
 //
 // The orchestrator concatenates the per-point records — in point order,
-// verbatim — under an intox.sweep_report.v1.1 envelope, and folds
+// verbatim — under an intox.sweep_report.v2 envelope, and folds
 // cross-point aggregates (count/min/max/mean per metric, across every
 // point whose record carries a parseable metrics section) after the
 // records array. Every field is a pure function of (binary, scenario,
@@ -10,8 +10,7 @@
 // deliberately lives in the obs registry / stderr summary instead,
 // where it belongs.
 //
-// v1 -> v1.1: added the "aggregates" object (minor bump — consumers of
-// v1 fields are unaffected apart from the schema string).
+// v2: the records are intox.point_record.v3, which carry no banner.
 #pragma once
 
 #include <string>
@@ -21,7 +20,7 @@
 
 namespace intox::sweep {
 
-inline constexpr const char* kSweepReportSchema = "intox.sweep_report.v1.1";
+inline constexpr const char* kSweepReportSchema = "intox.sweep_report.v2";
 
 struct MergeInput {
   std::string scenario;
@@ -32,14 +31,12 @@ struct MergeInput {
 };
 
 /// Reads every record and renders the merged report document (with a
-/// trailing newline), setting *worst_exit to the largest point "exit"
-/// (a record without an integer exit counts as 1). Returns empty and
+/// trailing newline). Sets *worst_exit to the largest point "exit" (a
+/// record without an integer exit counts as 1) and *text to what the
+/// sweep prints: each point's `[sweep] k=v ...` line (none without
+/// axes), then the record's "stdout", in point order. Returns empty and
 /// sets *error on failure.
 std::string render_merged_report(const MergeInput& in, int* worst_exit,
-                                 std::string* error);
-
-/// Writes `doc` to `path` via write-temp-then-rename, or to stdout when
-/// `path` is empty. Returns empty on success, else the diagnostic.
-std::string commit_report(const std::string& path, const std::string& doc);
+                                 std::string* text, std::string* error);
 
 }  // namespace intox::sweep

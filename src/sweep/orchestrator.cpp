@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "obs/flightrec.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "scenario/driver.hpp"
@@ -45,19 +46,23 @@ void sweep_usage(std::FILE* out) {
   std::fprintf(
       out,
       "usage: intox sweep <scenario> [run options] [sweep options]\n"
-      "Runs every point of the --sweep cross product in its own\n"
-      "'intox run --point' worker process. Takes the options of\n"
-      "'intox run' (see 'intox help') except --point and --point-record;\n"
-      "--threads defaults to 1, which keeps point records byte-exact,\n"
-      "and --metrics-out / --flightrec-out serve the orchestrator.\n"
+      "Runs every point of the --sweep cross product as its own\n"
+      "'intox run' worker process, which gets the point's values as\n"
+      "--set flags. Takes the options of 'intox run' (see 'intox help')\n"
+      "except --point-record; --threads defaults to 1, which keeps point\n"
+      "records byte-exact, and --metrics-out / --flightrec-out serve the\n"
+      "orchestrator. Prints each point's '[sweep] k=v ...' line and its\n"
+      "stdout, in point order, and exits with the worst point's exit.\n"
       "Sweep options:\n"
+      "  --sweep key=a:b:step   sweep a numeric knob (first flag varies\n"
+      "                         slowest)\n"
       "  --workers N            concurrent worker processes (0 = auto)\n"
       "  --cache-dir DIR        point cache (default .intox-sweep-cache)\n"
-      "  --out FILE             merged report path (default: stdout)\n"
+      "  --out FILE             also write the merged JSON report here\n"
       "\n"
       "Completed points are cached by (binary, scenario, knob vector);\n"
       "rerunning the same command resumes an interrupted sweep and\n"
-      "yields a byte-identical merged report.\n");
+      "yields byte-identical output.\n");
 }
 
 std::string self_exe_path() {
@@ -71,13 +76,19 @@ std::string self_exe_path() {
 /// The parsed sweep command line: `intox run`'s flags plus its own.
 struct SweepArgs {
   const scenario::Scenario* sc = nullptr;
-  scenario::KnobFlags flags;             // base knobs and sweep axes
+  scenario::KnobFlags flags;             // base knobs
+  std::vector<SweepAxis> axes;           // in flag order
   scenario::SinkFlags sinks;             // the orchestrator's own sinks
-  std::vector<std::string> child_flags;  // forwarded to every worker
+  std::vector<std::string> child_flags;  // --set/--config, for every worker
   std::size_t workers = 0;               // 0 = auto
   std::string cache_dir;
-  std::string out_path;                  // empty = stdout
+  std::string out_path;                  // empty = no merged report
 };
+
+std::string set_and_swept(const std::string& key) {
+  return "--set and --sweep both name knob '" + key +
+         "' (a sweep decides that knob's value)";
+}
 
 /// Parses the sweep command line. Returns empty on success, else the
 /// diagnostic (the caller prints and exits 2).
@@ -96,12 +107,20 @@ std::string parse_args(int argc, char** argv, SweepArgs* out) {
   if (out->sc->declare_knobs != nullptr) {
     out->sc->declare_knobs(out->flags.knobs);
   }
+  const auto swept = [out](const std::string& key) {
+    return std::any_of(out->axes.begin(), out->axes.end(),
+                       [&](const SweepAxis& a) { return a.key == key; });
+  };
 
   std::string err;
   for (int i = 3; i < argc; ++i) {
     const int first = i;
     if (out->flags.consume(argc, argv, &i, &err)) {
       if (!err.empty()) return err;
+      if (std::string_view(argv[first]) == "--set" &&
+          swept(out->flags.set_keys.back())) {
+        return set_and_swept(out->flags.set_keys.back());
+      }
       out->child_flags.insert(out->child_flags.end(), argv + first,
                               argv + i + 1);
       continue;
@@ -111,7 +130,20 @@ std::string parse_args(int argc, char** argv, SweepArgs* out) {
       continue;
     }
     const std::string_view arg = argv[i];
-    if (arg == "--workers") {
+    if (arg == "--sweep") {
+      if (i + 1 >= argc) return "--sweep requires key=a:b:step";
+      SweepAxis axis;
+      err = parse_sweep_axis(argv[++i], out->flags.knobs, &axis);
+      if (!err.empty()) return err;
+      const std::vector<std::string>& set = out->flags.set_keys;
+      if (std::find(set.begin(), set.end(), axis.key) != set.end()) {
+        return set_and_swept(axis.key);
+      }
+      if (swept(axis.key)) {
+        return "--sweep: knob '" + axis.key + "' swept twice";
+      }
+      out->axes.push_back(std::move(axis));
+    } else if (arg == "--workers") {
       if (i + 1 >= argc) return "--workers requires a value";
       err = scenario::parse_count(arg, argv[++i], &out->workers);
       if (!err.empty()) return err;
@@ -126,12 +158,6 @@ std::string parse_args(int argc, char** argv, SweepArgs* out) {
              "' (try 'intox sweep --help')";
     }
   }
-  // Worker points default to one thread: at --threads 1 the metrics
-  // fold in point records is byte-exact, which the resume byte-identity
-  // guarantee builds on.
-  out->child_flags.insert(
-      out->child_flags.end(),
-      {"--threads", std::to_string(out->sinks.threads.value_or(1))});
   if (out->cache_dir.empty()) out->cache_dir = ".intox-sweep-cache";
   return "";
 }
@@ -184,7 +210,7 @@ int sweep_main(int argc, char** argv) {
     std::string err = parse_args(argc, argv, &args);
     if (!err.empty()) return fail(err);
   }
-  const std::vector<SweepAxis>& axes = args.flags.axes;
+  const std::vector<SweepAxis>& axes = args.axes;
   const std::size_t total = point_count(axes);
   if (total == 0) {
     return fail("--sweep cross product exceeds " +
@@ -192,6 +218,10 @@ int sweep_main(int argc, char** argv) {
   }
   const std::string exe = self_exe_path();
   if (exe.empty()) return fail("cannot resolve own binary path");
+  // Worker points default to one thread: at --threads 1 the metrics
+  // fold in point records is byte-exact, which the resume byte-identity
+  // guarantee builds on.
+  const std::string threads = std::to_string(args.sinks.threads.value_or(1));
 
   // Content-address every point: base knobs + the point's own values.
   const std::uint64_t fp = binary_fingerprint();
@@ -263,8 +293,11 @@ int sweep_main(int argc, char** argv) {
         std::vector<std::string> child{exe, "run", args.sc->name};
         child.insert(child.end(), args.child_flags.begin(),
                      args.child_flags.end());
+        for (const auto& [key, value] : point_at(axes, idx)) {
+          child.insert(child.end(), {"--set", key + "=" + value});
+        }
         child.insert(child.end(),
-                     {"--point", std::to_string(idx), "--point-record",
+                     {"--threads", threads, "--point-record",
                       cache.record_path(keys[idx]), "--flightrec-out",
                       cache.dump_path(keys[idx])});
         // A crash dump from an earlier attempt must not survive a clean
@@ -340,17 +373,16 @@ int sweep_main(int argc, char** argv) {
   for (std::size_t i = 0; i < total; ++i) {
     in.record_paths.push_back(cache.record_path(keys[i]));
   }
-  // The sweep's exit is the worst point exit, matching the serial
-  // `intox run --sweep` contract.
+  // The sweep's exit is the worst point exit.
   int exit_code = 0;
+  std::string text;
   std::string error;
-  const std::string doc = render_merged_report(in, &exit_code, &error);
+  const std::string doc = render_merged_report(in, &exit_code, &text, &error);
   if (doc.empty()) return fail(error);
-  {
-    std::string err = commit_report(args.out_path, doc);
-    if (!err.empty()) return fail(err);
-  }
+  std::fwrite(text.data(), 1, text.size(), stdout);
+  std::fflush(stdout);
   if (!args.out_path.empty()) {
+    if (!obs::commit_file(args.out_path, doc, &error)) return fail(error);
     std::fprintf(stderr, "intox sweep: merged report -> %s\n",
                  args.out_path.c_str());
   }

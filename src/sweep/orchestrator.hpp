@@ -1,7 +1,7 @@
 // `intox sweep`: multi-process, resumable sweep orchestration.
 //
-// `intox run`'s grammar (scenario/driver.hpp parses the knob flags for
-// both commands) plus flags of its own:
+// `intox run`'s grammar (scenario/driver.hpp parses the knob and sink
+// flags for both commands) plus flags of its own:
 //
 //   intox sweep <scenario> [--set k=v] [--config F] [--sweep k=a:b:step]
 //               [--threads N] [--workers N] [--cache-dir DIR] [--out FILE]
@@ -10,13 +10,15 @@
 // The orchestrator enumerates the sweep cross product (sweep/point.hpp),
 // content-addresses every point (sweep/cache.hpp), and runs N worker
 // threads that each claim the next missing point from an atomic cursor
-// and fork/exec `intox run <scenario> ... --point i --point-record
-// <cache path>`. When every record exists, the per-point records are
-// merged — in point order — into one intox.sweep_report.v1 document
-// (sweep/merge.hpp).
+// and fork/exec `intox run <scenario> <the sweep's --set/--config
+// flags> --set k1=v1 ... --point-record <cache path>`: a worker gets
+// exactly the values its cache key hashes. When every record exists,
+// the orchestrator prints each point's `[sweep] k=v ...` line and
+// recorded stdout in point order, and --out commits the records merged
+// into one intox.sweep_report.v2 document (sweep/merge.hpp).
 //
 // Resume is free: a second invocation rescans the cache, re-runs only
-// the missing points, and produces a byte-identical merged report.
+// the missing points, and produces byte-identical output.
 // Cache-hit accounting goes to stderr and the obs registry
 // (sweep.points_total / _cached / _executed / _failed), never into the
 // report itself.

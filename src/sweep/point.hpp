@@ -1,15 +1,11 @@
 // Sweep-point enumeration: the declarative half of `intox sweep`.
 //
-// A sweep is a cross product of axes, each parsed from the driver's
+// A sweep is a cross product of axes, each parsed from `intox sweep`'s
 // `--sweep key=a:b:step` syntax. This layer turns the axes into a
-// deterministic point list — point i is a full (key, value) vector —
-// shared by three consumers:
-//   * the serial `intox run --sweep` loop (unchanged iteration order:
-//     the first `--sweep` flag varies slowest),
-//   * the `--point N` protocol that lets a worker process execute
-//     exactly one point of the product, and
-//   * the `intox sweep` orchestrator, which shards points across
-//     worker processes and caches them by knob vector.
+// deterministic point list — point i is a (key, value) vector over the
+// swept knobs, enumerated row-major (the first `--sweep` flag varies
+// slowest) — which the orchestrator hands to worker `intox run`
+// processes as `--set key=value` flags and caches by knob vector.
 //
 // Values are materialized as `lo + i * step` from an integer index —
 // never by repeated accumulation, which over long ranges drifts enough
@@ -27,7 +23,7 @@
 namespace intox::sweep {
 
 /// One `--sweep key=a:b:step` axis, with every value pre-rendered
-/// exactly as `KnobSet::set` will receive it.
+/// exactly as `KnobSet::set` (and a worker's `--set`) will receive it.
 struct SweepAxis {
   std::string key;
   std::vector<std::string> values;
@@ -53,12 +49,11 @@ inline constexpr std::size_t kMaxSweepPoints = 10'000'000;
 using Point = std::vector<std::pair<std::string, std::string>>;
 
 /// Materializes point `index` (0-based, row-major: the last axis varies
-/// fastest, matching the serial sweep loop). index must be
-/// < point_count(axes).
+/// fastest). index must be < point_count(axes).
 Point point_at(const std::vector<SweepAxis>& axes, std::size_t index);
 
 /// The `[sweep] k=v k2=v2` banner body for a point (space-separated, in
-/// axis order) — the exact string the serial sweep path prints.
+/// axis order), which `intox sweep` prints before the point's stdout.
 std::string point_banner(const Point& point);
 
 }  // namespace intox::sweep

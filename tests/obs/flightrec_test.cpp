@@ -9,6 +9,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,20 +130,24 @@ TEST(Flightrec, RingKeepsTheLastRecordsWhenOverflowed) {
 
 TEST(Flightrec, ConcurrentRecordAndDumpIsRaceFree) {
   // TSan target: four writers flooding both lanes while the main thread
-  // dumps repeatedly. Torn records are acceptable; races are not.
+  // dumps repeatedly. Torn records are acceptable; races are not. No
+  // writer exits before all have recorded, so none takes over another's
+  // rings.
   const std::string path = temp_path("flightrec_stress.json");
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerThread = 50000;
+  std::latch all_recorded{kWriters};
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([w] {
+    writers.emplace_back([w, &all_recorded] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         flightrec_record(FrType::kSchedFire, i, static_cast<std::uint64_t>(w));
         if ((i & 1023) == 0) {
           flightrec_record(FrType::kPccDecision, i, 1, i, i + 1);
         }
       }
+      all_recorded.arrive_and_wait();
     });
   }
   for (int i = 0; i < 20; ++i) {
@@ -156,6 +161,34 @@ TEST(Flightrec, ConcurrentRecordAndDumpIsRaceFree) {
   ASSERT_TRUE(json_parse_file(path, &doc, &error)) << error;
   EXPECT_GE(doc.find("threads")->items.size(),
             static_cast<std::size_t>(kWriters));
+  std::remove(path.c_str());
+}
+
+// A thread that exits hands its rings on. Without reuse, ~600
+// short-lived threads took a ring pair each and, past 512 pairs, new
+// threads stopped recording.
+TEST(Flightrec, ExitedThreadsHandTheirRingsOn) {
+  constexpr std::uint64_t kThreads = 600;
+  constexpr std::uint64_t kFirstTime = 888000000;
+  const std::size_t before = flightrec_registered_threads();
+  for (std::uint64_t i = 0; i < kThreads; ++i) {
+    std::thread t([i] { flightrec_record(FrType::kNote, kFirstTime + i); });
+    t.join();
+  }
+  EXPECT_LE(flightrec_registered_threads(), before + 1);
+
+  const std::string path = temp_path("flightrec_reuse.json");
+  ASSERT_TRUE(flightrec_dump(path.c_str(), "manual", "reuse"));
+  FlightrecDump dump;
+  std::string error;
+  ASSERT_TRUE(load_flightrec_dump(path, &dump, &error)) << error;
+  bool found = false;
+  for (const FlightrecRecord& r : dump.records) {
+    if (r.type == FrType::kNote && r.time == kFirstTime + kThreads - 1) {
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found) << "the last thread's record is missing";
   std::remove(path.c_str());
 }
 

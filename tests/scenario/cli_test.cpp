@@ -1,6 +1,8 @@
 // The intox driver CLI contract: every malformed input dies with one
 // one-line stderr diagnostic and exit status 2 — never a silent default —
-// and a run with a failed claim or a violated invariant exits 1. Each
+// and a run with a failed claim or a violated invariant exits 1. The
+// exact --set/--config/sink-flag diagnostics are pinned for `intox run`
+// and `intox sweep` alike in tests/sweep/cli_parity_test.cpp. Each
 // death test forks, so driver_main's printf output stays out of the
 // test's own stdout.
 #include "scenario/driver.hpp"
@@ -9,7 +11,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -45,72 +46,15 @@ TEST(CliDeathTest, NoArgumentsPrintsUsageAndExitsTwo) {
               "usage: intox");
 }
 
-TEST(CliDeathTest, MalformedSetExitsTwo) {
-  EXPECT_EXIT(
-      std::exit(run({"intox", "run", "blink.fig2", "--set", "runs"})),
-      ::testing::ExitedWithCode(2), "intox: --set expects key=value");
-}
-
-TEST(CliDeathTest, DanglingSetExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--set"})),
-              ::testing::ExitedWithCode(2),
-              "intox: --set requires key=value");
-}
-
-TEST(CliDeathTest, UnknownKnobExitsTwo) {
-  EXPECT_EXIT(
-      std::exit(run({"intox", "run", "blink.fig2", "--set", "nope=3"})),
-      ::testing::ExitedWithCode(2), "intox: unknown knob 'nope'");
-}
-
-TEST(CliDeathTest, NonNumericKnobValueExitsTwo) {
-  EXPECT_EXIT(
-      std::exit(run({"intox", "run", "blink.fig2", "--set", "runs=abc"})),
-      ::testing::ExitedWithCode(2),
-      "intox: knob 'runs' expects an unsigned integer");
-}
-
-TEST(CliDeathTest, OutOfRangeKnobExitsTwo) {
-  EXPECT_EXIT(
-      std::exit(run({"intox", "run", "blink.fig2", "--set", "runs=0"})),
-      ::testing::ExitedWithCode(2), "intox: knob 'runs' out of range");
-}
-
-TEST(CliDeathTest, MalformedSweepExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--sweep",
-                             "runs=1:4"})),
-              ::testing::ExitedWithCode(2),
-              "intox: --sweep expects key=a:b:step");
-}
-
-TEST(CliDeathTest, NonNumericSweepExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--sweep",
-                             "runs=1:x:1"})),
-              ::testing::ExitedWithCode(2), "is not a number");
-}
-
-TEST(CliDeathTest, EmptySweepRangeExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--sweep",
-                             "runs=4:1:1"})),
-              ::testing::ExitedWithCode(2), "intox: --sweep: empty range");
-}
-
-TEST(CliDeathTest, SweepOnStringKnobExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "debug.crash", "--sweep",
-                             "crash=0:1:1"})),
-              ::testing::ExitedWithCode(2),
-              "knob 'crash' is string; only u64/double knobs sweep");
-}
-
-// --trace-out is no sink: it is refused, not parsed and dropped.
+// --trace-out is no sink: it is refused, not parsed and dropped. A run
+// is one configuration: only `intox sweep` takes --sweep, and its
+// workers get their point as --set flags.
 TEST(CliDeathTest, UnknownArgumentExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--bogus"})),
-              ::testing::ExitedWithCode(2),
-              "intox: unknown argument '--bogus'");
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--trace-out",
-                             "x"})),
-              ::testing::ExitedWithCode(2),
-              "intox: unknown argument '--trace-out'");
+  for (const char* flag : {"--bogus", "--trace-out", "--sweep"}) {
+    EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", flag, "1"})),
+                ::testing::ExitedWithCode(2),
+                std::string("intox: unknown argument '") + flag + "'");
+  }
 }
 
 TEST(CliDeathTest, ForensicsUnknownArgumentExitsTwo) {
@@ -123,19 +67,6 @@ TEST(CliDeathTest, ForensicsUnknownArgumentExitsTwo) {
               "intox: forensics: unknown argument '--trace-out'");
 }
 
-TEST(CliDeathTest, MissingConfigFileExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--config",
-                             "/no/such/file.cfg"})),
-              ::testing::ExitedWithCode(2),
-              "intox: --config: cannot open");
-}
-
-TEST(CliDeathTest, MalformedThreadsExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--threads",
-                             "lots"})),
-              ::testing::ExitedWithCode(2), "--threads expects");
-}
-
 TEST(CliDeathTest, ValidateUnknownScenarioExitsTwo) {
   EXPECT_EXIT(std::exit(run({"intox", "validate", "no.such"})),
               ::testing::ExitedWithCode(2),
@@ -146,73 +77,6 @@ TEST(CliDeathTest, KnobsUnknownScenarioExitsTwo) {
   EXPECT_EXIT(std::exit(run({"intox", "knobs", "no.such"})),
               ::testing::ExitedWithCode(2),
               "intox: unknown scenario 'no.such'");
-}
-
-// --set and --sweep fighting over one knob used to resolve silently in
-// favor of the sweep; now it is a config error, in either flag order.
-TEST(CliDeathTest, SetThenSweepSameKnobExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--set",
-                             "runs=4", "--sweep", "runs=1:2:1"})),
-              ::testing::ExitedWithCode(2),
-              "intox: --set and --sweep both name knob 'runs'");
-}
-
-TEST(CliDeathTest, SweepThenSetSameKnobExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--sweep",
-                             "runs=1:2:1", "--set", "runs=4"})),
-              ::testing::ExitedWithCode(2),
-              "intox: --set and --sweep both name knob 'runs'");
-}
-
-TEST(CliDeathTest, DuplicateSweepKnobExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--sweep",
-                             "runs=1:2:1", "--sweep", "runs=3:4:1"})),
-              ::testing::ExitedWithCode(2),
-              "intox: --sweep: knob 'runs' swept twice");
-}
-
-TEST(CliDeathTest, PointOutOfRangeExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--sweep",
-                             "runs=1:4:1", "--point", "4"})),
-              ::testing::ExitedWithCode(2),
-              "intox: --point 4 out of range \\(sweep has 4 points\\)");
-}
-
-TEST(CliDeathTest, PointWithoutSweepOnlyAllowsZero) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--point",
-                             "1"})),
-              ::testing::ExitedWithCode(2),
-              "intox: --point 1 out of range \\(sweep has 1 point\\)");
-}
-
-TEST(CliDeathTest, MalformedPointExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2", "--point",
-                             "two"})),
-              ::testing::ExitedWithCode(2),
-              "intox: --point expects a non-negative integer");
-}
-
-TEST(CliDeathTest, PointRecordWithoutPointExitsTwo) {
-  EXPECT_EXIT(std::exit(run({"intox", "run", "blink.fig2",
-                             "--point-record", "/tmp/r.json"})),
-              ::testing::ExitedWithCode(2),
-              "intox: --point-record requires --point");
-}
-
-// A --point run writes its report where --metrics-out says, with no
-// per-point suffix.
-TEST(CliDeathTest, PointRunWritesTheMetricsOutPath) {
-  const std::string report = ::testing::TempDir() + "r.json";
-  const std::string suffixed = ::testing::TempDir() + "r.point0.json";
-  std::remove(report.c_str());
-  std::remove(suffixed.c_str());
-  EXPECT_EXIT(std::exit(run({"intox", "run", "quickstart", "--point", "0",
-                             "--metrics-out", report.c_str()})),
-              ::testing::ExitedWithCode(0), "");
-  EXPECT_TRUE(std::ifstream(report).good());
-  EXPECT_FALSE(std::ifstream(suffixed).good());
-  std::remove(report.c_str());
-  std::remove(suffixed.c_str());
 }
 
 // A failed claim fails the run. With a 60 s reset period, Part 1's

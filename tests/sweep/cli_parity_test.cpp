@@ -1,9 +1,10 @@
 // `intox sweep` parses its knob and sink flags with `intox run`'s code.
-// Every knob-flag error of the driver's CLI death tests (tests/scenario/
-// cli_test.cpp) and every sink-flag error must die with exit status 2
-// and the identical one-line diagnostic under both commands, and a
-// config `intox run` accepts must be one `intox sweep` accepts. Each death test forks, so neither
-// command's side effects reach this process.
+// Every --set/--config error and every sink-flag error must die with
+// exit status 2 and the identical one-line diagnostic under both
+// commands, and a config `intox run` accepts must be one `intox sweep`
+// accepts. Only `intox sweep` takes --sweep; its diagnostics are pinned
+// here too. Each death test forks, so neither command's side effects
+// reach this process.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -47,17 +48,15 @@ void expect_exit_two(Main entry, const char* command,
       << command;
 }
 
+struct Case {
+  std::vector<std::string> args;  // after the command
+  std::string diagnostic;         // the stderr line after "intox: "
+};
+
 using CliParityDeathTest = ::testing::Test;
 
 TEST(CliParityDeathTest, RunAndSweepRejectKnobFlagsAlike) {
-  const std::string conflict =
-      "--set and --sweep both name knob 'runs' (a sweep decides that "
-      "knob's value)";
   const std::string cfg = long_comment_config();
-  struct Case {
-    std::vector<std::string> args;  // after the command
-    std::string diagnostic;         // the stderr line after "intox: "
-  };
   const std::vector<Case> cases = {
       {{"blink.fig2", "--set", "runs"},
        "--set expects key=value, got 'runs'"},
@@ -68,20 +67,6 @@ TEST(CliParityDeathTest, RunAndSweepRejectKnobFlagsAlike) {
        "knob 'runs' expects an unsigned integer, got 'abc'"},
       {{"blink.fig2", "--set", "runs=0"},
        "knob 'runs' out of range [1, 100000]: 0"},
-      {{"blink.fig2", "--sweep", "runs=1:4"},
-       "--sweep expects key=a:b:step, got 'runs=1:4'"},
-      {{"blink.fig2", "--sweep", "runs=1:x:1"},
-       "--sweep: 'x' in 'runs=1:x:1' is not a number"},
-      {{"blink.fig2", "--sweep", "runs=4:1:1"},
-       "--sweep: empty range in 'runs=4:1:1' (a > b)"},
-      {{"debug.crash", "--sweep", "crash=0:1:1"},
-       "--sweep: knob 'crash' is string; only u64/double knobs sweep"},
-      {{"blink.fig2", "--set", "runs=4", "--sweep", "runs=1:2:1"},
-       conflict},
-      {{"blink.fig2", "--sweep", "runs=1:2:1", "--set", "runs=4"},
-       conflict},
-      {{"blink.fig2", "--sweep", "runs=1:2:1", "--sweep", "runs=3:4:1"},
-       "--sweep: knob 'runs' swept twice"},
       {{"blink.fig2", "--config", "/no/such/file.cfg"},
        "--config: cannot open '/no/such/file.cfg'"},
       // Both accept the long comment, so parsing reaches the next flag.
@@ -114,6 +99,29 @@ TEST(CliParityDeathTest, RunAndSweepRejectSinkFlagsAlike) {
 }
 
 TEST(CliParityDeathTest, SweepRejectsItsOwnBadFlags) {
+  const std::string conflict =
+      "--set and --sweep both name knob 'runs' (a sweep decides that "
+      "knob's value)";
+  const std::vector<Case> cases = {
+      {{"blink.fig2", "--sweep", "runs=1:4"},
+       "--sweep expects key=a:b:step, got 'runs=1:4'"},
+      {{"blink.fig2", "--sweep", "runs=1:x:1"},
+       "--sweep: 'x' in 'runs=1:x:1' is not a number"},
+      {{"blink.fig2", "--sweep", "runs=4:1:1"},
+       "--sweep: empty range in 'runs=4:1:1' (a > b)"},
+      {{"debug.crash", "--sweep", "crash=0:1:1"},
+       "--sweep: knob 'crash' is string; only u64/double knobs sweep"},
+      {{"blink.fig2", "--set", "runs=4", "--sweep", "runs=1:2:1"},
+       conflict},
+      {{"blink.fig2", "--sweep", "runs=1:2:1", "--set", "runs=4"},
+       conflict},
+      {{"blink.fig2", "--sweep", "runs=1:2:1", "--sweep", "runs=3:4:1"},
+       "--sweep: knob 'runs' swept twice"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.diagnostic);
+    expect_exit_two(sweep_main, "sweep", c.args, c.diagnostic);
+  }
   expect_exit_two(sweep_main, "sweep", {"blink.fig2", "--workers", "abc"},
                   "--workers expects a non-negative integer, got 'abc'");
   for (const char* flag : {"--bogus", "--trace-out"}) {

@@ -1,6 +1,6 @@
 // Report merging: record order is point order, the envelope is
-// deterministic, and the worst point exit is read from the parsed
-// records.
+// deterministic, the sweep's text is each point's banner and recorded
+// stdout, and the worst point exit is read from the parsed records.
 #include "sweep/merge.hpp"
 
 #include <gtest/gtest.h>
@@ -35,11 +35,13 @@ TEST(Merge, ConcatenatesRecordsInPointOrder) {
       write_temp("merge_r1.json", "{\"schema\":\"y\",\"exit\":3}\n"),
   };
   int worst_exit = -1;
+  std::string text;
   std::string error;
-  const std::string doc = render_merged_report(in, &worst_exit, &error);
+  const std::string doc = render_merged_report(in, &worst_exit, &text, &error);
   ASSERT_EQ(error, "");
   EXPECT_EQ(worst_exit, 3);
-  EXPECT_NE(doc.find("\"schema\":\"intox.sweep_report.v1.1\""),
+  EXPECT_EQ(text, "[sweep] flows=1\n[sweep] flows=2\n");
+  EXPECT_NE(doc.find("\"schema\":\"intox.sweep_report.v2\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"points\":2"), std::string::npos);
   // Records appear verbatim, in order.
@@ -60,8 +62,9 @@ TEST(Merge, RecordsWithoutMetricsYieldEmptyAggregates) {
       write_temp("merge_nometrics.json", "{\"schema\":\"x\",\"exit\":0}\n"),
   };
   int worst_exit = -1;
+  std::string text;
   std::string error;
-  const std::string doc = render_merged_report(in, &worst_exit, &error);
+  const std::string doc = render_merged_report(in, &worst_exit, &text, &error);
   ASSERT_EQ(error, "");
   EXPECT_NE(
       doc.find("\"aggregates\":{\"counters\":{},\"gauges\":{}}"),
@@ -82,8 +85,9 @@ TEST(Merge, AggregatesFoldCountersAndGaugesAcrossPoints) {
                  "\"gauges\":{\"rate\":0.5,\"loss\":2}}}\n"),
   };
   int worst_exit = -1;
+  std::string text;
   std::string error;
-  const std::string doc = render_merged_report(in, &worst_exit, &error);
+  const std::string doc = render_merged_report(in, &worst_exit, &text, &error);
   ASSERT_EQ(error, "");
   // pkts: both points; min 10, max 30, mean 20.
   EXPECT_NE(doc.find("\"pkts\":{\"count\":2,\"min\":10,\"max\":30,"
@@ -108,8 +112,9 @@ TEST(Merge, MissingRecordIsAnError) {
   in.family = "F";
   in.record_paths = {"/nonexistent/record.json"};
   int worst_exit = -1;
+  std::string text;
   std::string error;
-  EXPECT_EQ(render_merged_report(in, &worst_exit, &error), "");
+  EXPECT_EQ(render_merged_report(in, &worst_exit, &text, &error), "");
   EXPECT_NE(error.find("/nonexistent/record.json"), std::string::npos);
 }
 
@@ -119,22 +124,11 @@ TEST(Merge, MalformedRecordIsAnError) {
   in.family = "F";
   in.record_paths = {write_temp("merge_bad.json", "not json\n")};
   int worst_exit = -1;
+  std::string text;
   std::string error;
-  EXPECT_EQ(render_merged_report(in, &worst_exit, &error), "");
+  EXPECT_EQ(render_merged_report(in, &worst_exit, &text, &error), "");
   EXPECT_NE(error.find("not a JSON object"), std::string::npos);
   std::remove(in.record_paths[0].c_str());
-}
-
-TEST(Merge, CommitReportIsAtomicRename) {
-  const std::string path = ::testing::TempDir() + "merge_commit.json";
-  ASSERT_EQ(commit_report(path, "{\"a\":1}\n"), "");
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[32] = {};
-  std::fread(buf, 1, sizeof buf - 1, f);
-  std::fclose(f);
-  EXPECT_STREQ(buf, "{\"a\":1}\n");
-  std::remove(path.c_str());
 }
 
 TEST(Merge, ReportsTheWorstPointExit) {
@@ -147,7 +141,6 @@ TEST(Merge, ReportsTheWorstPointExit) {
     obs::PointRecord record;
     record.scenario = "s";
     record.family = "F";
-    record.banner = "k=" + std::to_string(exit_code);
     record.exit_code = exit_code;
     record.stdout_text = "tricky \"exit\": 99 text\n";
     const std::string path = ::testing::TempDir() + "merge_exit" +
@@ -156,16 +149,22 @@ TEST(Merge, ReportsTheWorstPointExit) {
     in.record_paths.push_back(path);
   }
   int worst_exit = -1;
+  std::string text;
   std::string error;
-  ASSERT_NE(render_merged_report(in, &worst_exit, &error), "") << error;
+  ASSERT_NE(render_merged_report(in, &worst_exit, &text, &error), "") << error;
   EXPECT_EQ(worst_exit, 4);
+  // Without axes the text is the records' stdout alone.
+  std::string stdout_text;
+  for (int i = 0; i < 3; ++i) stdout_text += "tricky \"exit\": 99 text\n";
+  EXPECT_EQ(text, stdout_text);
 
   for (const std::string& p : in.record_paths) std::remove(p.c_str());
 
   // A record without an integer exit counts as a failed point (1).
   for (const char* body : {"{\"schema\":\"x\"}\n", "{\"exit\":\"0\"}\n"}) {
     in.record_paths = {write_temp("merge_noexit.json", body)};
-    ASSERT_NE(render_merged_report(in, &worst_exit, &error), "") << error;
+    ASSERT_NE(render_merged_report(in, &worst_exit, &text, &error), "")
+        << error;
     EXPECT_EQ(worst_exit, 1) << body;
     std::remove(in.record_paths[0].c_str());
   }

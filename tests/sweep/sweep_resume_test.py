@@ -22,6 +22,12 @@ Properties pinned here, straight from the orchestrator's contract:
   6. Every sweep exits with the worst `exit` among its merged report's
      records, and a point's `exit` is 1 exactly when its stdout has a
      `[CHECK]` (failed claim) line.
+  7. A sweep prints each record's `[sweep] seed=k` line and its stdout,
+     in point order, at any worker count, and a record's stdout is what
+     `intox run` prints for that point's knobs.
+  8. A record depends only on its knob vector: a sweep that reaches
+     cached knob vectors through different axes executes nothing and
+     writes the same report as on a fresh cache.
 
 The worker is killed with SIGKILL (no cleanup handlers), so this also
 exercises the write-temp-then-rename commit: a record path either holds
@@ -93,6 +99,19 @@ def check_exit(res, out, what):
              f"is {worst}: {res.stderr}")
 
 
+def check_text(res, report_bytes, what):
+    """A sweep prints each point's banner line and recorded stdout."""
+    records = json.loads(report_bytes)["records"]
+    seeds = [r["knobs"]["seed"] for r in records]
+    if seeds != [str(k) for k in range(1, POINTS + 1)]:
+        fail(f"{what}: records are not in seed order: {seeds}")
+    expected = "".join(f"[sweep] seed={r['knobs']['seed']}\n{r['stdout']}"
+                       for r in records)
+    if res.stdout != expected:
+        fail(f"{what}: stdout is not the records' banners and stdout in "
+             f"point order")
+
+
 def read_counter(metrics_path, name):
     with open(metrics_path, "r", encoding="utf-8") as f:
         report = json.load(f)
@@ -129,7 +148,7 @@ def main():
     with open(clean_out, "rb") as f:
         clean_bytes = f.read()
     clean_doc = json.loads(clean_bytes)
-    if clean_doc.get("schema") != "intox.sweep_report.v1.1":
+    if clean_doc.get("schema") != "intox.sweep_report.v2":
         fail(f"unexpected report schema {clean_doc.get('schema')!r}")
     if clean_doc.get("points") != POINTS:
         fail(f"expected {POINTS} points, got {clean_doc.get('points')}")
@@ -137,13 +156,20 @@ def main():
     if not isinstance(aggregates, dict) or "counters" not in aggregates:
         fail("merged report lacks cross-point aggregates")
     check_schema(checker, clean_out)
+    check_text(res, clean_bytes, "--workers 2 sweep")
     for record in clean_doc["records"]:
         failed = any(line.startswith("  [CHECK] ")
                      for line in record["stdout"].splitlines())
         if record["exit"] != int(failed):
-            fail(f"point {record['banner']!r} exited {record['exit']}, "
-                 f"but its stdout {'has' if failed else 'has no'} "
-                 f"[CHECK] line")
+            fail(f"point seed={record['knobs']['seed']} exited "
+                 f"{record['exit']}, but its stdout "
+                 f"{'has' if failed else 'has no'} [CHECK] line")
+    single = subprocess.run([intox, "run", SCENARIO, "--set", "cells=1048576",
+                             "--set", "seed=1"],
+                            capture_output=True, text=True, timeout=600)
+    if single.stdout != clean_doc["records"][0]["stdout"]:
+        fail("point seed=1's recorded stdout differs from `intox run "
+             "--set seed=1`")
 
     # --- One worker, knobs from a config with a 5,000-char comment. ---
     config = os.path.join(tmp, "long_comment.cfg")
@@ -157,6 +183,7 @@ def main():
     with open(serial_out, "rb") as f:
         if f.read() != clean_bytes:
             fail("--workers 1 merged report differs from --workers 2")
+    check_text(res, clean_bytes, "--workers 1 sweep")
 
     # --- Kill a second sweep mid-run (SIGKILL: no atexit, no flush). ---
     proc = subprocess.Popen(sweep_cmd(intox, kill_cache, kill_out),
@@ -186,7 +213,7 @@ def main():
         # Commit atomicity: anything under the final name parses.
         with open(path, "r", encoding="utf-8") as f:
             record = json.load(f)
-        if record.get("schema") != "intox.point_record.v2":
+        if record.get("schema") != "intox.point_record.v3":
             fail(f"{path}: bad record schema {record.get('schema')!r}")
 
     # --- Resume. ---
@@ -225,6 +252,24 @@ def main():
     with open(kill_out, "rb") as f:
         if f.read() != clean_bytes:
             fail("warm-cache merged report drifted")
+
+    # --- Cached knob vectors reached through different axes. ---
+    other = ["--set", "cells=1048576", "--sweep", "hashes=4:4:1",
+             "--sweep", "seed=1:2:1"]
+    other_out = os.path.join(tmp, "other.json")
+    metrics3 = os.path.join(tmp, "other_metrics.json")
+    res = run_sweep(intox, kill_cache, other_out, metrics3, knob_args=other)
+    check_exit(res, other_out, "other-axes sweep")
+    if read_counter(metrics3, "sweep.points_executed") != 0:
+        fail("a sweep over cached knob vectors re-executed points")
+    fresh_out = os.path.join(tmp, "other_fresh.json")
+    res = run_sweep(intox, os.path.join(tmp, "other-cache"), fresh_out,
+                    knob_args=other)
+    check_exit(res, fresh_out, "other-axes sweep on a fresh cache")
+    with open(other_out, "rb") as warm, open(fresh_out, "rb") as fresh:
+        if warm.read() != fresh.read():
+            fail("a sweep over cached knob vectors wrote a report that "
+                 "differs from the same sweep on a fresh cache")
 
     shutil.rmtree(tmp)
     print(f"sweep_resume_test: OK ({before}/{POINTS} points survived "
