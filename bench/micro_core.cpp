@@ -1,13 +1,14 @@
 // Microbenchmarks of the hot data-plane paths: flow hashing, LPM lookup,
-// event-queue throughput, link delivery, and the per-packet work of the
-// reproduced systems. These are not paper experiments; they document
-// that the substrate is fast enough for the packet-level reproductions
-// to run at the scale the paper used.
+// event-queue throughput, link delivery, RNG forks and draws, and the
+// per-packet work of the reproduced systems. These are not paper
+// experiments; they document that the substrate is fast enough for the
+// packet-level reproductions to run at the scale the paper used.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "blink/flow_selector.hpp"
 #include "obs/report.hpp"
@@ -156,6 +157,35 @@ void BM_LinkDelivery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_LinkDelivery);
+
+void BM_RngForkAndDraw(benchmark::State& state) {
+  // Fig. 2's pattern: each arriving flow forks its driver's Rng into a
+  // live set of ~2k flows and draws a few dozen numbers from it.
+  const sim::Rng base{4};
+  std::vector<sim::Rng> live(2048, base);
+  std::uint64_t index = 0;
+  double sink = 0;
+  for (auto _ : state) {
+    sim::Rng& rng = live[index & 2047];
+    rng = base.fork(index++);
+    for (int i = 0; i < 36; ++i) sink += rng.exponential(0.25);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngForkAndDraw);
+
+void BM_RngLongStream(benchmark::State& state) {
+  // RED's and PCC's pattern: one long-lived Rng drawn per packet, far
+  // past its 156th output.
+  sim::Rng rng = sim::Rng{1}.fork("red");
+  for (int i = 0; i < 1000; ++i) benchmark::DoNotOptimize(rng.uniform());
+  std::uint64_t hits = 0;
+  for (auto _ : state) hits += rng.bernoulli(0.0525) ? 1 : 0;
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngLongStream);
 
 void BM_BlinkObserve(benchmark::State& state) {
   // Blink's per-packet pipeline work (hash, cell access, retransmission

@@ -5,8 +5,8 @@ Compares the `trials_per_s` of every sweep named in a committed baseline
 (bench/baselines/*.json) against a freshly produced BENCH_<family>.json
 and fails when throughput drops below `baseline * tolerance`. The gate
 guards the hot-path engine (timing-wheel scheduler, the links' in-flight
-packet rings, SoA flow state): an accidental O(log n) or per-event
-allocation sneaking back in shows up here, not weeks later in a slow
+packet rings, SoA flow state, O(1) Rng forks): an accidental O(log n) or
+per-event allocation sneaking back in shows up here, not weeks later in a slow
 experiment. A report may carry several sweeps of one name (one per
 google-benchmark repetition); the gate reads their median.
 
@@ -26,11 +26,13 @@ sweep missing from the fresh reports fails both `check` and `--update`
 
 Re-baselining (after a deliberate perf change or a runner upgrade):
     ./build/bench/bench_micro_core \
-        --benchmark_filter='Scheduler|LinkDelivery' \
+        --benchmark_filter='Scheduler|LinkDelivery|Rng' \
         --benchmark_repetitions=5 \
         --metrics-out reports/BENCH_MICRO.json
     ./build/intox run blink.e2e \
         --metrics-out reports/BENCH_BLINK-E2E.json > /dev/null
+    ./build/intox run blink.fig2 --threads 1 --set runs=2 \
+        --metrics-out reports/BENCH_FIG2.json > /dev/null
     ./build/intox run pcc.fleet --threads 1 --set duration_s=10 \
         --metrics-out reports/BENCH_PCC-FLEET.json > /dev/null
     scripts/check_perf_gate.py --reports reports --update

@@ -55,6 +55,12 @@ TOKEN_EXPECTED = {
     ("src/sim/determinism_bad.cpp", 22, "determinism"),  # system_clock
     ("src/sim/determinism_bad.cpp", 29, "determinism"),  # ::time()
     ("src/sim/determinism_bad.cpp", 33, "determinism"),  # Rng(42)
+    ("src/sim/determinism_bad.cpp", 40, "determinism"),  # mt19937_64
+    ("src/sim/determinism_bad.cpp", 41, "determinism"),  # mt19937
+    ("src/sim/determinism_bad.cpp", 42, "determinism"),  # *_distribution
+    ("src/sim/determinism_bad.cpp", 43, "determinism"),  # std::shuffle(
+    ("src/sim/determinism_bad.cpp", 44, "determinism"),  # shuffle(
+    ("src/sim/determinism_bad.cpp", 49, "determinism"),  # mersenne_twister
     ("src/sim/pragma_stale_bad.cpp", 7, "pragma"),   # stale suppression
     ("src/sim/pragma_stale_bad.cpp", 11, "pragma"),  # unknown check name
     ("src/sim/pragma_bare_bad.cpp", 9, "pragma"),    # no justification
@@ -146,6 +152,7 @@ def check_tokens(binary, tokens):
     for quiet in [
         "src/sim/determinism_good.cpp",
         "src/sim/determinism_suppressed.cpp",
+        "src/sim/rng.hpp",
         "src/obs/metrics_good.cpp",
         "src/obs/metrics_suppressed.cpp",
         "src/net/header_good.hpp",

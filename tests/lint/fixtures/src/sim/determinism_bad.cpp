@@ -34,4 +34,19 @@ double literal_seed() {
   return rng.uniform();
 }
 
+// Draws outside sim::Rng: engines, distributions and std::shuffle.
+template <typename Container>
+double draws_outside_rng(std::uint64_t seed, Container& v) {
+  std::mt19937_64 gen{seed};                     // line 40: engine
+  std::mt19937 narrow{1};                        // line 41: engine
+  std::normal_distribution<double> noise{0, 1};  // line 42: distribution
+  std::shuffle(v.begin(), v.end(), gen);         // line 43: std::shuffle
+  shuffle(v.begin(), v.end(), gen);              // line 44: unqualified
+  return noise(gen) + static_cast<double>(narrow());
+}
+
+template <typename UInt>
+using Twister = std::mersenne_twister_engine<  // line 49: engine template
+    UInt, 64, 312, 156, 31, 0, 29, 0, 17, 0, 37, 0, 43, 0>;
+
 }  // namespace intox::fixture

@@ -24,4 +24,10 @@ long now_of(const Sched& sched) {
   return sched.time();
 }
 
+// Rng's own shuffle is a member call, not std::shuffle.
+template <typename Container>
+void deal(sim::Rng& rng, Container& deck) {
+  rng.shuffle(deck);
+}
+
 }  // namespace intox::fixture

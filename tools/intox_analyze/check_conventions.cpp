@@ -18,13 +18,13 @@ bool starts_with(const std::string& s, std::string_view prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+bool ends_with(const std::string& s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
 bool is_header(const std::string& rel_path) {
-  for (std::string_view ext : {".hpp", ".h"}) {
-    if (rel_path.size() >= ext.size() &&
-        rel_path.compare(rel_path.size() - ext.size(), ext.size(), ext) == 0)
-      return true;
-  }
-  return false;
+  return ends_with(rel_path, ".hpp") || ends_with(rel_path, ".h");
 }
 
 // ---------------------------------------------------------------------------
@@ -46,9 +46,19 @@ constexpr std::array<std::string_view, 13> kBannedCalls = {
     "clock",   "localtime", "gmtime",
 };
 
+// Mersenne Twister engines, `*_distribution` and `std::shuffle` draw
+// around sim::Rng, so only src/sim/rng.{hpp,cpp} may name them.
+constexpr std::array<std::string_view, 3> kBannedEngines = {
+    "mt19937", "mt19937_64", "mersenne_twister_engine"};
+constexpr std::string_view kDistributionSuffix = "_distribution";
+
 template <typename Arr>
 bool contains(const Arr& arr, std::string_view s) {
   return std::find(arr.begin(), arr.end(), s) != arr.end();
+}
+
+bool in_rng_unit(const std::string& rel_path) {
+  return rel_path == "src/sim/rng.hpp" || rel_path == "src/sim/rng.cpp";
 }
 
 // Keywords the lexer emits as identifiers but that can never be a
@@ -80,6 +90,29 @@ const Token* next_tok(const TokenStream& toks, std::size_t i) {
   return i + 1 < toks.size() ? &toks[i + 1] : nullptr;
 }
 
+// True when toks[i] is called as a free or std-qualified function, not
+// as a member (`sched.time(...)`), in a declaration or from another scope.
+bool is_free_call(const TokenStream& toks, std::size_t i) {
+  const Token* next = next_tok(toks, i);
+  if (!next || next->text != "(") return false;
+  const Token* prev = prev_tok(toks, i);
+  if (!prev) return true;
+  if (prev->text == "." || prev->text == "->") return false;
+  // A declaration (`Duration time(...)`) is not a call — but a keyword
+  // before the name (`return time(0)`) still is.
+  if (prev->kind == TokenKind::kIdentifier)
+    return contains(kNonQualifierKeywords, prev->text);
+  if (prev->text == ">" || prev->text == "*" || prev->text == "&" ||
+      prev->text == "~")
+    return false;
+  // Qualified call: `std::time(` and `::time(` are the libc functions;
+  // `OtherScope::time(` is not.
+  if (prev->text != "::" || i < 2) return true;
+  const Token& qual = toks[i - 2];
+  return qual.kind != TokenKind::kIdentifier || qual.text == "std" ||
+         contains(kNonQualifierKeywords, qual.text);
+}
+
 void check_determinism(const std::string& rel_path, const TokenStream& toks,
                        std::vector<Finding>& out) {
   for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -96,34 +129,24 @@ void check_determinism(const std::string& rel_path, const TokenStream& toks,
     }
 
     if (contains(kBannedCalls, t.text)) {
-      const Token* next = next_tok(toks, i);
-      if (!next || next->text != "(") continue;
-      const Token* prev = prev_tok(toks, i);
-      if (prev) {
-        // Member call on a project object (`sched.time(...)`) is fine.
-        if (prev->text == "." || prev->text == "->") continue;
-        // A declaration (`Duration time(...)`) is fine — but a keyword
-        // before the name (`return time(0)`) is still a call.
-        if ((prev->kind == TokenKind::kIdentifier &&
-             !contains(kNonQualifierKeywords, prev->text)) ||
-            prev->text == ">" || prev->text == "*" || prev->text == "&" ||
-            prev->text == "~")
-          continue;
-        // Qualified call: `std::time(` and `::time(` are the libc
-        // functions; `OtherScope::time(` is not.
-        if (prev->text == "::") {
-          const Token* qual = i >= 2 ? &toks[i - 2] : nullptr;
-          if (qual && qual->kind == TokenKind::kIdentifier &&
-              qual->text != "std" &&
-              !contains(kNonQualifierKeywords, qual->text))
-            continue;
-        }
-      }
+      if (!is_free_call(toks, i)) continue;
       out.push_back({rel_path, t.line, "determinism",
                      "call to '" + t.text +
                          "()' reads the wall clock or ambient randomness; "
                          "derive all randomness and time from the "
                          "simulation"});
+      continue;
+    }
+
+    const bool draws = contains(kBannedEngines, t.text) ||
+                       ends_with(t.text, kDistributionSuffix) ||
+                       (t.text == "shuffle" && is_free_call(toks, i));
+    if (draws && !in_rng_unit(rel_path)) {
+      out.push_back({rel_path, t.line, "determinism",
+                     "'" + t.text +
+                         "' draws outside sim::Rng; every draw goes through "
+                         "a forked sim::Rng, whose engine and distributions "
+                         "live only in src/sim/rng.{hpp,cpp}"});
       continue;
     }
 

@@ -28,10 +28,12 @@ bool in_product_code(const std::string& rel_path);
 /// The per-file token checks:
 ///   determinism  bans entropy and clock reads (std::random_device, the
 ///                libc PRNGs, time/gettimeofday, the <chrono> clocks)
-///                in product code, reachable or not, and literal-seeded
-///                Rng construction in src/ (seeds must be forked or
-///                plumbed from config so `--threads` cannot perturb
-///                them).
+///                in product code, reachable or not; draws around
+///                sim::Rng (the Mersenne Twister engines, any
+///                `*_distribution`, a free `shuffle(` call) in product
+///                code but src/sim/rng.{hpp,cpp}; and literal-seeded Rng
+///                construction in src/ (seeds must be forked or plumbed
+///                from config so `--threads` cannot perturb them).
 ///   header       #pragma once in every header, no `using namespace`
 ///                at header scope, and no <iostream> in src/ headers
 ///                (hot-path translation units must not inherit stream
