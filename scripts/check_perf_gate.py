@@ -153,7 +153,9 @@ def update(baseline_path, reports_dir, allow_drop):
                  f"not in {report_path}; a silent drop would un-guard its "
                  f"floor. Re-run the bench that produces it, or pass "
                  f"--allow-drop {name} if it was deleted on purpose.")
-        sweeps[name] = {"trials_per_s": round(current[name], 1)}
+        # Significant digits, not decimal places: a slow sweep keeps its
+        # precision, and any positive rate stays positive.
+        sweeps[name] = {"trials_per_s": float(f"{current[name]:.4g}")}
         print(f"  {family}/{name}: baseline := {current[name]:,.2f} trials/s")
     baseline["schema"] = BASELINE_SCHEMA
     baseline["sweeps"] = sweeps

@@ -3,10 +3,9 @@
 #
 #   1. intox_analyze     project-specific checks in one pass: per-file
 #                        conventions (determinism, metric naming, header
-#                        hygiene) and whole-program
-#                        checks over the call graph (async-signal-safety,
-#                        hash-order taint, atomic memory-order policy);
-#                        built via the `lint` preset
+#                        hygiene) and checks over an index of the tree
+#                        (async-signal-safety, hash-order taint, atomic
+#                        memory-order policy); built via the `lint` preset
 #   2. clang-tidy        curated .clang-tidy profile over every entry in
 #                        the lint preset's compile_commands.json
 #   3. clang-format      --dry-run -Werror diff gate over tracked C++

@@ -6,7 +6,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace intox::obs {
@@ -353,11 +352,13 @@ class Parser {
   }
 
   bool parse_number(JsonValue* out) {
+    // from_chars stops at the view's end, not at the next NUL.
     const char* begin = input_.data() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) return fail("invalid value");
-    // strtod accepts more than JSON (hex, inf, nan) — reject those.
+    double value = 0.0;
+    const auto [end, ec] =
+        std::from_chars(begin, input_.data() + input_.size(), value);
+    if (ec == std::errc::invalid_argument) return fail("invalid value");
+    // from_chars reads inf and nan, which JSON lacks — reject those.
     for (const char* p = begin; p != end; ++p) {
       const char ch = *p;
       const bool json_number_char =
@@ -365,6 +366,7 @@ class Parser {
           ch == 'e' || ch == 'E';
       if (!json_number_char) return fail("invalid number");
     }
+    if (ec != std::errc{}) return fail("number out of range");
     pos_ += static_cast<std::size_t>(end - begin);
     out->kind = JsonValue::Kind::kNumber;
     out->number = value;

@@ -2,10 +2,8 @@
 
 #include <unistd.h>
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -392,11 +390,8 @@ bool SinkFlags::consume(int argc, char** argv, int* i, std::string* error) {
 
 std::string parse_count(std::string_view flag, const char* text,
                         std::size_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (text[0] == '\0' || text[0] == '-' || end == text || *end != '\0' ||
-      errno == ERANGE) {
+  std::uint64_t v = 0;
+  if (!parse_u64(text, &v)) {
     return std::string(flag) + " expects a non-negative integer, got '" +
            text + "'";
   }

@@ -26,6 +26,17 @@ std::string render_default(const Knob& knob) {
 
 }  // namespace
 
+bool parse_u64(std::string_view text, std::uint64_t* out) {
+  // from_chars takes no sign and no leading whitespace for an unsigned
+  // type, and reports overflow instead of clamping.
+  std::uint64_t v = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc{} || end != last) return false;
+  *out = v;
+  return true;
+}
+
 std::string render_value(const Knob& knob) {
   switch (knob.kind) {
     case KnobKind::kU64: {
@@ -179,13 +190,8 @@ std::string KnobSet::set(const std::string& key, const std::string& value) {
   }
   switch (knob->kind) {
     case KnobKind::kU64: {
-      if (value.empty() || value[0] == '-') {
-        return "knob '" + key + "' expects an unsigned integer, got '" +
-               value + "'";
-      }
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
+      std::uint64_t parsed = 0;
+      if (!parse_u64(value, &parsed)) {
         return "knob '" + key + "' expects an unsigned integer, got '" +
                value + "'";
       }

@@ -17,6 +17,11 @@ namespace intox::scenario {
 
 enum class KnobKind { kU64, kDouble, kString };
 
+/// Parses `text` as a decimal unsigned integer: one or more digits and
+/// nothing else (no sign, no whitespace), within u64 range. Returns
+/// false, leaving *out untouched, otherwise.
+[[nodiscard]] bool parse_u64(std::string_view text, std::uint64_t* out);
+
 const char* to_string(KnobKind kind);
 
 struct Knob;

@@ -21,4 +21,20 @@ void crash_handler(int sig) {
 
 void install() { std::signal(SIGSEGV, crash_handler); }
 
+// A second handler whose helpers are safe but defined in sig_helper.cpp,
+// outside the walked file: each call must be on the allowlist.
+int helper_depth(int sig);
+struct Tally {
+  int hits = 0;
+  void bump();
+};
+Tally g_tally;
+
+void term_handler(int sig) {
+  g_tally.bump();
+  helper_depth(sig);
+}
+
+void install_term() { std::signal(SIGTERM, term_handler); }
+
 }  // namespace fixture

@@ -29,4 +29,19 @@ int run_fixture(int trials) {
 
 INTOX_REGISTER_SCENARIO(kFixture, {"fixture", run_fixture});
 
+// No scenario reaches this helper; its hash-order loop must fire anyway.
+int unregistered_total(int n) {
+  std::unordered_map<int, int> seen;
+  for (int i = 0; i < n; ++i) seen[i] = i * i;
+  int total = 0;
+  for (const auto& [key, square] : seen) total = total * 31 + square;
+  return total;
+}
+
+// An unordered container taken as a parameter is unordered too.
+int first_key(const std::unordered_map<int, int>& table) {
+  for (const auto& entry : table) return entry.first;
+  return -1;
+}
+
 }  // namespace fixture

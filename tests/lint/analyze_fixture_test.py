@@ -9,8 +9,10 @@ rules behave exactly as on the real tree:
                                 snippet per check that must fire, a
                                 known-good twin and a pragma-suppressed
                                 case that must not
-  tests/lint/analyze/fixtures/  one intentionally bad file per call-graph
-                                check (sigsafe, taint, atomics)
+  tests/lint/analyze/fixtures/  one intentionally bad file per index
+                                check (sigsafe, taint, atomics), plus a
+                                clean helper file the sigsafe handler
+                                calls into
 
 Each corpus must produce its exact findings and nothing else. One
 driver, one corpus per run (and per ctest):
@@ -18,7 +20,7 @@ driver, one corpus per run (and per ctest):
   tokens  the token corpus, --dump-metric-names and a seeded mini-repo
           (ctest lint_fixtures)
   graph   the graph corpus; the sigsafe --explain output must show the
-          real flightrec dump entry points in the reachable set, and CLI
+          real flightrec dump entry points on the signal path, and CLI
           mistakes must exit 2 instead of passing as a clean run
           (ctest analyze_fixtures)
 
@@ -74,9 +76,14 @@ GRAPH_EXPECTED = {
     ("src/sig_bad.cpp", 16, "sigsafe"),      # lock_guard acquire
     ("src/sig_bad.cpp", 17, "sigsafe"),      # free
     ("src/sig_bad.cpp", 18, "sigsafe"),      # manual .lock()
+    ("src/sig_bad.cpp", 19, "sigsafe"),      # .unlock(): not allowlisted
+    ("src/sig_bad.cpp", 34, "sigsafe"),      # method defined in another file
+    ("src/sig_bad.cpp", 35, "sigsafe"),      # function defined in another file
     ("src/taint_bad.cpp", 10, "determinism"),  # std::random_device
     ("src/taint_bad.cpp", 11, "determinism"),  # std::rand
     ("src/taint_bad.cpp", 18, "taint"),      # unordered iteration
+    ("src/taint_bad.cpp", 37, "taint"),      # ... where no scenario reaches
+    ("src/taint_bad.cpp", 43, "taint"),      # ... over a parameter
 }
 
 # Every name registered in the token corpus's src/ and bench/, sorted;
@@ -222,15 +229,15 @@ def check_graph(binary, graph, repo):
     ]:
         check_isolation(binary, graph, check_name, path)
 
-    # --- explain: the fixture handler is in the reachable set ---------
+    # --- explain: the fixture handler is on the signal path ------------
     proc = run(binary, "--root", str(graph), "--check", "sigsafe",
                "--explain", "sigsafe")
     check("crash_handler" in proc.stdout,
           "--explain sigsafe lists the fixture handler as reachable")
 
-    # --- real tree: flightrec dump entry points are proven reachable --
-    # (if the handler call graph ever detached from the analysis roots,
-    # the sigsafe check would be proving nothing)
+    # --- real tree: flightrec dump entry points are on the signal path
+    # (if the signal path ever detached from the analysis roots, the
+    # sigsafe check would be proving nothing)
     proc = run(binary, "--root", str(repo), "--check", "sigsafe",
                "--explain", "sigsafe")
     for fn in ["flightrec_dump", "flightrec_dump_on_crash", "crash_handler"]:

@@ -10,7 +10,9 @@ escape hatch for deliberate benchmark deletions. Near a floor the
 printed numbers must tell a pass from a failure: rounded to whole
 numbers, a failing 5.85 and a passing 5.95 both printed as 6. A report
 with one sweep per benchmark repetition is judged on their median, not
-on whichever repetition came last.
+on whichever repetition came last. `--update` keeps significant digits:
+rounded to one decimal place, a 0.0412 trials/s sweep was stored as 0.0,
+which `check` then refused as a bad baseline.
 
 Usage: perf_gate_test.py <path-to-check_perf_gate.py>
 """
@@ -161,6 +163,24 @@ def main():
             fail("--allow-drop kept the dropped sweep")
         if rewritten["sweeps"]["other"]["trials_per_s"] != 500.0:
             fail("--update did not record the fresh throughput")
+
+    # --update then check on a slow sweep: the baseline keeps the rate.
+    with tempfile.TemporaryDirectory() as tmp:
+        baselines, reports = setup(
+            tmp, {"slow": {"trials_per_s": 1.0}}, {"slow": 0.0412})
+        res = gate(script, "--reports", reports, "--baselines", baselines,
+                   "--update")
+        if res.returncode != 0:
+            fail(f"--update on a 0.0412 trials/s sweep failed: {res.stderr}")
+        with open(os.path.join(baselines, "core.json"),
+                  encoding="utf-8") as f:
+            stored = json.load(f)["sweeps"]["slow"]["trials_per_s"]
+        if stored != 0.0412:
+            fail(f"--update stored 0.0412 trials/s as {stored!r}")
+        res = gate(script, "--reports", reports, "--baselines", baselines)
+        if res.returncode != 0:
+            fail(f"check after --update on a slow sweep failed: "
+                 f"{res.stderr}")
 
     print("perf_gate_test: OK")
 

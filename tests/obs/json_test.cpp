@@ -117,6 +117,28 @@ TEST(JsonParse, ErrorsCarryByteOffsets) {
   EXPECT_FALSE(error.empty());
 }
 
+// A view ends at its size, not at the next NUL of the backing string:
+// the view "12" of "12345" is the number 12, and the view "[1,2" of
+// "[1,23]" ends inside its array.
+TEST(JsonParse, NumbersStayInsideTheView) {
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(json_parse(std::string_view("12345", 2), &v, &error)) << error;
+  EXPECT_DOUBLE_EQ(v.number, 12.0);
+  EXPECT_FALSE(json_parse(std::string_view("[1,23]", 4), &v, &error));
+  EXPECT_EQ(error, "unterminated array at byte 4");
+}
+
+// JsonWriter writes non-finite numbers as null and never a leading '+'.
+TEST(JsonParse, RejectsNumbersJsonWriterNeverEmits) {
+  for (const char* bad : {"inf", "-inf", "nan", "+1", "0x10", "1e999"}) {
+    JsonValue v;
+    std::string error;
+    EXPECT_FALSE(json_parse(bad, &v, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+}
+
 TEST(JsonParse, DepthIsBounded) {
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += '[';

@@ -27,6 +27,24 @@ int run(std::initializer_list<const char*> args) {
   return driver_main(static_cast<int>(args.size()), argv.data());
 }
 
+// --threads and --workers take decimal digits only, in range: " -1" must
+// not wrap to 2^64 - 1.
+TEST(ParseCount, TakesOnlyInRangeDigits) {
+  std::size_t n = 7;
+  for (const char* bad : {" -1", "-1", " 4", "+4", "4 ", "4x", "0x4", "",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(parse_count("--threads", bad, &n),
+              std::string("--threads expects a non-negative integer, got '") +
+                  bad + "'")
+        << bad;
+  }
+  EXPECT_EQ(n, 7u);
+  EXPECT_EQ(parse_count("--workers", "0", &n), "");
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(parse_count("--workers", "4096", &n), "");
+  EXPECT_EQ(n, 4096u);
+}
+
 using CliDeathTest = ::testing::Test;
 
 TEST(CliDeathTest, UnknownScenarioExitsTwo) {

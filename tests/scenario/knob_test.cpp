@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace intox::scenario {
 namespace {
 
@@ -48,6 +51,26 @@ TEST(KnobSet, MalformedValuesAreRejected) {
   // The stored values stay untouched after a rejected set.
   EXPECT_EQ(knobs.u("trials"), 8u);
   EXPECT_DOUBLE_EQ(knobs.d("floor"), 0.5);
+}
+
+// A u64 knob takes decimal digits only, in range: " -5" must not wrap to
+// 2^64 - 5, nor an overflow clamp to 2^64 - 1. The knob has no range, so
+// only the parser can refuse them.
+TEST(KnobSet, U64TakesOnlyInRangeDigits) {
+  KnobSet knobs;
+  knobs.declare_u64("seed", 1, "seed");
+  for (const char* bad : {" -5", "-5", " 5", "+5", "5 ", "0x10", "",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(knobs.set("seed", bad),
+              std::string("knob 'seed' expects an unsigned integer, got '") +
+                  bad + "'")
+        << bad;
+  }
+  EXPECT_EQ(knobs.u("seed"), 1u);
+  EXPECT_EQ(knobs.set("seed", "18446744073709551615"), "");
+  EXPECT_EQ(knobs.u("seed"), UINT64_MAX);
+  EXPECT_EQ(knobs.set("seed", "007"), "");
+  EXPECT_EQ(knobs.u("seed"), 7u);
 }
 
 TEST(KnobSet, RangeViolationsAreRejected) {

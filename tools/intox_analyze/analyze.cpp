@@ -185,14 +185,13 @@ RunResult run_analyze(const Options& opts, std::ostream& explain_out) {
   });
   result.files_scanned = static_cast<int>(files.size());
 
-  const CallGraph graph(index);
   auto explain_for = [&](const std::string& check) -> std::ostream* {
     return opts.explain_check == check ? &explain_out : nullptr;
   };
   check_metrics(index, raw);
-  check_sigsafe(graph, raw, explain_for("sigsafe"));
-  check_taint(graph, raw, explain_for("taint"));
-  check_atomics(graph, raw, explain_for("atomics"));
+  check_sigsafe(index, raw, explain_for("sigsafe"));
+  check_taint(index, raw, explain_for("taint"));
+  check_atomics(index, raw, explain_for("atomics"));
 
   auto check_enabled = [&](const std::string& check) {
     return opts.only_checks.empty() ||

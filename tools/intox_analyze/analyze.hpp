@@ -25,8 +25,8 @@ struct Options {
   /// bench, tests and tools. A named path must exist.
   std::vector<std::string> paths;
   std::vector<std::string> only_checks;
-  /// When non-empty, print that check's evidence (reachable sets,
-  /// pairing tables) to stdout before the findings.
+  /// When non-empty, print that check's evidence (the signal path, the
+  /// taint scope, pairing tables) to stdout before the findings.
   std::string explain_check;
 };
 

@@ -51,10 +51,8 @@ struct ReceiverState {
 
 }  // namespace
 
-void check_atomics(const CallGraph& graph, std::vector<Finding>& out,
+void check_atomics(const Index& index, std::vector<Finding>& out,
                    std::ostream* explain) {
-  const Index& index = graph.index();
-
   // Program-wide pairing table, keyed by normalized receiver name: the
   // hot lane writes `head` with release, the fold side reads `head`
   // with acquire — possibly in another file.

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <set>
 
 #include "checks.hpp"
@@ -37,51 +38,91 @@ std::string strip_qualifiers(const std::string& chain) {
   return s;
 }
 
+// The functions in the caller's own file that a call may target, by
+// name: a member call (`w.put(c)`) targets methods, any other call free
+// functions plus the caller's own class (implicit this). `std::` calls
+// are external.
+std::vector<int> file_targets(const Index& index, int caller,
+                              const CallSite& call) {
+  if (call.name.rfind("std::", 0) == 0) return {};
+  const FunctionDef& from = index.functions[caller];
+  const std::string name = call.name.substr(call.name.rfind(':') + 1);
+  std::vector<int> out;
+  for (std::size_t f = 0; f < index.functions.size(); ++f) {
+    const FunctionDef& to = index.functions[f];
+    if (to.file != from.file || to.name != name) continue;
+    if (call.receiver.empty() ? to.cls.empty() || to.cls == from.cls
+                              : !to.cls.empty()) {
+      out.push_back(static_cast<int>(f));
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
-void check_sigsafe(const CallGraph& graph, std::vector<Finding>& out,
+void check_sigsafe(const Index& index, std::vector<Finding>& out,
                    std::ostream* explain) {
-  const Index& index = graph.index();
-
   // Roots: every registered handler plus the crash-dump entry points,
   // which are documented to be callable from a fatal-signal context.
-  std::set<int> root_set;
   std::vector<std::string> root_names;
   for (const SignalHandlerReg& reg : index.signal_handlers) {
-    for (int f : graph.find_functions(reg.handler)) root_set.insert(f);
     root_names.push_back(reg.handler);
   }
   for (const char* builtin : {"flightrec_dump", "flightrec_dump_on_crash"}) {
-    const std::vector<int> fns = graph.find_functions(builtin);
-    if (!fns.empty()) root_names.push_back(builtin);
-    for (int f : fns) root_set.insert(f);
+    if (std::any_of(index.functions.begin(), index.functions.end(),
+                    [&](const FunctionDef& fn) { return fn.name == builtin; })) {
+      root_names.push_back(builtin);
+    }
   }
 
-  const std::vector<int> reach =
-      graph.reachable({root_set.begin(), root_set.end()});
+  // Walk each root through its own file.
+  std::vector<char> seen(index.functions.size(), 0);
+  std::vector<int> path;
+  for (std::size_t f = 0; f < index.functions.size(); ++f) {
+    const std::string& name = index.functions[f].name;
+    if (std::find(root_names.begin(), root_names.end(), name) !=
+        root_names.end()) {
+      seen[f] = 1;
+      path.push_back(static_cast<int>(f));
+    }
+  }
+  for (std::size_t next = 0; next < path.size(); ++next) {
+    const int f = path[next];
+    for (const CallSite& c : index.functions[f].calls) {
+      for (int callee : file_targets(index, f, c)) {
+        if (!seen[callee]) {
+          seen[callee] = 1;
+          path.push_back(callee);
+        }
+      }
+    }
+  }
+  std::sort(path.begin(), path.end());
 
   if (explain != nullptr) {
     *explain << "sigsafe roots:";
     for (const std::string& r : root_names) *explain << " " << r;
-    *explain << "\nsigsafe reachable (" << reach.size() << "):\n";
-    for (int f : reach) {
+    *explain << "\nsigsafe reachable (" << path.size() << "):\n";
+    for (int f : path) {
       const FunctionDef& fn = index.functions[f];
       *explain << "  " << fn.qname << "  (" << fn.file << ":" << fn.line
                << ")\n";
     }
   }
 
-  for (int f : reach) {
+  for (int f : path) {
     const FunctionDef& fn = index.functions[f];
     for (const CallSite& c : fn.calls) {
-      if (!graph.resolve_call(f, c).empty()) continue;  // proven by recursion
-      if (!c.receiver.empty()) continue;  // unresolvable method on a value
+      if (!file_targets(index, f, c).empty()) continue;  // walked above
       const std::string name = strip_qualifiers(c.name);
       if (sigsafe_allowlist().count(name)) continue;
       out.push_back({fn.file, c.line, "sigsafe",
                      "'" + fn.qname +
                          "' is on the fatal-signal path but calls '" +
-                         c.name + "', which is not async-signal-safe"});
+                         c.name +
+                         "', which is neither defined in this file nor on "
+                         "the async-signal-safe allowlist"});
     }
     for (const DangerEvent& d : fn.dangers) {
       out.push_back({fn.file, d.line, "sigsafe",

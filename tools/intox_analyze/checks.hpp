@@ -1,15 +1,15 @@
 // The checks. Three enforce line-local project conventions on the token
-// stream; three walk the call graph. Each appends findings; the graph
-// checks also print the evidence they ran on (reachable-function lists,
-// atomic pairing tables) when `explain` is non-null, for humans and for
-// CI assertions.
+// stream; three read the index. Each appends findings; the index checks
+// also print the evidence they ran on (the signal-path functions, the
+// taint scope, atomic pairing tables) when `explain` is non-null, for
+// humans and for CI assertions.
 #pragma once
 
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "callgraph.hpp"
+#include "index.hpp"
 #include "token.hpp"
 
 namespace intox::analyze {
@@ -47,19 +47,20 @@ void check_tokens(const std::string& rel_path, const cxxlex::TokenStream& toks,
 /// subsystems cannot silently fold their counts together.
 void check_metrics(const Index& index, std::vector<Finding>& out);
 
-/// Functions reachable from fatal-signal handlers (auto-detected
-/// `sa_handler =` / `signal(SIG, fn)` registrations plus the
-/// flightrec_dump entry points) may only call a POSIX async-signal-safe
-/// allowlist or functions proven safe by recursion. Allocation, throw,
-/// iostreams, std::string and lock acquisition are flagged.
-void check_sigsafe(const CallGraph& graph, std::vector<Finding>& out,
+/// The fatal-signal path starts at each registered handler (auto-detected
+/// `sa_handler =` / `signal(SIG, fn)` registrations) and at the
+/// flightrec_dump entry points, and follows calls by name through the
+/// functions defined in that root's own file. Every call it cannot
+/// resolve there must be on a POSIX async-signal-safe allowlist.
+/// Allocation, throw, iostreams, std::string and lock acquisition on the
+/// path are flagged.
+void check_sigsafe(const Index& index, std::vector<Finding>& out,
                    std::ostream* explain);
 
-/// Nothing reachable from a scenario run function (INTOX_REGISTER_SCENARIO)
-/// may iterate an unordered container in a way that can feed output
-/// bytes. Clock and entropy reads are `determinism`'s job, everywhere in
-/// product code; hash order is the one hazard that needs reachability.
-void check_taint(const CallGraph& graph, std::vector<Finding>& out,
+/// No function in product code may iterate an unordered container: hash
+/// order can feed output bytes. Clock and entropy reads are
+/// `determinism`'s job.
+void check_taint(const Index& index, std::vector<Finding>& out,
                  std::ostream* explain);
 
 /// In functions marked `// intox-analyze: hot-lane`, atomics must be
@@ -67,7 +68,7 @@ void check_taint(const CallGraph& graph, std::vector<Finding>& out,
 /// seq_cst (explicit or defaulted) is always flagged. Pairing is checked
 /// program-wide per receiver: a release store with no acquire-side load
 /// anywhere (or vice versa) publishes nothing and is flagged.
-void check_atomics(const CallGraph& graph, std::vector<Finding>& out,
+void check_atomics(const Index& index, std::vector<Finding>& out,
                    std::ostream* explain);
 
 /// Names accepted by `--check`, `--explain` and in allow() pragmas,

@@ -346,10 +346,6 @@ class Indexer {
       parse_alias();
       return;
     }
-    if (is_kw(t, "INTOX_REGISTER_SCENARIO")) {
-      parse_scenario_registration();
-      return;
-    }
     if (is_ident(t) && is_unordered_type_name(last_component(t.text))) {
       note_unordered_decl(i_);
     }
@@ -466,114 +462,6 @@ class Indexer {
     skip_statement(j);
   }
 
-  void parse_scenario_registration() {
-    // INTOX_REGISTER_SCENARIO(ident, {..., run_fn});
-    const int line = tok(i_).line;
-    std::size_t j = i_ + 1;
-    if (at_end(j) || !is_punct(tok(j), "(")) {
-      ++i_;
-      return;
-    }
-    const std::size_t close = skip_parens(j);
-    std::string last_ident;
-    for (std::size_t k = j; k < close; ++k) {
-      if (is_ident(tok(k))) last_ident = tok(k).text;
-    }
-    if (!last_ident.empty()) {
-      out_.scenarios.push_back({last_ident, rel_, line});
-    }
-    i_ = close;
-  }
-
-  // Words that can directly precede an identifier without being its
-  // declared type.
-  bool is_decl_stop_word(const std::string& s) const {
-    static const std::set<std::string> kStop = {
-        "return",   "delete",    "new",      "throw",     "auto",
-        "const",    "constexpr", "static",   "else",      "case",
-        "using",    "typename",  "template", "inline",    "mutable",
-        "volatile", "thread_local",          "operator",  "goto",
-        "break",    "continue",  "public",   "private",   "protected",
-        "virtual",  "explicit",  "friend",   "extern",    "register",
-        "struct",   "class",     "enum",     "union",     "namespace",
-        "co_await", "co_return", "co_yield", "this",      "nullptr",
-        "true",     "false",     "default"};
-    return kStop.count(s) > 0 || is_control_keyword(s);
-  }
-
-  // If tokens at `pos` read `Type [<...>] [*&]* name <follower>`, record
-  // name -> {Type's last component, first template argument's last
-  // component}. Direct-init (`Ring r(fd)`) only counts as a declaration
-  // at body scope, where a method declaration cannot occur.
-  void capture_var_decl(std::size_t pos, bool allow_paren_init) {
-    std::size_t end = pos;
-    const std::string chain = read_chain(pos, &end);
-    if (chain.empty()) return;
-    const std::string tylast = last_component(chain);
-    if (is_decl_stop_word(tylast)) return;
-    std::set<std::string> types = {tylast};
-    std::size_t j = end;
-    if (!at_end(j) && is_punct(tok(j), "<")) {
-      const std::size_t adv = skip_angles(j);
-      if (adv == j) return;  // comparison, not a template type
-      // The first template argument usually names the element type
-      // (unique_ptr<Metric>, vector<Event>); record it too so virtual
-      // calls through wrappers keep a class candidate.
-      std::size_t k = j + 1;
-      while (!at_end(k) &&
-             (is_kw(tok(k), "const") || is_punct(tok(k), "::"))) {
-        ++k;
-      }
-      std::size_t aend = k;
-      const std::string arg = read_chain(k, &aend);
-      if (!arg.empty() && !is_decl_stop_word(last_component(arg))) {
-        types.insert(last_component(arg));
-      }
-      j = adv;
-    }
-    while (!at_end(j) && (is_punct(tok(j), "*") || is_punct(tok(j), "&") ||
-                          is_punct(tok(j), "&&") || is_kw(tok(j), "const"))) {
-      ++j;
-    }
-    if (at_end(j) || !is_ident(tok(j)) || is_decl_stop_word(tok(j).text)) {
-      return;
-    }
-    const std::string var = tok(j).text;
-    ++j;
-    if (at_end(j)) return;
-    const Token& f = tok(j);
-    const bool declaration_follower =
-        is_punct(f, ";") || is_punct(f, "=") || is_punct(f, ",") ||
-        is_punct(f, "{") || is_punct(f, ")") || is_punct(f, ":") ||
-        (allow_paren_init && is_punct(f, "("));
-    if (!declaration_follower) return;
-    for (const std::string& ty : types) out_.var_types[var].insert(ty);
-  }
-
-  // Captures `Type name` pairs for each top-level parameter in the list
-  // delimited by tokens (open, close).
-  void capture_params(std::size_t open, std::size_t close) {
-    bool at_arg_start = true;
-    int depth = 0;
-    for (std::size_t j = open + 1; j < close && !at_end(j); ++j) {
-      const Token& t = tok(j);
-      if (at_arg_start && is_ident(t)) {
-        std::size_t k = j;
-        while (k < close && is_ident(tok(k)) &&
-               (is_kw(tok(k), "const") || is_kw(tok(k), "struct") ||
-                is_kw(tok(k), "class"))) {
-          ++k;
-        }
-        if (k < close && is_ident(tok(k))) capture_var_decl(k, false);
-        at_arg_start = false;
-      }
-      if (t.kind != TokenKind::kPunct) continue;
-      if (t.text == "(" || t.text == "[" || t.text == "<") ++depth;
-      else if (t.text == ")" || t.text == "]" || t.text == ">") --depth;
-      else if (t.text == "," && depth == 0) at_arg_start = true;
-    }
-  }
-
   // `std::unordered_map<...> name` (declaration at any scope): record
   // `name` as an unordered variable. `pos` is at the type's last
   // identifier (the unordered_* component).
@@ -591,6 +479,18 @@ class Indexer {
     }
     if (!at_end(j) && is_ident(tok(j))) {
       out_.unordered_vars.insert(tok(j).text);
+    }
+  }
+
+  // Parameters in the list delimited by tokens (open, close) that are
+  // declared with an unordered type, or an alias of one, are unordered
+  // variables too.
+  void note_unordered_params(std::size_t open, std::size_t close) {
+    for (std::size_t k = open + 1; k < close; ++k) {
+      if (is_ident(tok(k)) && (is_unordered_type_name(tok(k).text) ||
+                               unordered_aliases_.count(tok(k).text))) {
+        note_unordered_decl(k);
+      }
     }
   }
 
@@ -661,12 +561,11 @@ class Indexer {
           j = after;
           continue;
         }
-        capture_params(j, after - 1);
+        note_unordered_params(j, after - 1);
         if (parse_function_tail(name_chain, tok(j).line, after)) return;
         j = after;
         continue;
       }
-      if (is_ident(t)) capture_var_decl(j, false);
       ++j;
     }
     i_ = j;
@@ -892,7 +791,6 @@ class Indexer {
 
     // Watched mentions are recorded whether or not the chain is called.
     if (is_watched_mention(chain)) fn().dangers.push_back({chain, line});
-    capture_var_decl(start, /*allow_paren_init=*/true);
     // Body-local `std::unordered_map<...> m` declarations: the chain
     // starts at `std`, so the per-token check in scan_body_token never
     // sees the unordered_* component.

@@ -1,4 +1,4 @@
-// The whole-program index intox_analyze builds before running checks.
+// The index intox_analyze builds before running checks.
 //
 // This is a *lightweight* semantic model, not a compiler front end: a
 // scope-tracking pass over the shared cxxlex token stream recovers
@@ -9,11 +9,10 @@
 // (new-expressions, throw, std::string, iostreams).
 // The soundness boundary of this model is documented in DESIGN.md §9:
 // names are resolved textually (no overload resolution, no type
-// inference), so the checks over-approximate call targets and treat
-// unresolved callees as external functions.
+// inference), and a call is only followed into a function defined in
+// the caller's own file.
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -92,31 +91,15 @@ struct SignalHandlerReg {
   int line = 0;
 };
 
-/// A scenario registration: the run function named last in the braced
-/// initializer of INTOX_REGISTER_SCENARIO(ident, {...}).
-struct ScenarioReg {
-  std::string run_fn;
-  std::string file;
-  int line = 0;
-};
-
 struct Index {
   std::vector<FunctionDef> functions;
   std::vector<MetricReg> metric_regs;
   std::vector<SignalHandlerReg> signal_handlers;
-  std::vector<ScenarioReg> scenarios;
-  /// Variables declared anywhere with an unordered container type
-  /// (std::unordered_map / set / multimap / multiset, or an alias of
-  /// one). Collected globally so a member declared in a header is
-  /// recognized when iterated in a .cpp.
+  /// Variables and parameters declared anywhere with an unordered
+  /// container type (std::unordered_map / set / multimap / multiset, or
+  /// an alias of one). Collected globally so a member declared in a
+  /// header is recognized when iterated in a .cpp.
   std::set<std::string> unordered_vars;
-  /// Declared name (local, member, or parameter) -> type names it was
-  /// declared with (last component, plus the first template argument for
-  /// wrapper types), merged program-wide. Narrows member-call
-  /// resolution: `w.text()` with `SigWriter w` only targets
-  /// SigWriter::text. Same-named variables of different types merge,
-  /// which only widens resolution.
-  std::map<std::string, std::set<std::string>> var_types;
 };
 
 /// Indexes one file into `index`: `toks` is `source` tokenized, and

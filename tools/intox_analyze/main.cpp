@@ -1,5 +1,5 @@
 // intox_analyze — the intox tree's static analysis: per-file convention
-// checks and whole-program checks over the call graph, in one pass.
+// checks and checks over an index of the tree, in one pass.
 //
 // Usage:
 //   intox_analyze [--root DIR] [--check NAME]... [--explain NAME]
