@@ -351,23 +351,46 @@ class Parser {
     return fail("unterminated string");
   }
 
-  bool parse_number(JsonValue* out) {
-    // from_chars stops at the view's end, not at the next NUL.
-    const char* begin = input_.data() + pos_;
-    double value = 0.0;
-    const auto [end, ec] =
-        std::from_chars(begin, input_.data() + input_.size(), value);
-    if (ec == std::errc::invalid_argument) return fail("invalid value");
-    // from_chars reads inf and nan, which JSON lacks — reject those.
-    for (const char* p = begin; p != end; ++p) {
-      const char ch = *p;
-      const bool json_number_char =
-          (ch >= '0' && ch <= '9') || ch == '-' || ch == '+' || ch == '.' ||
-          ch == 'e' || ch == 'E';
-      if (!json_number_char) return fail("invalid number");
+  bool next_is(char ch) const {
+    return pos_ < input_.size() && input_[pos_] == ch;
+  }
+
+  /// Advances past a run of digits; false when there is none.
+  bool digits() {
+    const std::size_t from = pos_;
+    while (pos_ < input_.size() && input_[pos_] >= '0' &&
+           input_[pos_] <= '9') {
+      ++pos_;
     }
-    if (ec != std::errc{}) return fail("number out of range");
-    pos_ += static_cast<std::size_t>(end - begin);
+    return pos_ > from;
+  }
+
+  bool parse_number(JsonValue* out) {
+    // JSON's grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+    // comes first: from_chars alone also reads inf, nan, ".5" and "1.".
+    // A leading 0 is the whole integer part, so "01" leaves a trailing
+    // "1" that the caller refuses.
+    const std::size_t begin = pos_;
+    if (next_is('-')) ++pos_;
+    if (next_is('0')) {
+      ++pos_;
+    } else if (!digits()) {
+      return fail(pos_ == begin ? "invalid value" : "invalid number");
+    }
+    if (next_is('.')) {
+      ++pos_;
+      if (!digits()) return fail("invalid number");
+    }
+    if (next_is('e') || next_is('E')) {
+      ++pos_;
+      if (next_is('+') || next_is('-')) ++pos_;
+      if (!digits()) return fail("invalid number");
+    }
+    double value = 0.0;
+    if (std::from_chars(input_.data() + begin, input_.data() + pos_, value)
+            .ec != std::errc{}) {
+      return fail("number out of range");
+    }
     out->kind = JsonValue::Kind::kNumber;
     out->number = value;
     return true;

@@ -2,11 +2,11 @@
 
 #include <unistd.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/flightrec.hpp"
@@ -61,7 +61,7 @@ void usage(std::FILE* out) {
 }
 
 const Scenario* find_or_diagnose(const char* name, std::string* error) {
-  const Scenario* sc = Registry::instance().find(name);
+  const Scenario* sc = find_scenario(name);
   if (sc == nullptr) {
     *error = std::string("unknown scenario '") + name +
              "' (run 'intox list' to enumerate)";
@@ -70,7 +70,7 @@ const Scenario* find_or_diagnose(const char* name, std::string* error) {
 }
 
 int cmd_list() {
-  for (const Scenario* sc : Registry::instance().all()) {
+  for (const Scenario* sc : all_scenarios()) {
     std::printf("%-22s %-12s %s\n", sc->name.c_str(), sc->family.c_str(),
                 sc->description.c_str());
   }
@@ -83,17 +83,12 @@ int cmd_knobs(int argc, char** argv) {
   const Scenario* sc = find_or_diagnose(argv[2], &error);
   if (sc == nullptr) return fail(error);
   KnobSet knobs;
-  if (sc->declare_knobs != nullptr) sc->declare_knobs(knobs);
+  sc->declare_knobs(knobs);
   std::printf("%s (%s) — %s\n", sc->name.c_str(), sc->family.c_str(),
               sc->description.c_str());
   for (const Knob& k : knobs.all()) {
     std::string spec = std::string(to_string(k.kind)) + "=" + k.default_text;
-    if (k.has_range) {
-      char range[64];
-      std::snprintf(range, sizeof range, " in [%g, %g]", k.min_value,
-                    k.max_value);
-      spec += range;
-    }
+    if (k.has_range) spec += " in " + render_range(k);
     std::printf("  %-18s %-28s %s\n", k.name.c_str(), spec.c_str(),
                 k.help.c_str());
   }
@@ -127,56 +122,23 @@ std::string apply_config(const std::string& path, KnobSet* knobs) {
   return "";
 }
 
-/// Redirects fd 1 into a tmpfile between begin() and end(), so a
-/// `--point-record` worker can embed the scenario's table output in its
-/// record instead of interleaving it with the orchestrator's own
-/// stdout. Scenarios print through stdio, so an fd-level swap catches
-/// everything, including child-library printf.
-class StdoutCapture {
- public:
-  ~StdoutCapture() {
-    if (active_) end();
+/// Runs one configuration of `sc` and returns its console, whose tally
+/// decides the exit. The console prints, or with a non-null `capture`
+/// appends the same bytes there.
+Console run_scenario(const Scenario& sc, const KnobSet& knobs,
+                     const SinkFlags& sinks, std::string* capture) {
+  obs::flightrec_set_scenario(sc.name.c_str());
+  if (!sinks.flightrec_out.empty()) {
+    obs::set_flightrec_dump_path(sinks.flightrec_out);
   }
-
-  bool begin() {
-    std::fflush(stdout);
-    saved_fd_ = ::dup(1);
-    tmp_ = std::tmpfile();
-    if (saved_fd_ < 0 || tmp_ == nullptr ||
-        ::dup2(::fileno(tmp_), 1) < 0) {
-      if (saved_fd_ >= 0) ::close(saved_fd_);
-      if (tmp_ != nullptr) std::fclose(tmp_);
-      saved_fd_ = -1;
-      tmp_ = nullptr;
-      return false;
-    }
-    active_ = true;
-    return true;
-  }
-
-  std::string end() {
-    if (!active_) return "";
-    std::fflush(stdout);
-    ::dup2(saved_fd_, 1);
-    ::close(saved_fd_);
-    active_ = false;
-    std::string text;
-    std::rewind(tmp_);
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, tmp_)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(tmp_);
-    tmp_ = nullptr;
-    return text;
-  }
-
- private:
-  int saved_fd_ = -1;
-  std::FILE* tmp_ = nullptr;
-  bool active_ = false;
-};
+  obs::BenchSession session{sc.family, sinks.threads.value_or(0),
+                            sinks.metrics_out};
+  sim::ParallelRunner runner{sinks.threads.value_or(0)};
+  Console console{capture};
+  Ctx ctx{knobs, console, runner, session};
+  sc.run(ctx);
+  return console;
+}
 
 int cmd_run(int argc, char** argv) {
   if (argc < 3) return fail("run: missing scenario name");
@@ -185,7 +147,7 @@ int cmd_run(int argc, char** argv) {
   if (sc == nullptr) return fail(error);
 
   KnobFlags flags;
-  if (sc->declare_knobs != nullptr) sc->declare_knobs(flags.knobs);
+  sc->declare_knobs(flags.knobs);
   SinkFlags sinks;
 
   std::string point_record_path;
@@ -205,25 +167,13 @@ int cmd_run(int argc, char** argv) {
     }
   }
 
-  obs::flightrec_set_scenario(sc->name.c_str());
-  if (!sinks.flightrec_out.empty()) {
-    obs::set_flightrec_dump_path(sinks.flightrec_out);
-  }
-  obs::BenchSession session{sc->family, sinks.threads.value_or(0),
-                            sinks.metrics_out};
-  sim::ParallelRunner runner{sinks.threads.value_or(0)};
-  Console console;
-  Ctx ctx{flags.knobs, console, runner, session};
-
   // With --point-record (an `intox sweep` worker), stdout goes into the
   // record file instead of the terminal; the orchestrator prints the
   // records in point order.
-  StdoutCapture capture;
   const bool recording = !point_record_path.empty();
-  if (recording && !capture.begin()) {
-    return fail("--point-record: cannot capture stdout");
-  }
-  sc->run(ctx);
+  std::string captured;
+  const Console console = run_scenario(*sc, flags.knobs, sinks,
+                                       recording ? &captured : nullptr);
   const int exit_code = claims_exit(console);
   if (recording) {
     obs::PointRecord record;
@@ -233,7 +183,7 @@ int cmd_run(int argc, char** argv) {
       record.knobs.emplace_back(k.name, render_value(k));
     }
     record.exit_code = exit_code;
-    record.stdout_text = capture.end();
+    record.stdout_text = std::move(captured);
     if (!obs::write_point_record(point_record_path, record)) return 1;
   }
   return exit_code;
@@ -249,22 +199,18 @@ int cmd_validate(int argc, char** argv) {
       targets.push_back(sc);
     }
   } else {
-    targets = Registry::instance().all();
+    const auto all = all_scenarios();
+    targets.assign(all.begin(), all.end());
   }
 
   int failures = 0;
   for (const Scenario* sc : targets) {
     KnobSet knobs;
-    if (sc->declare_knobs != nullptr) sc->declare_knobs(knobs);
-    obs::flightrec_set_scenario(sc->name.c_str());
-    obs::BenchSession session{sc->family, 0, ""};
-    sim::ParallelRunner runner;
-    Console console;
-    console.set_quiet(true);
+    sc->declare_knobs(knobs);
+    std::string discarded;
     std::string verdict = "OK";
     try {
-      Ctx ctx{knobs, console, runner, session};
-      sc->run(ctx);
+      const Console console = run_scenario(*sc, knobs, {}, &discarded);
       if (claims_exit(console) != 0) {
         verdict = "FAIL (" +
                   std::to_string(console.claims() - console.passed()) +

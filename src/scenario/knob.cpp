@@ -1,27 +1,20 @@
 #include "scenario/knob.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace intox::scenario {
 namespace {
 
-std::string render_default(const Knob& knob) {
+/// A default or bound as `intox knobs` shows it: a u64 knob's as an
+/// exact integer ("%.0f"; declared bounds are far below 2^53, so the
+/// double holds them exactly), a double knob's as "%g".
+std::string render_number(KnobKind kind, double v) {
   char buf[64];
-  switch (knob.kind) {
-    case KnobKind::kU64:
-      std::snprintf(buf, sizeof buf, "%llu",
-                    static_cast<unsigned long long>(knob.u));
-      return buf;
-    case KnobKind::kDouble:
-      std::snprintf(buf, sizeof buf, "%g", knob.d);
-      return buf;
-    case KnobKind::kString:
-      return knob.s;
-  }
-  return "";
+  std::snprintf(buf, sizeof buf, kind == KnobKind::kU64 ? "%.0f" : "%g", v);
+  return buf;
 }
 
 }  // namespace
@@ -37,45 +30,40 @@ bool parse_u64(std::string_view text, std::uint64_t* out) {
   return true;
 }
 
+bool parse_double(std::string_view text, double* out) {
+  double v = 0.0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc{} || end != last || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
 std::string render_value(const Knob& knob) {
-  switch (knob.kind) {
-    case KnobKind::kU64: {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%llu",
-                    static_cast<unsigned long long>(knob.u));
-      return buf;
-    }
-    case KnobKind::kDouble: {
-      // Shortest round-trip form: KnobSet::set(render_value(k)) restores
-      // the exact bits, and distinct doubles never collide as text.
-      char buf[32];
-      const auto [end, ec] =
-          std::to_chars(buf, buf + sizeof buf, knob.d);
-      return ec == std::errc{} ? std::string(buf, end) : "nan";
-    }
-    case KnobKind::kString:
-      return knob.s;
-  }
-  return "";
+  if (knob.kind == KnobKind::kU64) return std::to_string(knob.u);
+  // Shortest round-trip form: KnobSet::set(render_value(k)) restores
+  // the exact bits, and distinct doubles never collide as text.
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, knob.d);
+  return ec == std::errc{} ? std::string(buf, end) : "nan";
+}
+
+std::string render_range(const Knob& knob) {
+  return "[" + render_number(knob.kind, knob.min_value) + ", " +
+         render_number(knob.kind, knob.max_value) + "]";
 }
 
 const char* to_string(KnobKind kind) {
-  switch (kind) {
-    case KnobKind::kU64:
-      return "u64";
-    case KnobKind::kDouble:
-      return "double";
-    case KnobKind::kString:
-      return "string";
-  }
-  return "?";
+  return kind == KnobKind::kU64 ? "u64" : "double";
 }
 
 void KnobSet::declare(Knob knob) {
   if (find(knob.name) != nullptr) {
     throw std::logic_error("knob '" + knob.name + "' declared twice");
   }
-  knob.default_text = render_default(knob);
+  knob.default_text = knob.kind == KnobKind::kU64
+                          ? render_value(knob)
+                          : render_number(knob.kind, knob.d);
   knobs_.push_back(std::move(knob));
 }
 
@@ -104,16 +92,6 @@ void KnobSet::declare_u64(const std::string& name, std::uint64_t def,
 }
 
 void KnobSet::declare_double(const std::string& name, double def,
-                             const std::string& help) {
-  Knob k;
-  k.name = name;
-  k.kind = KnobKind::kDouble;
-  k.help = help;
-  k.d = def;
-  declare(std::move(k));
-}
-
-void KnobSet::declare_double(const std::string& name, double def,
                              const std::string& help, double min,
                              double max) {
   Knob k;
@@ -124,16 +102,6 @@ void KnobSet::declare_double(const std::string& name, double def,
   k.has_range = true;
   k.min_value = min;
   k.max_value = max;
-  declare(std::move(k));
-}
-
-void KnobSet::declare_string(const std::string& name, const std::string& def,
-                             const std::string& help) {
-  Knob k;
-  k.name = name;
-  k.kind = KnobKind::kString;
-  k.help = help;
-  k.s = def;
   declare(std::move(k));
 }
 
@@ -165,10 +133,6 @@ double KnobSet::d(std::string_view name) const {
   return require(name, KnobKind::kDouble).d;
 }
 
-const std::string& KnobSet::s(std::string_view name) const {
-  return require(name, KnobKind::kString).s;
-}
-
 std::string KnobSet::declared_names() const {
   std::string out;
   for (const Knob& k : knobs_) {
@@ -188,48 +152,28 @@ std::string KnobSet::set(const std::string& key, const std::string& value) {
   if (knob == nullptr) {
     return "unknown knob '" + key + "' (declared: " + declared_names() + ")";
   }
-  switch (knob->kind) {
-    case KnobKind::kU64: {
-      std::uint64_t parsed = 0;
-      if (!parse_u64(value, &parsed)) {
-        return "knob '" + key + "' expects an unsigned integer, got '" +
-               value + "'";
-      }
-      const double as_double = static_cast<double>(parsed);
-      if (knob->has_range &&
-          (as_double < knob->min_value || as_double > knob->max_value)) {
-        char buf[128];
-        std::snprintf(buf, sizeof buf, "knob '%s' out of range [%.0f, %.0f]: %s",
-                      key.c_str(), knob->min_value, knob->max_value,
-                      value.c_str());
-        return buf;
-      }
-      knob->u = parsed;
-      return "";
+  std::uint64_t u = 0;
+  double d = 0.0;
+  if (knob->kind == KnobKind::kU64) {
+    if (!parse_u64(value, &u)) {
+      return "knob '" + key + "' expects an unsigned integer, got '" +
+             value + "'";
     }
-    case KnobKind::kDouble: {
-      char* end = nullptr;
-      const double parsed = std::strtod(value.c_str(), &end);
-      if (value.empty() || end == value.c_str() || *end != '\0') {
-        return "knob '" + key + "' expects a number, got '" + value + "'";
-      }
-      if (knob->has_range &&
-          (parsed < knob->min_value || parsed > knob->max_value)) {
-        char buf[128];
-        std::snprintf(buf, sizeof buf, "knob '%s' out of range [%g, %g]: %s",
-                      key.c_str(), knob->min_value, knob->max_value,
-                      value.c_str());
-        return buf;
-      }
-      knob->d = parsed;
-      return "";
-    }
-    case KnobKind::kString: {
-      knob->s = value;
-      return "";
-    }
+    d = static_cast<double>(u);
+  } else if (!parse_double(value, &d)) {
+    return "knob '" + key + "' expects a finite number, got '" + value + "'";
   }
-  return "knob '" + key + "' has an unknown kind";
+  // Negated so that a NaN, for which every comparison is false, fails.
+  if (knob->has_range && !(d >= knob->min_value && d <= knob->max_value)) {
+    return "knob '" + key + "' out of range " + render_range(*knob) + ": " +
+           value;
+  }
+  if (knob->kind == KnobKind::kU64) {
+    knob->u = u;
+  } else {
+    knob->d = d;
+  }
+  return "";
 }
 
 }  // namespace intox::scenario

@@ -15,12 +15,17 @@
 
 namespace intox::scenario {
 
-enum class KnobKind { kU64, kDouble, kString };
+enum class KnobKind { kU64, kDouble };
 
 /// Parses `text` as a decimal unsigned integer: one or more digits and
 /// nothing else (no sign, no whitespace), within u64 range. Returns
 /// false, leaving *out untouched, otherwise.
 [[nodiscard]] bool parse_u64(std::string_view text, std::uint64_t* out);
+
+/// Parses all of `text` as a finite decimal number (std::from_chars: no
+/// leading whitespace or '+', no hex, no nan or inf). Returns false,
+/// leaving *out untouched, otherwise.
+[[nodiscard]] bool parse_double(std::string_view text, double* out);
 
 const char* to_string(KnobKind kind);
 
@@ -32,6 +37,10 @@ struct Knob;
 /// distinct values never render to the same string.
 std::string render_value(const Knob& knob);
 
+/// Renders a ranged knob's bounds as "[min, max]": exact integers for a
+/// u64 knob, %g for a double one.
+std::string render_range(const Knob& knob);
+
 struct Knob {
   std::string name;
   KnobKind kind = KnobKind::kU64;
@@ -39,10 +48,9 @@ struct Knob {
   // Current value; only the member matching `kind` is meaningful.
   std::uint64_t u = 0;
   double d = 0.0;
-  std::string s;
   /// The declared default, pre-rendered for `intox knobs`.
   std::string default_text;
-  /// Inclusive numeric range (kU64 / kDouble only).
+  /// Inclusive range; every double knob has a finite one.
   bool has_range = false;
   double min_value = 0.0;
   double max_value = 0.0;
@@ -56,17 +64,12 @@ class KnobSet {
                    const std::string& help, std::uint64_t min,
                    std::uint64_t max);
   void declare_double(const std::string& name, double def,
-                      const std::string& help);
-  void declare_double(const std::string& name, double def,
                       const std::string& help, double min, double max);
-  void declare_string(const std::string& name, const std::string& def,
-                      const std::string& help);
 
   /// Typed accessors; a wrong name or kind is a programming error in the
   /// scenario body and throws std::logic_error.
   [[nodiscard]] std::uint64_t u(std::string_view name) const;
   [[nodiscard]] double d(std::string_view name) const;
-  [[nodiscard]] const std::string& s(std::string_view name) const;
 
   /// Strictly applies one key/value pair. Returns an empty string on
   /// success, else the one-line diagnostic the caller should print.

@@ -1,74 +1,25 @@
 #include "scenario/registry.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <utility>
-
 namespace intox::scenario {
-
-// Each scenarios_*.cpp exports one anchor function. Calling them from
-// instance() makes every linker that pulls in the registry also pull in
-// those objects from the static library — without the calls, nothing
-// would, and their self-registering statics would never run.
-int scenario_anchor_blink();
-int scenario_anchor_pcc();
-int scenario_anchor_pytheas();
-int scenario_anchor_sketch();
-int scenario_anchor_sppifo();
-int scenario_anchor_nethide();
-int scenario_anchor_defense();
-int scenario_anchor_ext();
-int scenario_anchor_examples();
-int scenario_anchor_debug();
-
 namespace {
 
-int touch_anchors() {
-  return scenario_anchor_blink() + scenario_anchor_pcc() +
-         scenario_anchor_pytheas() + scenario_anchor_sketch() +
-         scenario_anchor_sppifo() + scenario_anchor_nethide() +
-         scenario_anchor_defense() + scenario_anchor_ext() +
-         scenario_anchor_examples() + scenario_anchor_debug();
-}
+const Scenario* const kScenarios[] = {
+    &kAttackSynthesis, &kBlinkE2e,        &kBlinkFig2,
+    &kBlinkTrSweep,    &kDebugCrash,      &kDefenseGuards,
+    &kExtSurvey,       &kNethideTopology, &kPccFleet,
+    &kPccOscillation,  &kPytheasCdn,      &kPytheasPoison,
+    &kQuickstart,      &kSketchPollution, &kSppifoAdversarial,
+};
 
 }  // namespace
 
-Registry& Registry::instance() {
-  static Registry registry;
-  [[maybe_unused]] static const int anchors = touch_anchors();
-  return registry;
-}
+std::span<const Scenario* const> all_scenarios() { return kScenarios; }
 
-void Registry::add(Scenario scenario) {
-  if (find(scenario.name) != nullptr) {
-    std::fprintf(stderr, "intox: duplicate scenario registration '%s'\n",
-                 scenario.name.c_str());
-    std::abort();
-  }
-  scenarios_.push_back(std::move(scenario));
-}
-
-const Scenario* Registry::find(std::string_view name) const {
-  for (const Scenario& s : scenarios_) {
-    if (s.name == name) return &s;
+const Scenario* find_scenario(std::string_view name) {
+  for (const Scenario* sc : kScenarios) {
+    if (sc->name == name) return sc;
   }
   return nullptr;
-}
-
-std::vector<const Scenario*> Registry::all() const {
-  std::vector<const Scenario*> out;
-  out.reserve(scenarios_.size());
-  for (const Scenario& s : scenarios_) out.push_back(&s);
-  std::sort(out.begin(), out.end(),
-            [](const Scenario* a, const Scenario* b) {
-              return a->name < b->name;
-            });
-  return out;
-}
-
-Registration::Registration(Scenario scenario) {
-  Registry::instance().add(std::move(scenario));
 }
 
 }  // namespace intox::scenario

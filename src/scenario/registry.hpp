@@ -1,47 +1,35 @@
-// Self-registering scenario registry. A scenarios_*.cpp file defines
-// its declare/run functions and registers them with
-//
-//   namespace {
-//   INTOX_REGISTER_SCENARIO(kFig2, {"blink.fig2", "FIG2",
-//                                   "description...", declare, run});
-//   }  // namespace
-//
-// plus one anchor constant (see registry.cpp) so the static library's
-// linker keeps the translation unit alive.
+// The scenario table. Each scenarios_*.cpp defines the Scenario
+// constants declared below, and registry.cpp lists them all in name
+// order; a new scenario adds its constant here and its row there.
 #pragma once
 
+#include <span>
 #include <string_view>
-#include <vector>
 
 #include "scenario/scenario.hpp"
 
 namespace intox::scenario {
 
-class Registry {
- public:
-  /// The process-wide registry; populated by Registration statics before
-  /// main().
-  static Registry& instance();
+extern const Scenario kAttackSynthesis;
+extern const Scenario kBlinkE2e;
+extern const Scenario kBlinkFig2;
+extern const Scenario kBlinkTrSweep;
+extern const Scenario kDebugCrash;
+extern const Scenario kDefenseGuards;
+extern const Scenario kExtSurvey;
+extern const Scenario kNethideTopology;
+extern const Scenario kPccFleet;
+extern const Scenario kPccOscillation;
+extern const Scenario kPytheasCdn;
+extern const Scenario kPytheasPoison;
+extern const Scenario kQuickstart;
+extern const Scenario kSketchPollution;
+extern const Scenario kSppifoAdversarial;
 
-  /// Aborts on a duplicate name: two scenarios claiming one name is a
-  /// build-wiring bug, not a runtime condition.
-  void add(Scenario scenario);
+/// Every scenario, sorted by name.
+[[nodiscard]] std::span<const Scenario* const> all_scenarios();
 
-  [[nodiscard]] const Scenario* find(std::string_view name) const;
-  /// Every scenario, sorted by name.
-  [[nodiscard]] std::vector<const Scenario*> all() const;
-
- private:
-  std::vector<Scenario> scenarios_;
-};
-
-struct Registration {
-  explicit Registration(Scenario scenario);
-};
-
-#define INTOX_REGISTER_SCENARIO(ident, ...)      \
-  const ::intox::scenario::Registration ident {  \
-    ::intox::scenario::Scenario __VA_ARGS__      \
-  }
+/// The scenario called `name`, or null.
+[[nodiscard]] const Scenario* find_scenario(std::string_view name);
 
 }  // namespace intox::scenario

@@ -1,7 +1,8 @@
 // The Scenario interface: one declarative experiment = a name, a report
 // family, typed knobs, and a run function. Every experiment and
-// library example in this reproduction registers itself here (see
-// scenarios_*.cpp); the `intox` driver is the only entry point.
+// library example in this reproduction is one Scenario constant in a
+// scenarios_*.cpp file, listed in registry.cpp's table; the `intox`
+// driver is the only entry point.
 #pragma once
 
 #include <string>
@@ -40,8 +41,8 @@ using DeclareKnobsFn = void (*)(KnobSet&);
 /// driver's exit status is 1 when any claim fails.
 using RunFn = void (*)(Ctx&);
 
-/// One registered experiment. `family` keys the BENCH_<family>.json run
-/// report exactly as the pre-registry bench binaries did.
+/// One experiment. `family` keys the BENCH_<family>.json run report
+/// exactly as the pre-registry bench binaries did.
 struct Scenario {
   std::string name;
   std::string family;

@@ -100,12 +100,6 @@ void run_fig2(Ctx& ctx) {
                "ceiling).");
 }
 
-INTOX_REGISTER_SCENARIO(kFig2,
-                        {"blink.fig2", "FIG2",
-                         "Fig. 2: malicious flows in Blink's sample over "
-                         "time",
-                         declare_fig2, run_fig2});
-
 // ------------------------------------------------------------ tr-sweep
 
 void declare_tr_sweep(KnobSet& knobs) {
@@ -202,11 +196,6 @@ void run_tr_sweep(Ctx& ctx) {
                 "shorter reset periods shrink the attack window (defense "
                 "lever, at the cost of re-learning the sample)");
 }
-
-INTOX_REGISTER_SCENARIO(kTrSweep,
-                        {"blink.tr-sweep", "BLINK-TR",
-                         "attack feasibility vs sampled-flow residency t_R",
-                         declare_tr_sweep, run_tr_sweep});
 
 // ----------------------------------------------------------------- e2e
 
@@ -329,14 +318,20 @@ void run_e2e(Ctx& ctx) {
                "emit raw duplicate segments only (cf. §3.1).");
 }
 
-INTOX_REGISTER_SCENARIO(kE2e,
-                        {"blink.e2e", "BLINK-E2E",
-                         "traffic hijack via fake retransmissions, full "
-                         "switch pipeline",
-                         declare_e2e, run_e2e});
-
 }  // namespace
 
-int scenario_anchor_blink() { return 0; }
+const Scenario kBlinkFig2{"blink.fig2", "FIG2",
+                          "Fig. 2: malicious flows in Blink's sample over "
+                          "time",
+                          declare_fig2, run_fig2};
+
+const Scenario kBlinkTrSweep{"blink.tr-sweep", "BLINK-TR",
+                             "attack feasibility vs sampled-flow residency t_R",
+                             declare_tr_sweep, run_tr_sweep};
+
+const Scenario kBlinkE2e{"blink.e2e", "BLINK-E2E",
+                         "traffic hijack via fake retransmissions, full "
+                         "switch pipeline",
+                         declare_e2e, run_e2e};
 
 }  // namespace intox::scenario

@@ -6,7 +6,6 @@
 // function of the knobs.
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 
@@ -21,13 +20,12 @@ namespace {
 
 void declare_debug_crash(KnobSet& knobs) {
   knobs.declare_u64("seed", 1,
-                    "rng stream selector; also matched against "
-                    "INTOX_DEBUG_CRASH_SEED");
+                    "rng stream selector; the run whose seed equals "
+                    "INTOX_DEBUG_CRASH_SEED fails at the midpoint as "
+                    "INTOX_DEBUG_CRASH_MODE says "
+                    "(segv|abort|invariant; default segv)");
   knobs.declare_u64("events", 20000, "scheduler events to fire", 2,
                     100000000);
-  knobs.declare_string("crash", "none",
-                       "force a failure at the midpoint: "
-                       "none|segv|abort|invariant");
 }
 
 void force_crash(const std::string& mode) {
@@ -49,17 +47,16 @@ void run_debug_crash(Ctx& ctx) {
 
   const std::uint64_t seed = ctx.knobs.u("seed");
   const std::uint64_t events = ctx.knobs.u("events");
-  std::string crash = ctx.knobs.s("crash");
-  // Out-of-band crash trigger for the crash-forensics harness: the env
-  // pair picks ONE sweep point (by seed) without entering the knob
-  // vector, so the point's cache key — and therefore the resumed
-  // sweep's merged report — is byte-identical with and without it.
-  if (const char* env = std::getenv("INTOX_DEBUG_CRASH_SEED")) {
-    char* end = nullptr;
-    if (std::strtoull(env, &end, 10) == seed && end != env) {
-      const char* mode = std::getenv("INTOX_DEBUG_CRASH_MODE");
-      crash = (mode != nullptr && mode[0] != '\0') ? mode : "segv";
-    }
+  // The crash trigger is the env pair, not a knob: it picks ONE sweep
+  // point (by seed) without entering the knob vector, so the point's
+  // cache key — and therefore the resumed sweep's merged report — is
+  // byte-identical with and without it.
+  std::string crash = "none";
+  const char* env = std::getenv("INTOX_DEBUG_CRASH_SEED");
+  std::uint64_t crash_seed = 0;
+  if (env != nullptr && parse_u64(env, &crash_seed) && crash_seed == seed) {
+    const char* mode = std::getenv("INTOX_DEBUG_CRASH_MODE");
+    crash = (mode != nullptr && mode[0] != '\0') ? mode : "segv";
   }
 
   sim::Scheduler sched;
@@ -90,14 +87,11 @@ void run_debug_crash(Ctx& ctx) {
   ctx.out.claim(fired == events, "every scheduled event fired");
 }
 
-INTOX_REGISTER_SCENARIO(kDebugCrash,
-                        {"debug.crash", "DEBUG",
-                         "deterministic churn that can crash on demand "
-                         "(flight-recorder forensics harness)",
-                         declare_debug_crash, run_debug_crash});
-
 }  // namespace
 
-int scenario_anchor_debug() { return 0; }
+const Scenario kDebugCrash{"debug.crash", "DEBUG",
+                           "deterministic churn that can crash on demand "
+                           "(flight-recorder forensics harness)",
+                           declare_debug_crash, run_debug_crash};
 
 }  // namespace intox::scenario

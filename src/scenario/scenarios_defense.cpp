@@ -264,13 +264,10 @@ void run_defense(Ctx& ctx) {
                 "epsilon clamp shrinks the attacker-induced oscillation");
 }
 
-INTOX_REGISTER_SCENARIO(kDefense,
-                        {"defense.guards", "DEFENSE",
-                         "§5 supervisors vs the three case-study attacks",
-                         declare_defense, run_defense});
-
 }  // namespace
 
-int scenario_anchor_defense() { return 0; }
+const Scenario kDefenseGuards{"defense.guards", "DEFENSE",
+                              "§5 supervisors vs the three case-study attacks",
+                              declare_defense, run_defense};
 
 }  // namespace intox::scenario

@@ -87,11 +87,6 @@ void run_quickstart(Ctx& ctx) {
                 "the workload crosses the switch to the destination host");
 }
 
-INTOX_REGISTER_SCENARIO(kQuickstart,
-                        {"quickstart", "QUICKSTART",
-                         "smallest end-to-end use of the library",
-                         declare_quickstart, run_quickstart});
-
 // ------------------------------------------------------ attack.synthesis
 
 void declare_synthesis(KnobSet& knobs) {
@@ -176,13 +171,14 @@ void run_synthesis(Ctx& ctx) {
               "construction.");
 }
 
-INTOX_REGISTER_SCENARIO(kSynthesis,
-                        {"attack.synthesis", "ATTACK-SYNTH",
-                         "§5-II automated attack discovery vs Blink",
-                         declare_synthesis, run_synthesis});
-
 }  // namespace
 
-int scenario_anchor_examples() { return 0; }
+const Scenario kQuickstart{"quickstart", "QUICKSTART",
+                           "smallest end-to-end use of the library",
+                           declare_quickstart, run_quickstart};
+
+const Scenario kAttackSynthesis{"attack.synthesis", "ATTACK-SYNTH",
+                                "§5-II automated attack discovery vs Blink",
+                                declare_synthesis, run_synthesis};
 
 }  // namespace intox::scenario

@@ -191,14 +191,11 @@ void run_ext(Ctx& ctx) {
                 "(defense-in-depth, as §5-V suggests)");
 }
 
-INTOX_REGISTER_SCENARIO(kExt,
-                        {"ext.survey", "EXT",
-                         "RON / egress / DAPPER / in-network NN / seed "
-                         "rotation survey",
-                         declare_ext, run_ext});
-
 }  // namespace
 
-int scenario_anchor_ext() { return 0; }
+const Scenario kExtSurvey{"ext.survey", "EXT",
+                          "RON / egress / DAPPER / in-network NN / seed "
+                          "rotation survey",
+                          declare_ext, run_ext};
 
 }  // namespace intox::scenario

@@ -79,14 +79,11 @@ void run_nethide(Ctx& ctx) {
                 "exist");
 }
 
-INTOX_REGISTER_SCENARIO(kNethide,
-                        {"nethide.topology", "NETHIDE",
-                         "honest vs obfuscated vs maliciously faked "
-                         "topology",
-                         declare_nethide, run_nethide});
-
 }  // namespace
 
-int scenario_anchor_nethide() { return 0; }
+const Scenario kNethideTopology{"nethide.topology", "NETHIDE",
+                                "honest vs obfuscated vs maliciously faked "
+                                "topology",
+                                declare_nethide, run_nethide};
 
 }  // namespace intox::scenario

@@ -109,12 +109,6 @@ void run_oscillation(Ctx& ctx) {
                "defense.guards).");
 }
 
-INTOX_REGISTER_SCENARIO(kOscillation,
-                        {"pcc.oscillation", "PCC-OSC",
-                         "PCC rate oscillation under a utility-equalizing "
-                         "MitM",
-                         declare_oscillation, run_oscillation});
-
 // ---------------------------------------------------------------- fleet
 
 void declare_fleet(KnobSet& knobs) {
@@ -180,14 +174,16 @@ void run_fleet(Ctx& ctx) {
                "at the destination.");
 }
 
-INTOX_REGISTER_SCENARIO(kFleet,
-                        {"pcc.fleet", "PCC-FLEET",
-                         "aggregate traffic fluctuation at a victim "
-                         "destination",
-                         declare_fleet, run_fleet});
-
 }  // namespace
 
-int scenario_anchor_pcc() { return 0; }
+const Scenario kPccOscillation{"pcc.oscillation", "PCC-OSC",
+                               "PCC rate oscillation under a "
+                               "utility-equalizing MitM",
+                               declare_oscillation, run_oscillation};
+
+const Scenario kPccFleet{"pcc.fleet", "PCC-FLEET",
+                         "aggregate traffic fluctuation at a victim "
+                         "destination",
+                         declare_fleet, run_fleet};
 
 }  // namespace intox::scenario

@@ -146,11 +146,6 @@ void run_poison(Ctx& ctx) {
                 "the group decision is the damage amplifier");
 }
 
-INTOX_REGISTER_SCENARIO(kPoison,
-                        {"pytheas.poison", "PYTH-QOE",
-                         "group QoE poisoning by lying clients",
-                         declare_poison, run_poison});
-
 // ------------------------------------------------------------------ cdn
 
 void declare_cdn(KnobSet& knobs) {
@@ -217,13 +212,14 @@ void run_cdn(Ctx& ctx) {
                "decision.");
 }
 
-INTOX_REGISTER_SCENARIO(kCdn,
-                        {"pytheas.cdn", "PYTH-CDN",
-                         "CDN-site overload via MitM throttling",
-                         declare_cdn, run_cdn});
-
 }  // namespace
 
-int scenario_anchor_pytheas() { return 0; }
+const Scenario kPytheasPoison{"pytheas.poison", "PYTH-QOE",
+                              "group QoE poisoning by lying clients",
+                              declare_poison, run_poison};
+
+const Scenario kPytheasCdn{"pytheas.cdn", "PYTH-CDN",
+                           "CDN-site overload via MitM throttling",
+                           declare_cdn, run_cdn};
 
 }  // namespace intox::scenario

@@ -125,13 +125,10 @@ void run_sketch(Ctx& ctx) {
                 "blinds the loss telemetry");
 }
 
-INTOX_REGISTER_SCENARIO(kSketch,
-                        {"sketch.pollution", "SKETCH",
-                         "polluting probabilistic telemetry structures",
-                         declare_sketch, run_sketch});
-
 }  // namespace
 
-int scenario_anchor_sketch() { return 0; }
+const Scenario kSketchPollution{"sketch.pollution", "SKETCH",
+                                "polluting probabilistic telemetry structures",
+                                declare_sketch, run_sketch};
 
 }  // namespace intox::scenario

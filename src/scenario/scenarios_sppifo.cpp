@@ -90,14 +90,11 @@ void run_sppifo(Ctx& ctx) {
                "but the adversarial order still defeats the adaptation.");
 }
 
-INTOX_REGISTER_SCENARIO(kSppifo,
-                        {"sppifo.adversarial", "SPPIFO",
-                         "SP-PIFO scheduling quality under adversarial "
-                         "rank order",
-                         declare_sppifo, run_sppifo});
-
 }  // namespace
 
-int scenario_anchor_sppifo() { return 0; }
+const Scenario kSppifoAdversarial{"sppifo.adversarial", "SPPIFO",
+                                  "SP-PIFO scheduling quality under "
+                                  "adversarial rank order",
+                                  declare_sppifo, run_sppifo};
 
 }  // namespace intox::scenario

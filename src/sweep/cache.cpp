@@ -51,8 +51,8 @@ CacheKey point_cache_key(
     std::uint64_t binary_fp, const std::string& scenario,
     const std::vector<std::pair<std::string, std::string>>& knobs) {
   // Canonical pre-image: newline-framed fields. Knob names cannot
-  // contain '\n' or '=' (declared as C++ literals), but string knob
-  // *values* are arbitrary, so each value is length-prefixed — without
+  // contain '\n' or '=' (declared as C++ literals), and each value is
+  // length-prefixed, so the framing holds for any value text: without
   // that, ("a", "b\nc=d") would collide with ("a","b"),("c","d").
   std::string pre;
   char fp[32];

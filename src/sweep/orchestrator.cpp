@@ -99,14 +99,12 @@ std::string parse_args(int argc, char** argv, SweepArgs* out) {
     sweep_usage(stdout);
     std::exit(0);
   }
-  out->sc = scenario::Registry::instance().find(argv[2]);
+  out->sc = scenario::find_scenario(argv[2]);
   if (out->sc == nullptr) {
     return std::string("unknown scenario '") + argv[2] +
            "' (run 'intox list' to enumerate)";
   }
-  if (out->sc->declare_knobs != nullptr) {
-    out->sc->declare_knobs(out->flags.knobs);
-  }
+  out->sc->declare_knobs(out->flags.knobs);
   const auto swept = [out](const std::string& key) {
     return std::any_of(out->axes.begin(), out->axes.end(),
                        [&](const SweepAxis& a) { return a.key == key; });

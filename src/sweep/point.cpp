@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 namespace intox::sweep {
 
@@ -38,11 +38,6 @@ std::string parse_sweep_axis(const std::string& text,
   if (knob == nullptr) {
     return "--sweep: unknown knob '" + out->key + "'";
   }
-  if (knob->kind != scenario::KnobKind::kU64 &&
-      knob->kind != scenario::KnobKind::kDouble) {
-    return "--sweep: knob '" + out->key + "' is " + to_string(knob->kind) +
-           "; only u64/double knobs sweep";
-  }
   const std::string range = text.substr(eq + 1);
   double parts[3];
   std::size_t pos = 0;
@@ -54,16 +49,21 @@ std::string parse_sweep_axis(const std::string& text,
     }
     const std::string piece =
         last ? range.substr(pos) : range.substr(pos, colon - pos);
-    char* tail = nullptr;
-    parts[i] = std::strtod(piece.c_str(), &tail);
-    if (piece.empty() || tail == nullptr || *tail != '\0') {
-      return "--sweep: '" + piece + "' in '" + text + "' is not a number";
+    if (!scenario::parse_double(piece, &parts[i])) {
+      return "--sweep: '" + piece + "' in '" + text +
+             "' is not a finite number";
     }
     pos = colon == std::string::npos ? range.size() : colon + 1;
   }
   const double lo = parts[0], hi = parts[1], step = parts[2];
   if (step <= 0.0) return "--sweep: step must be > 0 in '" + text + "'";
   if (lo > hi) return "--sweep: empty range in '" + text + "' (a > b)";
+  // Refused before range_count casts it: a span this long has more
+  // values than a whole sweep may have points.
+  if ((hi - lo) / step >= static_cast<double>(kMaxSweepPoints)) {
+    return "--sweep cross product exceeds " +
+           std::to_string(kMaxSweepPoints) + " points";
+  }
 
   const std::size_t count = range_count(lo, hi, step);
   out->values.reserve(count);
@@ -79,6 +79,12 @@ std::string parse_sweep_axis(const std::string& text,
       if (std::fabs(v - rounded) > 1e-6) {
         return "--sweep: integer knob '" + out->key +
                "' hit non-integer value in '" + text + "'";
+      }
+      // Checked before the cast, which would wrap a negative value and
+      // is undefined from 2^64 up.
+      if (!(rounded >= 0.0 && rounded < 0x1p64)) {
+        return "--sweep: integer knob '" + out->key +
+               "' hit a value outside [0, 2^64) in '" + text + "'";
       }
       std::snprintf(buf, sizeof buf, "%llu",
                     static_cast<unsigned long long>(rounded));

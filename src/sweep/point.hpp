@@ -29,10 +29,10 @@ struct SweepAxis {
   std::vector<std::string> values;
 };
 
-/// Parses `key=a:b:step` against the declared knobs. Returns empty on
-/// success and fills *out, else the one-line diagnostic to print. The
-/// value list is endpoint-exact: `0:1:0.1` yields 11 values ending in
-/// "1", for any range length.
+/// Parses `key=a:b:step` against the declared knobs; a, b and step are
+/// finite numbers. Returns empty on success and fills *out, else the
+/// one-line diagnostic to print. The value list is endpoint-exact:
+/// `0:1:0.1` yields 11 values ending in "1", for any range length.
 std::string parse_sweep_axis(const std::string& text,
                              const scenario::KnobSet& knobs, SweepAxis* out);
 

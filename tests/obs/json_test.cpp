@@ -139,6 +139,23 @@ TEST(JsonParse, RejectsNumbersJsonWriterNeverEmits) {
   }
 }
 
+// JSON's number grammar: no bare fraction point, no leading zero, no
+// trailing point. from_chars alone reads all five of these.
+TEST(JsonParse, KeepsJsonsNumberGrammar) {
+  for (const char* bad : {".5", "-.5", "01", "1.", "-01.5", "[01]", "-",
+                          "1e", "1e+", "{\"a\":1.}"}) {
+    JsonValue v;
+    std::string error;
+    EXPECT_FALSE(json_parse(bad, &v, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  EXPECT_DOUBLE_EQ(parse_ok("0").number, 0.0);
+  EXPECT_TRUE(std::signbit(parse_ok("-0").number));
+  EXPECT_DOUBLE_EQ(parse_ok("1.5e+3").number, 1500.0);
+  EXPECT_DOUBLE_EQ(parse_ok("-0.25E-2").number, -0.0025);
+  EXPECT_DOUBLE_EQ(parse_ok("[10,0.5]").items[0].number, 10.0);
+}
+
 TEST(JsonParse, DepthIsBounded) {
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += '[';

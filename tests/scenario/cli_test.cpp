@@ -8,6 +8,7 @@
 #include "scenario/driver.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +26,13 @@ int run(std::initializer_list<const char*> args) {
   for (const char* a : args) argv.push_back(const_cast<char*>(a));
   argv.push_back(nullptr);
   return driver_main(static_cast<int>(args.size()), argv.data());
+}
+
+/// run() with stdout sent to stderr, where a death test's matcher reads
+/// it. Only for use inside EXPECT_EXIT.
+int run_to_stderr(std::initializer_list<const char*> args) {
+  ::dup2(2, 1);
+  return run(args);
 }
 
 // --threads and --workers take decimal digits only, in range: " -1" must
@@ -91,6 +99,33 @@ TEST(CliDeathTest, ValidateUnknownScenarioExitsTwo) {
               "intox: unknown scenario 'no.such'");
 }
 
+// One verdict line per named scenario, and nothing else on stdout.
+TEST(CliDeathTest, ValidatePrintsOneVerdictPerScenario) {
+  EXPECT_EXIT(std::exit(run_to_stderr(
+                  {"intox", "validate", "quickstart", "debug.crash"})),
+              ::testing::ExitedWithCode(0),
+              ::testing::MatchesRegex("validate quickstart +OK\n"
+                                      "validate debug\\.crash +OK\n"));
+}
+
+// A violated invariant fails its scenario's verdict and the exit, and
+// validate goes on to the next scenario. The variables are set in the
+// death test's child only.
+TEST(CliDeathTest, ValidateReportsAViolatedInvariant) {
+  EXPECT_EXIT(
+      {
+        ::setenv("INTOX_DEBUG_CRASH_SEED", "1", 1);
+        ::setenv("INTOX_DEBUG_CRASH_MODE", "invariant", 1);
+        std::exit(run_to_stderr(
+            {"intox", "validate", "debug.crash", "quickstart"}));
+      },
+      ::testing::ExitedWithCode(1),
+      ::testing::MatchesRegex(
+          "validate debug\\.crash +FAIL \\(.*invariant violated: "
+          "debug\\.crash: forced fatal invariant\\)\n"
+          "validate quickstart +OK\n"));
+}
+
 TEST(CliDeathTest, KnobsUnknownScenarioExitsTwo) {
   EXPECT_EXIT(std::exit(run({"intox", "knobs", "no.such"})),
               ::testing::ExitedWithCode(2),
@@ -111,12 +146,15 @@ TEST(CliDeathTest, InvariantViolationExitsOneWithADump) {
   const std::string dump_path =
       ::testing::TempDir() + "cli_invariant.flightrec.json";
   std::remove(dump_path.c_str());
-  EXPECT_EXIT(std::exit(run({"intox", "run", "debug.crash", "--set",
-                             "events=1000", "--set", "crash=invariant",
-                             "--flightrec-out", dump_path.c_str()})),
-              ::testing::ExitedWithCode(1),
-              "intox: .*invariant violated: debug\\.crash: forced fatal "
-              "invariant");
+  EXPECT_EXIT(
+      {
+        ::setenv("INTOX_DEBUG_CRASH_SEED", "1", 1);
+        ::setenv("INTOX_DEBUG_CRASH_MODE", "invariant", 1);
+        std::exit(run({"intox", "run", "debug.crash", "--set", "events=1000",
+                       "--flightrec-out", dump_path.c_str()}));
+      },
+      ::testing::ExitedWithCode(1),
+      "intox: .*invariant violated: debug\\.crash: forced fatal invariant");
   obs::FlightrecDump dump;
   std::string error;
   ASSERT_TRUE(obs::load_flightrec_dump(dump_path, &dump, &error)) << error;
@@ -125,6 +163,22 @@ TEST(CliDeathTest, InvariantViolationExitsOneWithADump) {
   EXPECT_NE(dump.detail.find("debug.crash: forced fatal invariant"),
             std::string::npos);
   std::remove(dump_path.c_str());
+}
+
+// The crash seed is digits only, like a --set value: "1x" and a
+// negative number that wraps to 1 name no seed.
+TEST(CliDeathTest, MalformedCrashSeedTriggersNothing) {
+  for (const char* bad : {"1x", " 1", "-18446744073709551615"}) {
+    EXPECT_EXIT(
+        {
+          ::setenv("INTOX_DEBUG_CRASH_SEED", bad, 1);
+          ::setenv("INTOX_DEBUG_CRASH_MODE", "invariant", 1);
+          std::exit(
+              run({"intox", "run", "debug.crash", "--set", "events=100"}));
+        },
+        ::testing::ExitedWithCode(0), "")
+        << bad;
+  }
 }
 
 TEST(CliDeathTest, HelpExitsZero) {
@@ -140,6 +194,13 @@ TEST(CliDeathTest, ListExitsZero) {
 TEST(CliDeathTest, KnobsExitsZero) {
   EXPECT_EXIT(std::exit(run({"intox", "knobs", "blink.fig2"})),
               ::testing::ExitedWithCode(0), "");
+}
+
+// u64 bounds print as integers: %g rendered 2^24 as 1.67772e+07.
+TEST(CliDeathTest, KnobsPrintsU64BoundsExactly) {
+  EXPECT_EXIT(std::exit(run_to_stderr({"intox", "knobs", "sketch.pollution"})),
+              ::testing::ExitedWithCode(0),
+              "cells +u64=4096 in \\[8, 16777216\\] ");
 }
 
 }  // namespace

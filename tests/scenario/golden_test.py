@@ -5,6 +5,10 @@
       `INTOX run SCENARIO args` must exit 0 and print exactly the bytes
       of GOLDEN. Stderr, which carries wall-clock perf records, is
       ignored.
+  golden_test.py --point-record INTOX GOLDEN SCENARIO [driver args...]
+      The same run with `--point-record FILE`, as an `intox sweep`
+      worker makes it, must exit 0 and print nothing, and the record's
+      "stdout" must hold exactly the bytes of GOLDEN and its "exit" 0.
   golden_test.py --coverage INTOX GOLDEN_DIR [registered goldens...]
       Every scenario `INTOX list` prints needs GOLDEN_DIR/<scenario>.txt
       with at least one `  [PASS] ` claim, every GOLDEN_DIR/*.txt must be
@@ -12,9 +16,11 @@
       claim.
 """
 
+import json
 import shlex
 import subprocess
 import sys
+import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
@@ -28,27 +34,50 @@ def shown(path):
         else str(path)
 
 
-def check_golden(intox, golden, scenario, args):
+def run(intox, scenario, args):
     proc = subprocess.run([intox, "run", scenario, *args],
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     if proc.returncode != 0:
         sys.exit(f"intox run {scenario} exited {proc.returncode}")
+    return proc.stdout
+
+
+def compare(intox, golden, scenario, args, got, what):
     want = Path(golden).read_bytes()
-    if proc.stdout == want:
+    if got == want:
         return
     pairs = zip_longest(want.splitlines(keepends=True),
-                        proc.stdout.splitlines(keepends=True), fillvalue=b"")
+                        got.splitlines(keepends=True), fillvalue=b"")
     lineno, (w, g) = next(
         (n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
     binary = shown(intox)
     if not binary.startswith("/"):
         binary = "./" + binary
     regen = shlex.join([binary, "run", scenario, *args])
-    sys.exit(f"stdout diverges from {shown(golden)} at line {lineno}:\n"
+    sys.exit(f"{what} diverges from {shown(golden)} at line {lineno}:\n"
              f"  golden: {w.decode(errors='replace')!r}\n"
-             f"  stdout: {g.decode(errors='replace')!r}\n"
+             f"  {what}: {g.decode(errors='replace')!r}\n"
              f"regenerate from the repo root, then review the diff:\n"
              f"  {regen} > {shown(golden)}")
+
+
+def check_golden(intox, golden, scenario, args):
+    compare(intox, golden, scenario, args, run(intox, scenario, args),
+            "stdout")
+
+
+def check_point_record(intox, golden, scenario, args):
+    with tempfile.TemporaryDirectory(prefix="intox_golden_") as tmp:
+        path = Path(tmp) / "point.json"
+        stdout = run(intox, scenario, [*args, "--point-record", str(path)])
+        record = json.loads(path.read_text(encoding="utf-8"))
+    if stdout:
+        sys.exit(f"intox run {scenario} --point-record printed "
+                 f"{len(stdout)} bytes on stdout")
+    if record["exit"] != 0:
+        sys.exit(f"point record of {scenario} has exit {record['exit']}")
+    compare(intox, golden, scenario, args,
+            record["stdout"].encode("utf-8"), "record")
 
 
 def check_coverage(intox, golden_dir, registered):
@@ -77,6 +106,8 @@ def main():
     args = sys.argv[1:]
     if len(args) >= 3 and args[0] == "--coverage":
         check_coverage(args[1], args[2], args[3:])
+    elif len(args) >= 4 and args[0] == "--point-record":
+        check_point_record(args[1], args[2], args[3], args[4:])
     elif len(args) >= 3:
         check_golden(args[0], args[1], args[2], args[3:])
     else:

@@ -1,6 +1,5 @@
-// The scenario registry: every bench family is represented, names are
-// unique and sorted, knob declarations are well-formed, and duplicate
-// registration aborts loudly.
+// The scenario table: every bench family is represented, names are
+// unique and sorted, and knob declarations are well-formed.
 #include "scenario/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -12,12 +11,12 @@ namespace intox::scenario {
 namespace {
 
 TEST(Registry, EnumeratesAtLeastTwelveScenarios) {
-  EXPECT_GE(Registry::instance().all().size(), 12u);
+  EXPECT_GE(all_scenarios().size(), 12u);
 }
 
 TEST(Registry, CoversEveryBenchFamily) {
   std::set<std::string> families;
-  for (const Scenario* sc : Registry::instance().all()) {
+  for (const Scenario* sc : all_scenarios()) {
     families.insert(sc->family);
   }
   for (const char* family :
@@ -30,34 +29,34 @@ TEST(Registry, CoversEveryBenchFamily) {
 
 TEST(Registry, CoversTheExampleWalkthroughs) {
   for (const char* name : {"quickstart", "attack.synthesis"}) {
-    EXPECT_NE(Registry::instance().find(name), nullptr)
+    EXPECT_NE(find_scenario(name), nullptr)
         << "missing scenario " << name;
   }
 }
 
 TEST(Registry, AllIsSortedAndUnique) {
-  const auto all = Registry::instance().all();
+  const auto all = all_scenarios();
   for (std::size_t i = 1; i < all.size(); ++i) {
     EXPECT_LT(all[i - 1]->name, all[i]->name);
   }
 }
 
 TEST(Registry, FindReturnsNullForUnknownName) {
-  EXPECT_EQ(Registry::instance().find("no.such.scenario"), nullptr);
+  EXPECT_EQ(find_scenario("no.such.scenario"), nullptr);
 }
 
 TEST(Registry, EveryScenarioIsFullyDeclared) {
-  for (const Scenario* sc : Registry::instance().all()) {
+  for (const Scenario* sc : all_scenarios()) {
     EXPECT_FALSE(sc->name.empty());
     EXPECT_FALSE(sc->family.empty());
     EXPECT_FALSE(sc->description.empty()) << sc->name;
+    EXPECT_NE(sc->declare_knobs, nullptr) << sc->name;
     EXPECT_NE(sc->run, nullptr) << sc->name;
   }
 }
 
 TEST(Registry, KnobDeclarationsAreWellFormed) {
-  for (const Scenario* sc : Registry::instance().all()) {
-    if (sc->declare_knobs == nullptr) continue;
+  for (const Scenario* sc : all_scenarios()) {
     KnobSet knobs;
     sc->declare_knobs(knobs);
     for (const Knob& k : knobs.all()) {
@@ -74,17 +73,6 @@ TEST(Registry, KnobDeclarationsAreWellFormed) {
       }
     }
   }
-}
-
-using RegistryDeathTest = Registry;
-
-TEST(RegistryDeathTest, DuplicateRegistrationAborts) {
-  Scenario dup;
-  dup.name = "blink.fig2";  // already registered
-  dup.family = "FIG2";
-  dup.description = "duplicate";
-  EXPECT_DEATH(Registry::instance().add(dup),
-               "duplicate scenario registration 'blink.fig2'");
 }
 
 }  // namespace

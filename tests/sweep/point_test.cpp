@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/knob.hpp"
@@ -16,9 +17,8 @@ namespace {
 
 scenario::KnobSet test_knobs() {
   scenario::KnobSet knobs;
-  knobs.declare_double("ratio", 0.5, "a double knob");
+  knobs.declare_double("ratio", 0.5, "a double knob", 0.0, 10.0);
   knobs.declare_u64("count", 1, "a u64 knob");
-  knobs.declare_string("name", "x", "a string knob");
   return knobs;
 }
 
@@ -70,16 +70,56 @@ TEST(SweepAxis, StepLargerThanSpanIsOnePoint) {
   EXPECT_EQ(values.front(), "0.25");
 }
 
-TEST(SweepAxis, RejectsNonNumericKnobs) {
-  const scenario::KnobSet knobs = test_knobs();
-  SweepAxis axis;
-  EXPECT_NE(parse_sweep_axis("name=0:1:1", knobs, &axis), "");
-}
-
 TEST(SweepAxis, RejectsNonIntegerValuesForU64Knobs) {
   const scenario::KnobSet knobs = test_knobs();
   SweepAxis axis;
   EXPECT_NE(parse_sweep_axis("count=1:2:0.5", knobs, &axis), "");
+}
+
+std::string axis_error(const std::string& spec) {
+  const scenario::KnobSet knobs = test_knobs();
+  SweepAxis axis;
+  return parse_sweep_axis(spec, knobs, &axis);
+}
+
+// a, b and step are each all of their text as one finite number. With
+// strtod, a nan step threw std::length_error from the value list's
+// reserve, and an inf step made the one point ratio=nan (0 * inf).
+TEST(SweepAxis, BoundsAndStepAreFiniteDecimalNumbers) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"count=1:2:nan", "nan"}, {"ratio=1:2:inf", "inf"},
+      {"ratio=nan:1:1", "nan"}, {"ratio=0:inf:1", "inf"},
+      {"ratio=-inf:0:1", "-inf"}, {"ratio= 0:1:1", " 0"},
+      {"ratio=+0:1:1", "+0"}, {"ratio=0x1:2:1", "0x1"}};
+  for (const auto& [spec, piece] : cases) {
+    EXPECT_EQ(axis_error(spec), std::string("--sweep: '") + piece +
+                                    "' in '" + spec +
+                                    "' is not a finite number");
+  }
+}
+
+// A u64 value outside [0, 2^64) is refused before the cast, which
+// wrapped -5 to 18446744073709551611 and 2e19 to 0.
+TEST(SweepAxis, U64ValuesStayInsideU64) {
+  for (const char* spec : {"count=-5:5:5", "count=1e19:2e19:1e19"}) {
+    EXPECT_EQ(axis_error(spec),
+              std::string("--sweep: integer knob 'count' hit a value "
+                          "outside [0, 2^64) in '") +
+                  spec + "'");
+  }
+  const auto values = axis_values("count=0:1e19:1e19");
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_EQ(values.back(), "10000000000000000000");
+}
+
+// An axis with more values than a sweep may have points is refused
+// before its value count is cast from a double.
+TEST(SweepAxis, RefusesMoreValuesThanASweepHolds) {
+  for (const char* spec : {"count=1:1e300:1", "ratio=0:1:1e-300"}) {
+    EXPECT_EQ(axis_error(spec),
+              "--sweep cross product exceeds 10000000 points")
+        << spec;
+  }
 }
 
 TEST(SweepPoints, CountIsTheCrossProduct) {

@@ -65,10 +65,7 @@ void check_sigsafe(const Index& index, std::vector<Finding>& out,
                    std::ostream* explain) {
   // Roots: every registered handler plus the crash-dump entry points,
   // which are documented to be callable from a fatal-signal context.
-  std::vector<std::string> root_names;
-  for (const SignalHandlerReg& reg : index.signal_handlers) {
-    root_names.push_back(reg.handler);
-  }
+  std::vector<std::string> root_names = index.signal_handlers;
   for (const char* builtin : {"flightrec_dump", "flightrec_dump_on_crash"}) {
     if (std::any_of(index.functions.begin(), index.functions.end(),
                     [&](const FunctionDef& fn) { return fn.name == builtin; })) {

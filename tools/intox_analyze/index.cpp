@@ -851,7 +851,7 @@ class Indexer {
 
     // `::signal(SIGINT, handler)` registrations.
     if (last == "signal" || last == "bsd_signal") {
-      maybe_record_signal_call(end, line);
+      maybe_record_signal_call(end);
     }
 
     fn().calls.push_back({chain, receiver, line});
@@ -917,7 +917,7 @@ class Indexer {
     out_.metric_regs.push_back({kind_fn, tok(j).text, rel_, line});
   }
 
-  void maybe_record_signal_call(std::size_t open, int line) {
+  void maybe_record_signal_call(std::size_t open) {
     // signal(SIG, handler): handler is the last identifier of the
     // second argument.
     const std::size_t close = skip_parens(open);
@@ -940,7 +940,7 @@ class Indexer {
       if (is_ident(tok(k))) handler = tok(k).text;
     }
     if (!handler.empty() && handler != "SIG_DFL" && handler != "SIG_IGN") {
-      out_.signal_handlers.push_back({handler, rel_, line});
+      out_.signal_handlers.push_back(handler);
     }
   }
 
@@ -953,7 +953,7 @@ class Indexer {
     if (at_end(j) || !is_ident(tok(j))) return;
     const std::string handler = tok(j).text;
     if (handler != "SIG_DFL" && handler != "SIG_IGN") {
-      out_.signal_handlers.push_back({handler, rel_, tok(j).line});
+      out_.signal_handlers.push_back(handler);
     }
   }
 

@@ -83,18 +83,12 @@ struct MetricReg {
   int line = 0;
 };
 
-/// A function installed as a signal handler (`action.sa_handler = &fn`
-/// or `::signal(SIG, fn)`).
-struct SignalHandlerReg {
-  std::string handler;  // function name as written
-  std::string file;
-  int line = 0;
-};
-
 struct Index {
   std::vector<FunctionDef> functions;
   std::vector<MetricReg> metric_regs;
-  std::vector<SignalHandlerReg> signal_handlers;
+  /// Functions installed as signal handlers (`action.sa_handler = &fn`
+  /// or `::signal(SIG, fn)`), by name as written.
+  std::vector<std::string> signal_handlers;
   /// Variables and parameters declared anywhere with an unordered
   /// container type (std::unordered_map / set / multimap / multiset, or
   /// an alias of one). Collected globally so a member declared in a
