@@ -132,6 +132,47 @@ void BM_SchedulerSteadyStateTimers(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerSteadyStateTimers);
 
+// blink.e2e's scheduler shape at 1 ns ticks: 2,000 flows send at
+// exponential gaps (mean 250 ms), and each send schedules its delivery
+// 1 ms later. The benches above schedule at most 1,000 ns ahead (wheel
+// levels 0-1); these delays park events at levels 3-5 and leave most
+// buckets holding one event. Each closure captures at most `this`, so
+// std::function never allocates.
+struct SparseTraffic {
+  static constexpr int kFlows = 2000;
+  static constexpr std::uint64_t kSends = 50'000;  // + as many deliveries
+
+  sim::Scheduler sched;
+  const std::vector<sim::Duration>& gaps;
+  std::size_t draws = 0;
+  std::uint64_t scheduled = 0;
+
+  void schedule_send() {
+    ++scheduled;
+    sched.schedule_after(gaps[draws++ % gaps.size()], [this] { send(); });
+  }
+  void send() {
+    sched.schedule_after(sim::millis(1), [] {});
+    if (scheduled < kSends) schedule_send();
+  }
+};
+
+void BM_SchedulerSparseTraffic(benchmark::State& state) {
+  std::vector<sim::Duration> gaps(4096);
+  sim::Rng rng{1};
+  for (sim::Duration& gap : gaps) gap = rng.exp_duration(sim::millis(250));
+  std::uint64_t fired = 0;
+  for (auto _ : state) {
+    SparseTraffic traffic{{}, gaps};
+    for (int i = 0; i < SparseTraffic::kFlows; ++i) traffic.schedule_send();
+    traffic.sched.run();
+    fired += traffic.sched.events_processed();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+}
+BENCHMARK(BM_SchedulerSparseTraffic);
+
 void BM_LinkDelivery(benchmark::State& state) {
   // Packet transmit -> queue -> deliver through a Link: exercises the
   // in-flight packet ring and the small-buffer delivery closures.

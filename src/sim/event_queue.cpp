@@ -35,9 +35,12 @@ Scheduler::~Scheduler() {
   // the same values for any --threads.
   static obs::Counter& processed_counter =
       obs::Registry::global().counter("sim.scheduler.events_processed");
+  static obs::Counter& moves_counter =
+      obs::Registry::global().counter("sim.scheduler.wheel_moves");
   static obs::Gauge& depth_gauge =
       obs::Registry::global().gauge("sim.scheduler.queue_depth_hwm");
   if (processed_ > 0) processed_counter.add(processed_);
+  if (wheel_.moves() > 0) moves_counter.add(wheel_.moves());
   if (depth_hwm_ > 0) {
     depth_gauge.update_max(static_cast<double>(depth_hwm_));
   }

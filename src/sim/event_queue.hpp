@@ -37,9 +37,10 @@ class Scheduler {
   using Callback = std::function<void()>;
 
   Scheduler();
-  /// Publishes lifetime totals (events processed, queue-depth high-water
-  /// mark) into the obs metrics registry — retirement-time accounting,
-  /// so the drain loop itself carries no per-event registry cost.
+  /// Publishes lifetime totals (events processed, wheel moves,
+  /// queue-depth high-water mark) into the obs metrics registry —
+  /// retirement-time accounting, so the drain loop itself carries no
+  /// per-event registry cost.
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;

@@ -1,5 +1,6 @@
 #include "sim/timing_wheel.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -74,6 +75,7 @@ void TimingWheel::place(std::uint32_t idx) {
                   static_cast<unsigned long long>(n.seq));
   n.prev = bucket.tail;
   n.next = kNil;
+  bucket.lo = std::min(bucket.lo, static_cast<std::uint64_t>(n.time));
   if (bucket.tail == kNil) {
     bucket.head = idx;
     occupancy_[b / kSlots] |= 1ull << (b % kSlots);
@@ -99,6 +101,7 @@ void TimingWheel::unlink(std::uint32_t idx) {
   }
   if (bucket.head == kNil) {
     occupancy_[n.bucket / kSlots] &= ~(1ull << (n.bucket % kSlots));
+    bucket.lo = kNoTime;
   }
   n.bucket = kNoBucket;
   n.prev = n.next = kNil;
@@ -141,6 +144,7 @@ TimingWheel::Ref TimingWheel::insert_reserved(Time t, std::uint64_t seq,
                   "inserted twice", b, static_cast<unsigned long long>(seq));
   (n.prev == kNil ? bucket.head : nodes_[n.prev].next) = idx;
   (next == kNil ? bucket.tail : nodes_[next].prev) = idx;
+  bucket.lo = std::min(bucket.lo, static_cast<std::uint64_t>(t));
   occupancy_[b / kSlots] |= 1ull << (b % kSlots);
   ++live_;
   return Ref{idx, n.gen};
@@ -162,8 +166,10 @@ void TimingWheel::cascade(int level, int slot) {
   Bucket& bucket = buckets_[b];
   std::uint32_t idx = bucket.head;
   // Detach the whole list first: place() below must see the bucket as
-  // empty (its occupancy bit cleared) while redistributing.
+  // empty (its occupancy bit cleared, its bound reset) while
+  // redistributing.
   bucket.head = bucket.tail = kNil;
+  bucket.lo = kNoTime;
   occupancy_[level] &= ~(1ull << slot);
   while (idx != kNil) {
     Node& n = nodes_[idx];
@@ -171,11 +177,23 @@ void TimingWheel::cascade(int level, int slot) {
     n.prev = n.next = kNil;
     n.bucket = kNoBucket;
     place(idx);  // lands at a level strictly below `level`
+    ++moves_;
     INTOX_INVARIANT(n.bucket / kSlots < level,
                     "wheel cascade did not descend: node stayed at level %d",
                     n.bucket / kSlots);
     idx = next;
   }
+}
+
+inline void TimingWheel::take(std::uint32_t idx, Callback& cb_out,
+                              Time& t_out, Ref* ref_out) {
+  Node& n = nodes_[idx];
+  cb_out = std::move(n.cb);
+  t_out = n.time;
+  if (ref_out != nullptr) *ref_out = Ref{idx, n.gen};
+  unlink(idx);
+  free_node(idx);
+  --live_;
 }
 
 bool TimingWheel::pop_min_until(Time bound, Callback& cb_out, Time& t_out,
@@ -200,17 +218,13 @@ bool TimingWheel::pop_min_until(Time bound, Callback& cb_out, Time& t_out,
                       "level-0 wheel bucket holds t=%lld but spans tick "
                       "%llu", static_cast<long long>(n.time),
                       static_cast<unsigned long long>(base));
-      cb_out = std::move(n.cb);
-      t_out = n.time;
-      if (ref_out != nullptr) *ref_out = Ref{idx, n.gen};
-      unlink(idx);
-      free_node(idx);
-      --live_;
+      take(idx, cb_out, t_out, ref_out);
       return true;
     }
-    // Level 0 exhausted for this window: cascade the next occupied
-    // higher-level bucket (strictly beyond the cursor's own slot — the
-    // cursor's slot at level k is, by construction, held at levels < k).
+    // Level 0 exhausted for this window: the next occupied higher-level
+    // bucket (strictly beyond the cursor's own slot — the cursor's slot
+    // at level k is, by construction, held at levels < k) holds the
+    // earliest events, and every level below it is empty.
     bool cascaded = false;
     for (int level = 1; level < kLevels; ++level) {
       const int ck =
@@ -223,7 +237,26 @@ bool TimingWheel::pop_min_until(Time bound, Callback& cb_out, Time& t_out,
           (span_bits >= 64 ? 0 : (cursor_ & ~low_bits(span_bits))) |
           (static_cast<std::uint64_t>(slot) << (level * kSlotBits));
       if (base > ubound) return false;
-      cursor_ = base;
+      Bucket& bucket = buckets_[level * kSlots + slot];
+      const std::uint32_t idx = bucket.head;
+      const auto t = static_cast<std::uint64_t>(nodes_[idx].time);
+      if (idx == bucket.tail && t <= ubound) {
+        // A lone event due within the bound is the minimum: pop it where
+        // it sits instead of cascading it toward level 0.
+        INTOX_INVARIANT((t ^ base) >> (level * kSlotBits) == 0,
+                        "level-%d wheel bucket holds t=%llu outside its "
+                        "64^%d ns from %llu", level,
+                        static_cast<unsigned long long>(t), level,
+                        static_cast<unsigned long long>(base));
+        cursor_ = t;
+        take(idx, cb_out, t_out, ref_out);
+        return true;
+      }
+      // Jump the cursor to the bucket's lowest timestamp, not its base,
+      // so its earliest events land at level 0 at once. The clamp keeps
+      // the cursor at or below the bound: a later insert in (bound, lo)
+      // stays legal.
+      cursor_ = std::min(bucket.lo, ubound);
       cascade(level, slot);
       cascaded = true;
       break;

@@ -6,9 +6,15 @@
 // arranged in 11 levels of 64 slots; level k buckets span 64^k ns, so
 // level 0 resolves single nanoseconds and level 10's overflow slots
 // reach past the maximum representable Time. An event is parked at the
-// highest level where its timestamp differs from the wheel cursor and
-// cascades toward level 0 as the cursor approaches — each event moves at
-// most 10 times, independent of queue depth.
+// highest level where its timestamp differs from the wheel cursor. When
+// the earliest pending bucket sits above level 0, a pop takes a lone
+// event due within its bound where it sits; otherwise it cascades the
+// bucket: the cursor jumps to the bucket's lowest timestamp (never past
+// the bound), so its earliest events land at level 0 at once and the
+// rest as low as they can. Each cascade moves an event at least one
+// level down, so it moves at most 10 times, independent of queue depth;
+// at 1 ns ticks the packet-level traffic leaves most buckets holding a
+// single event, which pops without moving.
 //
 // Ordering contract (the one the stdout goldens in tests/golden/ pin):
 // events fire in (time, scheduling order). Every bucket list is kept
@@ -99,6 +105,8 @@ class TimingWheel {
   [[nodiscard]] Time cursor() const { return static_cast<Time>(cursor_); }
   /// Total nodes ever taken from slab growth (capacity watermark).
   [[nodiscard]] std::size_t slab_capacity() const { return nodes_.size(); }
+  /// Events re-placed by cascades so far; inserts are not counted.
+  [[nodiscard]] std::uint64_t moves() const { return moves_; }
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
   /// True when `ref` addresses a live (pending) event.
@@ -121,9 +129,15 @@ class TimingWheel {
   };
   static_assert(kLevels * kSlotBits >= 64, "wheel must span the Time range");
 
+  static constexpr std::uint64_t kNoTime = UINT64_MAX;
+
   struct Bucket {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
+    /// Lower bound of the bucket's timestamps: lowered by every insert,
+    /// reset when the bucket empties or cascades. A cancel can leave it
+    /// low, never high, and never outside the bucket's span.
+    std::uint64_t lo = kNoTime;
   };
 
   [[nodiscard]] std::uint32_t alloc_node();
@@ -135,8 +149,13 @@ class TimingWheel {
   /// timestamp relative to the current cursor.
   void place(std::uint32_t idx);
   void unlink(std::uint32_t idx);
+  /// Hands node `idx`'s callback, time and handle to the popper and
+  /// frees the node.
+  void take(std::uint32_t idx, Callback& cb_out, Time& t_out, Ref* ref_out);
   /// Moves every event of bucket (level, slot) down the hierarchy after
-  /// the cursor advanced into that bucket's span.
+  /// the cursor jumped into that bucket's span, to the bucket's lower
+  /// bound or the pop's bound, whichever is lower. Every lower level is
+  /// empty then, so events at the cursor's time land at level 0.
   void cascade(int level, int slot);
 
   std::vector<Node> nodes_;
@@ -145,6 +164,7 @@ class TimingWheel {
   std::uint64_t occupancy_[kLevels] = {};
   std::uint64_t cursor_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t moves_ = 0;
   std::size_t live_ = 0;
 
   // Test-only seam: the cascade-boundary and corruption tests peek at

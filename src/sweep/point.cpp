@@ -91,6 +91,13 @@ std::string parse_sweep_axis(const std::string& text,
     } else {
       std::snprintf(buf, sizeof buf, "%.12g", v);
     }
+    // Values only grow, so any two that render alike are neighbours;
+    // they would run one configuration twice under one cache key.
+    if (!out->values.empty() && out->values.back() == buf) {
+      return "--sweep: step '" + range.substr(range.rfind(':') + 1) +
+             "' in '" + text + "' is too fine: two values both read '" +
+             buf + "'";
+    }
     out->values.emplace_back(buf);
   }
   return "";

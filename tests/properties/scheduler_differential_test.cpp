@@ -10,6 +10,7 @@
 // are additionally checked for memory and lifetime errors.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <vector>
 
@@ -22,6 +23,21 @@ namespace {
 
 class SchedulerDifferential : public ::testing::TestWithParam<std::uint64_t> {
 };
+
+// Log-uniform in [lo, hi) ns: every decade is equally likely.
+Duration log_uniform(Rng& rng, double lo, double hi) {
+  return static_cast<Duration>(lo * std::pow(hi / lo, rng.uniform()));
+}
+
+// A random element of `v`, removed from it.
+template <typename T>
+T take_random(Rng& rng, std::vector<T>& v) {
+  const auto it = v.begin() + static_cast<std::ptrdiff_t>(
+                                  rng.uniform_int(0, v.size() - 1));
+  const T out = *it;
+  v.erase(it);
+  return out;
+}
 
 TEST_P(SchedulerDifferential, RandomOpSequenceNeverDivergesFromOracle) {
   Rng rng{GetParam()};
@@ -43,10 +59,7 @@ TEST_P(SchedulerDifferential, RandomOpSequenceNeverDivergesFromOracle) {
       // exactly at `now`, near (possibly past, clamped), or far enough
       // ahead to park at wheel level 3 or 4 and cascade down. The id
       // joins `live`, so some reserved events are cancelled.
-      const auto pick = static_cast<std::ptrdiff_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(tickets.size()) - 1));
-      const std::uint64_t ticket = tickets[static_cast<std::size_t>(pick)];
-      tickets.erase(tickets.begin() + pick);
+      const std::uint64_t ticket = take_random(rng, tickets);
       const double where = rng.uniform();
       Time t = s.now();
       if (where >= 0.8) {
@@ -69,11 +82,7 @@ TEST_P(SchedulerDifferential, RandomOpSequenceNeverDivergesFromOracle) {
     } else if (roll < 0.80) {
       // Cancel a random remembered id. Roughly half are already fired
       // (stale) — the wheel and the reference must agree on the result.
-      const std::size_t pick =
-          static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(live.size()) - 1));
-      s.cancel(live[pick]);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      s.cancel(take_random(rng, live));
     } else if (roll < 0.95) {
       s.run_until(s.now() + static_cast<Time>(rng.uniform_int(0, 3000)));
     } else {
@@ -127,6 +136,51 @@ TEST_P(SchedulerDifferential, NestedSchedulingNeverDivergesFromOracle) {
   while (s.pending() > 0) {
     s.run_until(s.now() + 500);
   }
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST_P(SchedulerDifferential, SparseTrafficShapeNeverDivergesFromOracle) {
+  // The packet-level scenarios' shape at 1 ns ticks: delays spread over
+  // 1 ns - 2 s park events at wheel levels 0-5 and leave most buckets
+  // holding one event, which pops where it sits, and run_until bounds
+  // 64^2 ns to 64^5 ns ahead stop inside the span of a level 2-5
+  // bucket, where a cascade may move the cursor no further than the
+  // bound. Cancels leave bucket bounds stale; reserved tickets insert
+  // below a bucket's other timestamps.
+  Rng rng{GetParam() ^ 0x5ba75eULL};
+  Scheduler s;
+  s.enable_oracle();
+
+  std::vector<Scheduler::EventId> live;
+  std::vector<std::uint64_t> tickets;  // reserved, not yet used
+  constexpr int kOps = 25'000;  // x4 seeds = 1e5 ops total
+  for (int op = 0; op < kOps; ++op) {
+    const double roll = rng.uniform();
+    if (roll < 0.03) {
+      const std::uint64_t first = s.reserve(4);
+      for (std::uint64_t i = 0; i < 4; ++i) tickets.push_back(first + i);
+    } else if (roll < 0.08 && !tickets.empty()) {
+      const std::uint64_t ticket = take_random(rng, tickets);
+      live.push_back(s.schedule_reserved(
+          s.now() + log_uniform(rng, 1, 2e9), ticket, [] {}));
+    } else if (roll < 0.60 || live.empty()) {
+      live.push_back(s.schedule_after(log_uniform(rng, 1, 2e9), [] {}));
+    } else if (roll < 0.80) {
+      s.cancel(take_random(rng, live));
+    } else if (roll < 0.97) {
+      // The oracle checks what fires, not where run_until stops: an
+      // event popped past the bound would leave the clock beyond it.
+      const Time bound = s.now() + log_uniform(rng, 0x1p12, 0x1p30);
+      s.run_until(bound);
+      ASSERT_EQ(s.now(), bound);
+    } else {
+      s.run(static_cast<std::size_t>(rng.uniform_int(1, 20)));
+    }
+  }
+  for (const std::uint64_t ticket : tickets) {
+    s.schedule_reserved(s.now(), ticket, [] {});
+  }
+  s.run();
   EXPECT_EQ(s.pending(), 0u);
 }
 

@@ -121,8 +121,9 @@ TEST(CliDeathTest, ValidateReportsAViolatedInvariant) {
       },
       ::testing::ExitedWithCode(1),
       ::testing::MatchesRegex(
-          "validate debug\\.crash +FAIL \\(.*invariant violated: "
-          "debug\\.crash: forced fatal invariant\\)\n"
+          "validate debug\\.crash +FAIL "
+          "\\(src/scenario/scenarios_debug\\.cpp:[0-9]+: invariant "
+          "violated: debug\\.crash: forced fatal invariant\\)\n"
           "validate quickstart +OK\n"));
 }
 
@@ -154,7 +155,8 @@ TEST(CliDeathTest, InvariantViolationExitsOneWithADump) {
                        "--flightrec-out", dump_path.c_str()}));
       },
       ::testing::ExitedWithCode(1),
-      "intox: .*invariant violated: debug\\.crash: forced fatal invariant");
+      "intox: src/scenario/scenarios_debug\\.cpp:[0-9]+: invariant "
+      "violated: debug\\.crash: forced fatal invariant");
   obs::FlightrecDump dump;
   std::string error;
   ASSERT_TRUE(obs::load_flightrec_dump(dump_path, &dump, &error)) << error;

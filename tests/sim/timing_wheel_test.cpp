@@ -1,6 +1,8 @@
 // Timing-wheel unit tests: level placement, cascade boundaries (level
-// rollover ticks, multi-level descents, far-future overflow, kTimeMax),
-// cursor-bound behavior, and slab/freelist reuse. The end-to-end
+// rollover ticks, far-future overflow, kTimeMax), lone events popped in
+// place, the cascade's jump to a bucket's lower bound (clamped to the
+// pop's bound, kept by reserved inserts, reset on reuse, stale after a
+// cancel), cursor-bound behavior, and slab/freelist reuse. The end-to-end
 // ordering contract is exercised by the Scheduler tests and the
 // differential property suite; these tests pin the wheel geometry
 // itself via the TimingWheelTestPeer.
@@ -69,17 +71,43 @@ TEST(TimingWheel, LevelRolloverTicksFireInOrder) {
   EXPECT_TRUE(w.empty());
 }
 
-TEST(TimingWheel, CascadeDescendsThroughAllLevels) {
-  // A single event at 64^3 sits at level 3; popping it forces cascades
-  // down to level 0 (each a whole-bucket redistribution), and the pop
-  // must still report the exact timestamp.
+TEST(TimingWheel, LoneEventPopsWhereItSits) {
+  // A bucket above level 0 that holds the earliest event and nothing
+  // else pops that event in place: the cursor lands on its time (not
+  // the bucket's base) and no cascade re-places anything.
+  Time span = 1;
+  for (int level = 1; level < TimingWheel::kLevels; ++level) {
+    span *= TimingWheel::kSlots;  // 64^level
+    TimingWheel w;
+    const Time t = 3 * span + 5;  // slot 3, five ticks past its base
+    const auto ref = w.insert(t, [] {});
+    ASSERT_EQ(Peer::level_of(w, ref), level) << "t=" << t;
+    EXPECT_EQ(drain_next(w), t) << "level " << level;
+    EXPECT_EQ(w.cursor(), t) << "level " << level;
+    EXPECT_EQ(w.moves(), 0u) << "level " << level;
+    EXPECT_TRUE(w.empty());
+  }
+}
+
+TEST(TimingWheel, CascadeJumpsToTheBucketsEarliestEvent) {
+  // Two events at 70000 and one at 70100 share the level-2 bucket
+  // spanning [69632, 73728). Its cascade moves the cursor to 70000, not
+  // to 69632, so the pair lands at level 0 at once and 70100 at level
+  // 1, whence it pops where it sits: three moves in all. From the
+  // bucket's base the pair would share a level-1 bucket and move again.
   TimingWheel w;
-  const Time t = 262144;  // 64^3
-  const auto ref = w.insert(t, [] {});
-  ASSERT_EQ(Peer::level_of(w, ref), 3);
-  EXPECT_EQ(drain_next(w), t);
-  EXPECT_TRUE(w.empty());
-  EXPECT_EQ(w.cursor(), t);
+  const auto a = w.insert(70000, [] {});
+  const auto a2 = w.insert(70000, [] {});
+  const auto b = w.insert(70100, [] {});
+  ASSERT_EQ(Peer::level_of(w, a), 2);
+  ASSERT_EQ(Peer::bucket_of(w, b), Peer::bucket_of(w, a));
+  EXPECT_EQ(drain_next(w), 70000);
+  EXPECT_EQ(w.moves(), 3u);
+  EXPECT_EQ(Peer::level_of(w, a2), 0);
+  EXPECT_EQ(Peer::level_of(w, b), 1);
+  EXPECT_EQ(drain_next(w), 70000);
+  EXPECT_EQ(drain_next(w), 70100);
+  EXPECT_EQ(w.moves(), 3u);
 }
 
 TEST(TimingWheel, CascadePreservesFifoWithinInstant) {
@@ -156,6 +184,83 @@ TEST(TimingWheel, BoundedPopNeverOvershootsCursor) {
   w.insert(600, [] {});
   EXPECT_EQ(drain_next(w), 600);
   EXPECT_EQ(drain_next(w), 1000);
+}
+
+TEST(TimingWheel, BoundInsideABucketsSpanKeepsTheCursorAtTheBound) {
+  // 1000 and 1010 share the level-1 bucket spanning [960, 1024). A pop
+  // bounded at 980 cascades it but may move the cursor only to 980, not
+  // to the bucket's earliest event: an insert at 990 is still legal and
+  // fires before both.
+  TimingWheel w;
+  const auto a = w.insert(1000, [] {});
+  const auto b = w.insert(1010, [] {});
+  ASSERT_EQ(Peer::level_of(w, a), 1);
+  ASSERT_EQ(Peer::bucket_of(w, b), Peer::bucket_of(w, a));
+  TimingWheel::Callback cb;
+  Time t = 0;
+  EXPECT_FALSE(w.pop_min_until(980, cb, t));
+  EXPECT_LE(w.cursor(), 980);
+  w.insert(990, [] {});
+  EXPECT_EQ(drain_next(w), 990);
+  EXPECT_EQ(drain_next(w), 1000);
+  EXPECT_EQ(drain_next(w), 1010);
+}
+
+TEST(TimingWheel, ReservedInsertBelowItsBucketsOtherTimesFiresFirst) {
+  // The reserved insert at 1000 links in by seq behind the event at
+  // 1010 in the same level-1 bucket, yet is the earlier one: the
+  // bucket's lower bound must follow it, or the cascade would move the
+  // cursor past it.
+  TimingWheel w;
+  const std::uint64_t ticket = w.reserve(1);
+  w.insert(1010, [] {});
+  const auto ref = w.insert_reserved(1000, ticket, [] {});
+  ASSERT_EQ(Peer::level_of(w, ref), 1);
+  EXPECT_EQ(drain_next(w), 1000);
+  EXPECT_EQ(drain_next(w), 1010);
+  EXPECT_TRUE(w.empty());
+}
+
+TEST(TimingWheel, ReusedSlotNeverMovesTheCursorBackwards) {
+  // Cancels empty the level-1 bucket of slot 15 while it spans
+  // [960, 1024). Once the cursor is past 4096, the same slot spans
+  // [5056, 5120) and takes two events: the bound the cancelled events
+  // left must not survive into the new span.
+  TimingWheel w;
+  const auto a = w.insert(1000, [] {});
+  const auto b = w.insert(1010, [] {});
+  ASSERT_TRUE(w.erase(a));
+  ASSERT_TRUE(w.erase(b));
+  w.advance_cursor(4096);
+  const auto c = w.insert(5059, [] {});
+  const auto d = w.insert(5069, [] {});
+  ASSERT_EQ(Peer::bucket_of(w, c), Peer::bucket_of(w, b));
+  ASSERT_EQ(Peer::bucket_of(w, d), Peer::bucket_of(w, b));
+  std::vector<Time> cursors{w.cursor()};
+  EXPECT_EQ(drain_next(w), 5059);
+  cursors.push_back(w.cursor());
+  EXPECT_EQ(drain_next(w), 5069);
+  cursors.push_back(w.cursor());
+  EXPECT_EQ(cursors, (std::vector<Time>{4096, 5059, 5069}));
+}
+
+TEST(TimingWheel, CancelledEarliestEventLeavesTheRestInOrder) {
+  // Cancelling a multi-event bucket's earliest event leaves its lower
+  // bound stale and low; the cascade then stops short of the earliest
+  // live event, and the rest still fire in (time, seq) order.
+  TimingWheel w;
+  std::vector<int> order;
+  const auto first = w.insert(70000, [&order] { order.push_back(0); });
+  w.insert(71000, [&order] { order.push_back(3); });
+  w.insert(70100, [&order] { order.push_back(1); });
+  w.insert(72000, [&order] { order.push_back(4); });
+  w.insert(70100, [&order] { order.push_back(2); });
+  ASSERT_EQ(Peer::level_of(w, first), 2);
+  ASSERT_TRUE(w.erase(first));
+  std::vector<Time> times;
+  for (Time t; (t = drain_next(w)) >= 0;) times.push_back(t);
+  EXPECT_EQ(times, (std::vector<Time>{70100, 70100, 71000, 72000}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(TimingWheel, EraseIsStaleSafeAndReturnsSlotsLifo) {

@@ -122,6 +122,30 @@ TEST(SweepAxis, RefusesMoreValuesThanASweepHolds) {
   }
 }
 
+// Two consecutive values that render alike would run one configuration
+// twice under one cache key: a double step below the 12 significant
+// digits values are rendered with, or a u64 step below a double's
+// spacing past 2^53 (9007199254740992 + 1 rounds back to itself).
+TEST(SweepAxis, RefusesAStepWhoseValuesRenderAlike) {
+  for (const auto& [spec, value] :
+       {std::pair<const char*, const char*>{
+            "ratio=0.5:0.5000000000002:1e-13", "0.5"},
+        {"count=9007199254740992:9007199254740994:1", "9007199254740992"}}) {
+    const std::string step = std::string(spec).substr(
+        std::string(spec).rfind(':') + 1);
+    EXPECT_EQ(axis_error(spec), "--sweep: step '" + step + "' in '" + spec +
+                                    "' is too fine: two values both read '" +
+                                    value + "'");
+  }
+  // Steps that still render apart keep every value.
+  EXPECT_EQ(axis_values("ratio=0.5:0.5000000002:1e-10"),
+            (std::vector<std::string>{"0.5", "0.5000000001",
+                                      "0.5000000002"}));
+  EXPECT_EQ(axis_values("count=9007199254740992:9007199254740996:2"),
+            (std::vector<std::string>{"9007199254740992", "9007199254740994",
+                                      "9007199254740996"}));
+}
+
 TEST(SweepPoints, CountIsTheCrossProduct) {
   const scenario::KnobSet knobs = test_knobs();
   SweepAxis a, b;
