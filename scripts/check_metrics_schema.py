@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates the JSON documents emitted by the observability layer:
-intox.bench_report.v2, intox.sweep_report.v2, intox.point_record.v3
+intox.bench_report.v3, intox.sweep_report.v3, intox.point_record.v4
 and intox.flightrec.v2 crash dumps, dispatched on the top-level
 "schema" field.
 
@@ -9,9 +9,9 @@ Usage:
     scripts/check_metrics_schema.py sweep_report.json
     scripts/check_metrics_schema.py --names names.txt report.json [...]
 
-With --names, every metric key appearing in a report's counters /
-gauges / histograms must be listed in NAMES_FILE (one name per line —
-the output of `intox_analyze --dump-metric-names`). This cross-checks
+With --names, every metric key appearing in a report's counters and
+gauges must be listed in NAMES_FILE (one name per line — the output
+of `intox_analyze --dump-metric-names`). This cross-checks
 the reports against the registration sites the static analyzer found,
 so a renamed metric cannot silently fork the time series.
 
@@ -23,9 +23,9 @@ surfacing weeks later in a plotting notebook.
 import json
 import sys
 
-SCHEMA = "intox.bench_report.v2"
-SWEEP_SCHEMA = "intox.sweep_report.v2"
-POINT_SCHEMA = "intox.point_record.v3"
+SCHEMA = "intox.bench_report.v3"
+SWEEP_SCHEMA = "intox.sweep_report.v3"
+POINT_SCHEMA = "intox.point_record.v4"
 FLIGHTREC_SCHEMA = "intox.flightrec.v2"
 FLIGHTREC_TYPE_COUNT = 10
 
@@ -74,34 +74,6 @@ def check_sweep(sweep, path):
                "imbalance is max/mean, so >= 1 (or 0 for unknown)")
 
 
-def check_histogram(hist, path):
-    expect(isinstance(hist, dict), path, "histogram must be an object")
-    for key in ("lo", "hi", "buckets", "underflow", "overflow", "total",
-                "sum", "min", "max"):
-        expect(key in hist, path, f"missing key '{key}'")
-    expect(is_num(hist["lo"]) and is_num(hist["hi"]), path,
-           "lo/hi must be numbers")
-    expect(hist["lo"] < hist["hi"], path, "lo must be < hi")
-    buckets = hist["buckets"]
-    expect(isinstance(buckets, list) and buckets, f"{path}.buckets",
-           "must be a non-empty array")
-    expect(all(is_uint(b) for b in buckets), f"{path}.buckets",
-           "entries must be non-negative integers")
-    for key in ("underflow", "overflow", "total"):
-        expect(is_uint(hist[key]), f"{path}.{key}",
-               "must be a non-negative integer")
-    expect(sum(buckets) + hist["underflow"] + hist["overflow"]
-           == hist["total"],
-           path, "bucket mass + under/overflow must equal total")
-    # min/max are null exactly when the histogram is empty.
-    if hist["total"] == 0:
-        expect(hist["min"] is None and hist["max"] is None, path,
-               "empty histogram must have null min/max")
-    else:
-        expect(is_num(hist["min"]) and is_num(hist["max"]), path,
-               "non-empty histogram must have numeric min/max")
-
-
 def check_known_name(name, path):
     if KNOWN_METRIC_NAMES is None:
         return
@@ -112,6 +84,9 @@ def check_known_name(name, path):
 
 def check_metrics(metrics, path):
     expect(isinstance(metrics, dict), path, "must be an object")
+    expect(sorted(metrics) == ["counters", "gauges"], path,
+           f"must hold exactly 'counters' and 'gauges' "
+           f"(got {sorted(metrics)})")
     for section, pred, what in (
         ("counters", is_uint, "non-negative integer"),
         ("gauges", is_num, "number"),
@@ -123,12 +98,6 @@ def check_metrics(metrics, path):
             expect(pred(value), f"{path}.{section}.{name}",
                    f"must be a {what}")
             check_known_name(name, f"{path}.{section}")
-    hists = metrics.get("histograms")
-    expect(isinstance(hists, dict), f"{path}.histograms",
-           "must be an object")
-    for name, hist in hists.items():
-        check_histogram(hist, f"{path}.histograms.{name}")
-        check_known_name(name, f"{path}.histograms")
 
 
 def check_report(doc, path):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Throughput regression gate over intox.bench_report.v2 run reports.
+"""Throughput regression gate over intox.bench_report.v3 run reports.
 
 Compares the `trials_per_s` of every sweep named in a committed baseline
 (bench/baselines/*.json) against a freshly produced BENCH_<family>.json
@@ -49,7 +49,7 @@ import statistics
 import sys
 
 BASELINE_SCHEMA = "intox.perf_baseline.v1"
-REPORT_SCHEMA = "intox.bench_report.v2"
+REPORT_SCHEMA = "intox.bench_report.v3"
 DEFAULT_TOLERANCE = 0.5
 
 

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 namespace intox::obs {
 
@@ -412,8 +413,10 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 }
 
 std::uint64_t JsonValue::as_u64() const {
-  if (kind != Kind::kNumber) return 0;
-  if (number <= 0.0) return 0;
+  if (kind != Kind::kNumber || !(number > 0.0)) return 0;
+  // 2^64 is the first double past UINT64_MAX, and it is also what
+  // UINT64_MAX itself parses to; casting it or anything above is UB.
+  if (number >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
   return static_cast<std::uint64_t>(number);
 }
 

@@ -52,7 +52,8 @@ struct JsonValue {
   /// First member named `key`, or nullptr (also for non-objects).
   const JsonValue* find(std::string_view key) const;
 
-  /// Value as u64 (truncating); 0 for non-numbers.
+  /// Value as u64, truncated and clamped to [0, UINT64_MAX]; 0 for
+  /// non-numbers.
   std::uint64_t as_u64() const;
   /// Value as double; 0.0 for non-numbers.
   double as_number() const;
@@ -62,7 +63,7 @@ struct JsonValue {
 ///
 ///   JsonWriter w;
 ///   w.begin_object();
-///   w.key("schema").value("intox.bench_report.v2");
+///   w.key("schema").value("intox.bench_report.v3");
 ///   w.key("sweeps").begin_array();
 ///   ...
 ///   w.end_array().end_object();

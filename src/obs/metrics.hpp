@@ -1,4 +1,4 @@
-// Process-wide metrics registry: counters, gauges, histograms.
+// Process-wide metrics registry: counters and gauges.
 //
 // The §5 supervisor architecture is premised on *watching* the data
 // plane; this registry is the reproduction's own data plane watching
@@ -6,21 +6,16 @@
 // nodes, PCC senders and Pytheas engines count in plain members and
 // add each total to the registry once, when they retire; the runner
 // adds once per dispatch, the sweep orchestrator once per sweep, and
-// the sketches once per pollution run or filter rotation. The only
-// per-event sites are the two PCC histograms, once per monitor
-// interval. So every metric is one set of relaxed atomics shared by
+// the sketches once per pollution run or filter rotation. No site
+// records per event, so every metric is one relaxed atomic shared by
 // all threads; a new per-event count belongs in a member folded at
 // retirement, not in a registry add.
 //
-//  1. Placement-invariant values. Counter and histogram-bucket values
-//     are integer sums, identical for any thread count, because the
-//     *work* is identical (trials are seeded by index) and only its
-//     placement moves. Gauges are high-water marks (update_max), also
-//     placement-invariant. The one exception is a histogram's running
-//     `sum` of double samples: it is added in record order, so one
-//     thread's sum is the serial double sum bit for bit, while
-//     interleaved threads may move it in the last ulp. Bucket counts,
-//     totals, and extremes never move.
+//  1. Placement-invariant values. A counter is an integer sum and a
+//     gauge a high-water mark (update_max), so both are identical for
+//     any thread count: the *work* is identical (trials are seeded by
+//     index) and only its placement moves. A point record, and so a
+//     merged sweep report, depends only on (binary, scenario, knobs).
 //  2. Nothing on stdout. Metrics surface only through the run-report
 //     sink (obs/report.hpp), so bench stdout stays byte-identical
 //     across `--threads`.
@@ -33,13 +28,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace intox::obs {
 
@@ -79,45 +72,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-width histogram over [lo, hi), safe to record into from many
-/// threads at once. A sample below lo counts as underflow, one at or
-/// above hi as overflow; neither is clamped into an edge bucket. A NaN
-/// counts as overflow and leaves sum, min and max alone. `total` counts
-/// every sample; `sum`, `min` and `max` cover every non-NaN one.
-class HistogramMetric {
- public:
-  HistogramMetric(double lo, double hi, std::size_t buckets);
-
-  void observe(double x);
-
-  [[nodiscard]] double lo() const { return lo_; }
-  [[nodiscard]] double hi() const { return hi_; }
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-
-  /// An immutable view — the serialization unit.
-  struct Snapshot {
-    double lo = 0.0, hi = 0.0;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
-    std::uint64_t total = 0;
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-  void reset();
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> underflow_{0};
-  std::atomic<std::uint64_t> overflow_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-};
-
 /// The process-wide registry. Metrics are identified by dotted names
 /// ("sim.link.tx_packets"); iteration and serialization are name-sorted
 /// so output order never depends on registration order.
@@ -129,15 +83,10 @@ class Registry {
   /// valid for the registry's lifetime.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// On re-registration the existing histogram is returned; asking for
-  /// different bounds than it was created with violates an invariant.
-  HistogramMetric& histogram(std::string_view name, double lo, double hi,
-                             std::size_t buckets);
 
   struct Snapshot {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, double> gauges;
-    std::map<std::string, HistogramMetric::Snapshot> histograms;
   };
   [[nodiscard]] Snapshot snapshot() const;
 
@@ -155,8 +104,6 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<HistogramMetric>, std::less<>>
-      histograms_;
 };
 
 }  // namespace intox::obs

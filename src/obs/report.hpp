@@ -6,14 +6,13 @@
 // schema-versioned JSON document:
 //
 //   {
-//     "schema": "intox.bench_report.v2",
+//     "schema": "intox.bench_report.v3",
 //     "family": "FIG2",
 //     "threads_requested": 0,
 //     "sweeps": [ {"sweep": "FIG2", "trials": 12, "threads": 8,
 //                  "wall_s": 0.41, "trials_per_s": 29.3,
 //                  "shard_wall_s": {"min":..,"max":..,"imbalance":..}} ],
-//     "metrics": { "counters": {...}, "gauges": {...},
-//                  "histograms": {...} }
+//     "metrics": { "counters": {...}, "gauges": {...} }
 //   }
 //
 // The destination is the report path the session is built with
@@ -33,8 +32,8 @@
 
 namespace intox::obs {
 
-inline constexpr const char* kReportSchema = "intox.bench_report.v2";
-inline constexpr const char* kPointRecordSchema = "intox.point_record.v3";
+inline constexpr const char* kReportSchema = "intox.bench_report.v3";
+inline constexpr const char* kPointRecordSchema = "intox.point_record.v4";
 
 /// One sweep's timing: what sim::ParallelRunner measures per dispatch
 /// (sim::RunReport is this type) and what a run report records per
@@ -88,7 +87,7 @@ class BenchSession {
   std::vector<SweepPerf> sweeps_;
 };
 
-/// One sweep point's deterministic run record (intox.point_record.v3):
+/// One sweep point's deterministic run record (intox.point_record.v4):
 /// what the `intox run ... --point-record FILE` protocol leaves behind
 /// for the sweep orchestrator's cache, and what the merge path folds
 /// into the combined sweep report. Deliberately excludes every

@@ -202,15 +202,6 @@ void PccSender::finish_mi(MonitorInterval mi) {
   const double u = utility(mi.rate_bps, mi.loss(), config_.utility_params);
   utility_series_.record(mi.end, u);
   history_.push_back(mi);
-  // Per-MI observability: utility normalized by rate (u/x lies in
-  // [-1, 1] for the Allegro utility, so one histogram fits every rate
-  // regime) and the raw loss fraction.
-  static obs::HistogramMetric& utility_hist =
-      obs::Registry::global().histogram("pcc.mi_utility_norm", -1.0, 1.0, 40);
-  static obs::HistogramMetric& loss_hist =
-      obs::Registry::global().histogram("pcc.mi_loss", 0.0, 1.0, 20);
-  if (mi.rate_bps > 0) utility_hist.observe(u / mi.rate_bps);
-  loss_hist.observe(mi.loss());
   evaluate(mi, u);
 }
 

@@ -35,9 +35,8 @@ class PccSender {
   PccSender(sim::Scheduler& sched, const PccConfig& config,
             net::FiveTuple flow, PacketSink sink);
   /// Publishes lifetime totals into the obs metrics registry: decision
-  /// and inconclusive-experiment counts, per-MI normalized utility and
-  /// loss histograms, and the rate-oscillation amplitude (the §4.2
-  /// attack signal) as a high-water gauge.
+  /// and inconclusive-experiment counts, and the rate-oscillation
+  /// amplitude (the §4.2 attack signal) as a high-water gauge.
   ~PccSender();
 
   /// Starts pacing packets and running monitor intervals.

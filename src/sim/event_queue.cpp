@@ -111,7 +111,7 @@ bool Scheduler::fire_next(Time bound) {
                   "live wheel event id=%llu has no callback (slab "
                   "bookkeeping corruption)",
                   static_cast<unsigned long long>(encode_id(ref).value));
-  if (oracle_) oracle_->mirror_fire(encode_id(ref).value, t, pending());
+  if (oracle_) oracle_->mirror_fire(encode_id(ref).value, t, bound, pending());
   if (t > now_) now_ = t;
   // Hottest record site in the repo: one enabled-check + five relaxed
   // stores, guarded by the blink.e2e perf-gate baseline.

@@ -1,7 +1,7 @@
 // Merged sweep report: one deterministic document per completed sweep.
 //
 // The orchestrator concatenates the per-point records — in point order,
-// verbatim — under an intox.sweep_report.v2 envelope, and folds
+// verbatim — under an intox.sweep_report.v3 envelope, and folds
 // cross-point aggregates (count/min/max/mean per metric, across every
 // point whose record carries a parseable metrics section) after the
 // records array. Every field is a pure function of (binary, scenario,
@@ -10,7 +10,8 @@
 // deliberately lives in the obs registry / stderr summary instead,
 // where it belongs.
 //
-// v2: the records are intox.point_record.v3, which carry no banner.
+// v3: the records are intox.point_record.v4, whose metrics hold only
+// counters and gauges.
 #pragma once
 
 #include <string>
@@ -20,7 +21,7 @@
 
 namespace intox::sweep {
 
-inline constexpr const char* kSweepReportSchema = "intox.sweep_report.v2";
+inline constexpr const char* kSweepReportSchema = "intox.sweep_report.v3";
 
 struct MergeInput {
   std::string scenario;

@@ -49,10 +49,11 @@ void sweep_usage(std::FILE* out) {
       "Runs every point of the --sweep cross product as its own\n"
       "'intox run' worker process, which gets the point's values as\n"
       "--set flags. Takes the options of 'intox run' (see 'intox help')\n"
-      "except --point-record; --threads defaults to 1, which keeps point\n"
-      "records byte-exact, and --metrics-out / --flightrec-out serve the\n"
-      "orchestrator. Prints each point's '[sweep] k=v ...' line and its\n"
-      "stdout, in point order, and exits with the worst point's exit.\n"
+      "except --point-record; --threads defaults to 1, so the workers do\n"
+      "not each start a thread per CPU, and --metrics-out and\n"
+      "--flightrec-out serve the orchestrator. Prints each point's\n"
+      "'[sweep] k=v ...' line and its stdout, in point order, and exits\n"
+      "with the worst point's exit.\n"
       "Sweep options:\n"
       "  --sweep key=a:b:step   sweep a numeric knob (first flag varies\n"
       "                         slowest)\n"
@@ -216,9 +217,9 @@ int sweep_main(int argc, char** argv) {
   }
   const std::string exe = self_exe_path();
   if (exe.empty()) return fail("cannot resolve own binary path");
-  // Worker points default to one thread: at --threads 1 the metrics
-  // fold in point records is byte-exact, which the resume byte-identity
-  // guarantee builds on.
+  // Worker points default to one thread: the workers are the
+  // parallelism, and N workers each running a thread per CPU would
+  // oversubscribe the machine. A record is the same at any --threads.
   const std::string threads = std::to_string(args.sinks.threads.value_or(1));
 
   // Content-address every point: base knobs + the point's own values.

@@ -15,7 +15,7 @@
 // exactly the values its cache key hashes. When every record exists,
 // the orchestrator prints each point's `[sweep] k=v ...` line and
 // recorded stdout in point order, and --out commits the records merged
-// into one intox.sweep_report.v2 document (sweep/merge.hpp).
+// into one intox.sweep_report.v3 document (sweep/merge.hpp).
 //
 // Resume is free: a second invocation rescans the cache, re-runs only
 // the missing points, and produces byte-identical output.

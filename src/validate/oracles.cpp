@@ -143,9 +143,14 @@ void SchedulerOracle::mirror_cancel(std::uint64_t id, bool cancelled,
 }
 
 void SchedulerOracle::mirror_fire(std::uint64_t id, sim::Time t,
-                                  std::size_t pending) {
+                                  sim::Time bound, std::size_t pending) {
   const auto fired = ref_.run(1);
   ++checks_;
+  INTOX_INVARIANT(t <= bound,
+                  "scheduler fired id=%llu at t=%lld past its run_until "
+                  "bound %lld",
+                  static_cast<unsigned long long>(id),
+                  static_cast<long long>(t), static_cast<long long>(bound));
   INTOX_INVARIANT(!fired.empty(),
                   "scheduler fired id=%llu at t=%lld but the reference "
                   "queue is empty",

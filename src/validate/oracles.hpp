@@ -37,8 +37,8 @@ ExactStats exact_stats(const std::vector<double>& xs);
 // the place it was reserved at; past times clamp to `now`; cancel
 // removes eagerly (no tombstones to get wrong). Tests drive a Scheduler
 // and a ReferenceQueue with the same operation sequence and compare the
-// firing logs; SchedulerOracle (below) automates exactly that as an
-// always-on mirror inside the Scheduler itself.
+// firing logs; SchedulerOracle (below) automates exactly that as a
+// mirror inside the Scheduler itself, armed by Scheduler::enable_oracle.
 class ReferenceQueue {
  public:
   struct Fired {
@@ -96,12 +96,12 @@ class ReferenceQueue {
 
 // --- Scheduler differential oracle ------------------------------------
 //
-// The always-on mirror for the timing-wheel scheduler: Scheduler (with
-// the oracle enabled by Scheduler::enable_oracle) forwards every
+// The opt-in mirror for the timing-wheel scheduler: once armed by
+// Scheduler::enable_oracle, the Scheduler forwards every
 // schedule/cancel/fire/boundary to this class, which replays it on the
 // ReferenceQueue and raises an INTOX_INVARIANT on any divergence in
-// fire order, timestamps, cancel results, or pending counts. O(n) per
-// fire — for validate runs and tests, not benches.
+// fire order, timestamps, bounds, cancel results, or pending counts.
+// O(n) per fire — for validate runs and tests, not benches.
 class SchedulerOracle {
  public:
   /// `first_seq` is the wheel's next sequence number at attach time.
@@ -116,7 +116,11 @@ class SchedulerOracle {
   /// the same tickets.
   void mirror_reserve(std::uint64_t first, std::uint64_t n);
   void mirror_cancel(std::uint64_t id, bool cancelled, std::size_t pending);
-  void mirror_fire(std::uint64_t id, sim::Time t, std::size_t pending);
+  /// The wheel fired `id` at `t` while running up to `bound`
+  /// (run_until's argument, or kTimeMax for run): `t` past `bound` is a
+  /// divergence even when the reference queue agrees on the order.
+  void mirror_fire(std::uint64_t id, sim::Time t, sim::Time bound,
+                   std::size_t pending);
   /// End of Scheduler::run_until(t): the mirror must agree that nothing
   /// was left due at or before `t`.
   void mirror_boundary(sim::Time t, std::size_t pending);

@@ -10,7 +10,7 @@ void bad_names() {
   reg.counter("blink.Retransmits");   // line 10: uppercase component
   reg.gauge("blink..depth");          // line 11: empty component
   reg.counter("blink.retx-count");    // line 12: dash not allowed
-  reg.histogram("latency", 0.0, 1.0, 10);  // line 13: single component
+  reg.gauge("latency");               // line 13: single component
 }
 
 void duplicate_sites() {

@@ -68,21 +68,29 @@ def main():
                              "nonexistent report")
 
         truncated = tmpdir / "truncated.json"
-        truncated.write_text('{"schema": "intox.bench_report.v2", "fam')
+        truncated.write_text('{"schema": "intox.bench_report.v3", "fam')
         expect_one_line_fail(script, truncated, "truncated JSON")
 
         # A valid minimal report still passes (the fix must not break
         # the happy path).
         good = tmpdir / "good.json"
-        good.write_text(json.dumps({
-            "schema": "intox.bench_report.v2",
+        good_doc = {
+            "schema": "intox.bench_report.v3",
             "family": "SMOKE",
             "threads_requested": 1,
             "sweeps": [],
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-        }))
+            "metrics": {"counters": {}, "gauges": {}},
+        }
+        good.write_text(json.dumps(good_doc))
         proc = run(script, str(good))
         check(proc.returncode == 0, "valid minimal report exits 0")
+
+        # Metrics are counters and gauges only: a report that still
+        # carries a histograms section is refused.
+        hist = tmpdir / "hist.json"
+        hist.write_text(json.dumps({**good_doc, "metrics": {
+            "counters": {}, "gauges": {}, "histograms": {}}}))
+        expect_one_line_fail(script, hist, "report with a histograms section")
 
         # A minimal flightrec dump passes too.
         dump = tmpdir / "dump.flightrec.json"
@@ -132,12 +140,11 @@ def main():
         # fails; the same report passes once the name is inventoried.
         named = tmpdir / "named.json"
         named.write_text(json.dumps({
-            "schema": "intox.bench_report.v2",
+            "schema": "intox.bench_report.v3",
             "family": "SMOKE",
             "threads_requested": 1,
             "sweeps": [],
-            "metrics": {"counters": {"smoke.trials": 3}, "gauges": {},
-                        "histograms": {}},
+            "metrics": {"counters": {"smoke.trials": 3}, "gauges": {}},
         }))
         names = tmpdir / "names.txt"
         names.write_text("other.metric\n")

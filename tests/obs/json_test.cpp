@@ -104,6 +104,17 @@ TEST(JsonParse, AccessorsDegradeToZero) {
   EXPECT_EQ(parse_ok("-3").as_u64(), 0u);  // negative clamps, not wraps
 }
 
+// Out-of-range numbers clamp to [0, UINT64_MAX]: casting a double at or
+// above 2^64 to u64 is undefined. A dump word of UINT64_MAX parses to
+// 2^64 and must read back as UINT64_MAX.
+TEST(JsonParse, AsU64ClampsOutOfRange) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(parse_ok("-1").as_u64(), 0u);
+  EXPECT_EQ(parse_ok("1e20").as_u64(), kMax);
+  EXPECT_EQ(parse_ok("18446744073709551615").as_u64(), kMax);
+  EXPECT_EQ(parse_ok("9007199254740992").as_u64(), 9007199254740992u);
+}
+
 TEST(JsonParse, ErrorsCarryByteOffsets) {
   JsonValue v;
   std::string error;

@@ -1,17 +1,14 @@
-// Metrics registry: placement-invariant values, histogram semantics,
-// and the concurrent-recording contract. This binary carries the
+// Metrics registry: placement-invariant values and the
+// concurrent-recording contract. This binary carries the
 // `sanitize` label, so the thread-hammering tests below also run under
 // TSan/ASan via `ctest -L sanitize`.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
-
-#include "validate/invariant.hpp"
 
 namespace intox::obs {
 namespace {
@@ -92,71 +89,6 @@ TEST(Gauge, ConcurrentMaxIsDeterministic) {
   EXPECT_EQ(g.value(), 79999.0);
 }
 
-TEST(HistogramMetric, BucketPlacementAndOutOfRange) {
-  HistogramMetric h{0.0, 10.0, 10};
-  h.observe(0.0);    // bucket 0
-  h.observe(9.999);  // bucket 9
-  h.observe(5.0);    // bucket 5
-  h.observe(-1.0);   // underflow
-  h.observe(10.0);   // hi is exclusive -> overflow
-  const auto snap = h.snapshot();
-  EXPECT_EQ(snap.buckets[0], 1u);
-  EXPECT_EQ(snap.buckets[5], 1u);
-  EXPECT_EQ(snap.buckets[9], 1u);
-  EXPECT_EQ(snap.underflow, 1u);
-  EXPECT_EQ(snap.overflow, 1u);
-  EXPECT_EQ(snap.total, 5u);
-  EXPECT_EQ(snap.min, -1.0);
-  EXPECT_EQ(snap.max, 10.0);
-}
-
-TEST(HistogramMetric, NanCountsAsOverflowWithoutPoisoningSum) {
-  HistogramMetric h{0.0, 1.0, 4};
-  h.observe(0.5);
-  h.observe(std::nan(""));
-  const auto snap = h.snapshot();
-  EXPECT_EQ(snap.total, 2u);
-  EXPECT_EQ(snap.overflow, 1u);
-  EXPECT_FALSE(std::isnan(snap.sum));
-  EXPECT_DOUBLE_EQ(snap.sum, 0.5);
-}
-
-// Point records are byte-exact at --threads 1 because one thread's
-// samples are summed in record order: the snapshot's sum must be
-// bit-equal to the serial double sum, not merely close to it.
-TEST(HistogramMetric, OneThreadSumIsRecordOrder) {
-  HistogramMetric h{0.0, 1.0, 8};
-  double serial = 0.0;
-  for (int i = 1; i <= 1000; ++i) {
-    const double x = 1.0 / static_cast<double>(i);  // inexact in binary
-    h.observe(x);
-    serial += x;
-  }
-  EXPECT_EQ(h.snapshot().sum, serial);
-}
-
-TEST(HistogramMetric, ConcurrentObserveStress) {
-  HistogramMetric h{0.0, 16.0, 16};
-  constexpr std::size_t kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> threads;
-  for (std::size_t w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&h] {
-      for (int i = 0; i < kPerThread; ++i) {
-        h.observe(static_cast<double>(i % 16));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const auto snap = h.snapshot();
-  EXPECT_EQ(snap.total, kThreads * kPerThread);
-  for (std::size_t b = 0; b < 16; ++b) {
-    EXPECT_EQ(snap.buckets[b], kThreads * kPerThread / 16);
-  }
-  EXPECT_EQ(snap.underflow, 0u);
-  EXPECT_EQ(snap.overflow, 0u);
-}
-
 TEST(Registry, HandlesAreStable) {
   Registry& reg = Registry::global();
   Counter& c1 = reg.counter("test.registry.stable");
@@ -165,16 +97,6 @@ TEST(Registry, HandlesAreStable) {
   Gauge& g1 = reg.gauge("test.registry.gauge");
   Gauge& g2 = reg.gauge("test.registry.gauge");
   EXPECT_EQ(&g1, &g2);
-  HistogramMetric& h1 = reg.histogram("test.registry.hist", 0.0, 1.0, 4);
-  HistogramMetric& h2 = reg.histogram("test.registry.hist", 0.0, 1.0, 4);
-  EXPECT_EQ(&h1, &h2);
-}
-
-TEST(Registry, HistogramBoundsMismatchRaisesInvariant) {
-  Registry& reg = Registry::global();
-  reg.histogram("test.registry.bounds", 0.0, 1.0, 4);
-  EXPECT_THROW(reg.histogram("test.registry.bounds", 0.0, 2.0, 4),
-               validate::InvariantError);
 }
 
 TEST(Registry, SnapshotAndJsonCoverAllKinds) {
@@ -182,19 +104,17 @@ TEST(Registry, SnapshotAndJsonCoverAllKinds) {
   reg.reset_values_for_test();
   reg.counter("test.json.counter").add(3);
   reg.gauge("test.json.gauge").update_max(1.5);
-  reg.histogram("test.json.hist", 0.0, 4.0, 4).observe(2.0);
 
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("test.json.counter"), 3u);
   EXPECT_EQ(snap.gauges.at("test.json.gauge"), 1.5);
-  EXPECT_EQ(snap.histograms.at("test.json.hist").total, 1u);
 
   const std::string json = Registry::to_json(snap);
   EXPECT_NE(json.find("\"test.json.counter\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"test.json.hist\""), std::string::npos);
+  EXPECT_NE(json.find("\"test.json.gauge\":1.5"), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_EQ(Registry::to_json({}), "{\"counters\":{},\"gauges\":{}}");
 }
 
 // Metric values must not depend on which thread recorded what: spread
@@ -206,7 +126,7 @@ TEST(Registry, JsonIdenticalAcrossThreadPlacement) {
     Registry& reg = Registry::global();
     reg.reset_values_for_test();
     Counter& c = reg.counter("test.placement.counter");
-    HistogramMetric& h = reg.histogram("test.placement.hist", 0.0, 64.0, 8);
+    Gauge& g = reg.gauge("test.placement.gauge");
     std::vector<std::thread> threads;
     for (std::size_t w = 0; w < workers; ++w) {
       threads.emplace_back([&, w] {
@@ -214,7 +134,7 @@ TEST(Registry, JsonIdenticalAcrossThreadPlacement) {
         // global workload, mirroring the parallel runner's sharding.
         for (std::size_t i = w; i < 4096; i += workers) {
           c.add(i % 3);
-          h.observe(static_cast<double>(i % 64));
+          g.update_max(static_cast<double>(i % 64) / 8.0);
         }
       });
     }
@@ -223,8 +143,8 @@ TEST(Registry, JsonIdenticalAcrossThreadPlacement) {
     Registry::Snapshot filtered;
     filtered.counters["test.placement.counter"] =
         snap.counters.at("test.placement.counter");
-    filtered.histograms["test.placement.hist"] =
-        snap.histograms.at("test.placement.hist");
+    filtered.gauges["test.placement.gauge"] =
+        snap.gauges.at("test.placement.gauge");
     docs.push_back(Registry::to_json(filtered));
   }
   EXPECT_EQ(docs[0], docs[1]);

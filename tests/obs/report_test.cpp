@@ -50,7 +50,7 @@ TEST(BenchSession, ReportCarriesSweepsMetricsAndInvariants) {
   EXPECT_NE(line.find("\"trials\":10"), std::string::npos);
 
   const std::string doc = session.to_json();
-  EXPECT_NE(doc.find("\"schema\":\"intox.bench_report.v2\""),
+  EXPECT_NE(doc.find("\"schema\":\"intox.bench_report.v3\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"family\":\"TEST-REPORT\""), std::string::npos);
   EXPECT_NE(doc.find("\"sweep\":\"needs \\\"escaping\\\"\""),

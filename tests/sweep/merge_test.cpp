@@ -41,7 +41,7 @@ TEST(Merge, ConcatenatesRecordsInPointOrder) {
   ASSERT_EQ(error, "");
   EXPECT_EQ(worst_exit, 3);
   EXPECT_EQ(text, "[sweep] flows=1\n[sweep] flows=2\n");
-  EXPECT_NE(doc.find("\"schema\":\"intox.sweep_report.v2\""),
+  EXPECT_NE(doc.find("\"schema\":\"intox.sweep_report.v3\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"points\":2"), std::string::npos);
   // Records appear verbatim, in order.

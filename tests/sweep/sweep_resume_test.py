@@ -28,6 +28,10 @@ Properties pinned here, straight from the orchestrator's contract:
   8. A record depends only on its knob vector: a sweep that reaches
      cached knob vectors through different axes executes nothing and
      writes the same report as on a fresh cache.
+  9. The thread count never reaches the output: a pcc.oscillation sweep
+     (whose records carry the PCC sender's metrics) at --threads 1 and
+     at --threads 4, on separate caches, prints the same stdout and
+     writes the same merged report.
 
 The worker is killed with SIGKILL (no cleanup handlers), so this also
 exercises the write-temp-then-rename commit: a record path either holds
@@ -148,7 +152,7 @@ def main():
     with open(clean_out, "rb") as f:
         clean_bytes = f.read()
     clean_doc = json.loads(clean_bytes)
-    if clean_doc.get("schema") != "intox.sweep_report.v2":
+    if clean_doc.get("schema") != "intox.sweep_report.v3":
         fail(f"unexpected report schema {clean_doc.get('schema')!r}")
     if clean_doc.get("points") != POINTS:
         fail(f"expected {POINTS} points, got {clean_doc.get('points')}")
@@ -213,7 +217,7 @@ def main():
         # Commit atomicity: anything under the final name parses.
         with open(path, "r", encoding="utf-8") as f:
             record = json.load(f)
-        if record.get("schema") != "intox.point_record.v3":
+        if record.get("schema") != "intox.point_record.v4":
             fail(f"{path}: bad record schema {record.get('schema')!r}")
 
     # --- Resume. ---
@@ -270,6 +274,26 @@ def main():
         if warm.read() != fresh.read():
             fail("a sweep over cached knob vectors wrote a report that "
                  "differs from the same sweep on a fresh cache")
+
+    # --- The thread count never reaches a sweep's output. ---
+    outputs = []
+    for threads in ("1", "4"):
+        out = os.path.join(tmp, f"pcc-threads{threads}.json")
+        res = subprocess.run(
+            [intox, "sweep", "pcc.oscillation", "--sweep", "seed=4:5:1",
+             "--workers", "2", "--threads", threads, "--cache-dir",
+             os.path.join(tmp, f"pcc-cache{threads}"), "--out", out],
+            capture_output=True, text=True, timeout=600)
+        check_exit(res, out, f"pcc.oscillation sweep at --threads {threads}")
+        check_schema(checker, out)
+        with open(out, "rb") as f:
+            outputs.append((res.stdout, f.read()))
+    if outputs[0][0] != outputs[1][0]:
+        fail("pcc.oscillation sweep stdout differs between --threads 1 "
+             "and --threads 4")
+    if outputs[0][1] != outputs[1][1]:
+        fail("pcc.oscillation merged report differs between --threads 1 "
+             "and --threads 4")
 
     shutil.rmtree(tmp)
     print(f"sweep_resume_test: OK ({before}/{POINTS} points survived "

@@ -8,6 +8,7 @@
 
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
+#include "validate/invariant.hpp"
 
 namespace intox::validate {
 namespace {
@@ -77,6 +78,16 @@ TEST(ReferenceQueue, RunHonorsLimit) {
   for (int i = 0; i < 5; ++i) q.schedule_at(i * 10);
   EXPECT_EQ(q.run(3).size(), 3u);
   EXPECT_EQ(q.pending(), 2u);
+}
+
+// A wheel that pops an event past run_until's bound still fires in the
+// reference queue's order, so only the bound itself can catch it.
+TEST(SchedulerOracle, FirePastItsBoundRaisesInvariant) {
+  SchedulerOracle oracle{0};
+  oracle.mirror_schedule(10, 1, 1, std::nullopt);
+  oracle.mirror_schedule(20, 2, 2, std::nullopt);
+  EXPECT_NO_THROW(oracle.mirror_fire(1, 10, 10, 1));
+  EXPECT_THROW(oracle.mirror_fire(2, 20, 15, 0), InvariantError);
 }
 
 }  // namespace

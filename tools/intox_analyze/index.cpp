@@ -845,9 +845,7 @@ class Indexer {
     }
 
     // Metric registrations.
-    if (last == "counter" || last == "gauge" || last == "histogram") {
-      maybe_record_metric(last, end, line);
-    }
+    if (last == "counter" || last == "gauge") maybe_record_metric(end, line);
 
     // `::signal(SIGINT, handler)` registrations.
     if (last == "signal" || last == "bsd_signal") {
@@ -909,12 +907,11 @@ class Indexer {
     fn().atomic_ops.push_back(std::move(a));
   }
 
-  void maybe_record_metric(const std::string& kind_fn, std::size_t open,
-                           int line) {
+  void maybe_record_metric(std::size_t open, int line) {
     std::size_t j = open + 1;
     if (at_end(j)) return;
     if (tok(j).kind != TokenKind::kString) return;
-    out_.metric_regs.push_back({kind_fn, tok(j).text, rel_, line});
+    out_.metric_regs.push_back({tok(j).text, rel_, line});
   }
 
   void maybe_record_signal_call(std::size_t open) {

@@ -74,10 +74,8 @@ struct FunctionDef {
   std::vector<DangerEvent> dangers;
 };
 
-/// A metric registered by name from C++ (`.counter("x")`, `.gauge("x")`,
-/// `.histogram("x", ...)`).
+/// A metric registered by name from C++ (`.counter("x")`, `.gauge("x")`).
 struct MetricReg {
-  std::string kind;  // "counter" | "gauge" | "histogram"
   std::string name;
   std::string file;
   int line = 0;
