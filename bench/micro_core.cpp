@@ -175,7 +175,8 @@ BENCHMARK(BM_SchedulerSparseTraffic);
 
 void BM_LinkDelivery(benchmark::State& state) {
   // Packet transmit -> queue -> deliver through a Link: exercises the
-  // in-flight packet ring and the small-buffer delivery closures.
+  // in-flight packet ring and its delivery chain, in which each delivery
+  // arms the next under the ticket its packet reserved at transmit.
   for (auto _ : state) {
     sim::Scheduler s;
     std::uint64_t delivered = 0;
@@ -198,6 +199,46 @@ void BM_LinkDelivery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_LinkDelivery);
+
+// pcc.fleet's bottleneck in steady state: a sender paced at line rate
+// keeps a 480 Mb/s link with a 20 ms delay full, ~1,600 750-byte packets
+// in flight. Deliveries one propagation delay out would park at wheel
+// level 4; the link keeps only the head's delivery in the scheduler.
+struct LongPipe {
+  static constexpr sim::Duration kGap = 12'500;  // 750 B at 480 Mb/s
+
+  static sim::LinkConfig config() {
+    sim::LinkConfig cfg;
+    cfg.rate_bps = 480e6;
+    cfg.prop_delay = sim::millis(20);
+    return cfg;
+  }
+
+  sim::Scheduler sched;
+  std::uint64_t delivered = 0;
+  sim::Link link{sched, config(), [this](net::Packet) { ++delivered; }};
+  net::Packet pkt;
+
+  void send() {
+    link.transmit(pkt);
+    sched.schedule_after(kGap, [this] { send(); });
+  }
+};
+
+void BM_LinkDeliveryLongPipe(benchmark::State& state) {
+  LongPipe pipe;
+  pipe.pkt.l4 = net::UdpHeader{1234, 80};
+  pipe.pkt.payload_bytes = 722;  // 750 B on the wire
+  pipe.send();
+  pipe.sched.run_until(sim::millis(40));  // past the first delivery
+  for (auto _ : state) {
+    // 1,000 sends and 1,000 deliveries.
+    pipe.sched.run_until(pipe.sched.now() + 1000 * LongPipe::kGap);
+  }
+  benchmark::DoNotOptimize(pipe.delivered);
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_LinkDeliveryLongPipe);
 
 void BM_RngForkAndDraw(benchmark::State& state) {
   // Fig. 2's pattern: each arriving flow forks its driver's Rng into a

@@ -35,6 +35,8 @@ Re-baselining (after a deliberate perf change or a runner upgrade):
         --metrics-out reports/BENCH_FIG2.json > /dev/null
     ./build/intox run pcc.fleet --threads 1 --set duration_s=10 \
         --metrics-out reports/BENCH_PCC-FLEET.json > /dev/null
+    ./build/intox run pcc.oscillation --threads 1 \
+        --metrics-out reports/BENCH_PCC-OSC.json > /dev/null
     scripts/check_perf_gate.py --reports reports --update
 then commit the rewritten bench/baselines/*.json with a sentence in the
 commit message saying why the floor moved.

@@ -68,7 +68,10 @@ class Scheduler {
   /// returns the first. An event later scheduled with ticket `first + i`
   /// fires as if it had been the i-th of n events scheduled now: after
   /// every same-instant event scheduled before this call, and before
-  /// every one scheduled after it.
+  /// every one scheduled after it. A source that keeps one event pending
+  /// (FlowPopulation's arrival chain, a Link's delivery chain) reserves
+  /// a ticket where an eager caller would schedule, so its lazily armed
+  /// events fire exactly where the eager ones would.
   std::uint64_t reserve(std::uint64_t n);
 
   /// schedule_at under a ticket from reserve(). Each ticket is used at

@@ -125,17 +125,38 @@ void Link::transmit(net::Packet pkt) {
     head_ = 0;
     in_flight_.resize(std::max<std::size_t>(1, 2 * in_flight_.size()));
   }
-  in_flight_[(head_ + queued_) & (in_flight_.size() - 1)] = std::move(pkt);
+  const std::size_t mask = in_flight_.size() - 1;
+  InFlight& slot = in_flight_[(head_ + queued_) & mask];
+  if (queued_ == 0) {
+    sched_.schedule_at(arrival, [this] { deliver_head(); });
+  } else {
+    // Busy: the head's delivery arms this one in turn. The chain only
+    // holds if arrivals keep send order.
+    const Time tail = in_flight_[(head_ + queued_ - 1) & mask].arrival;
+    INTOX_INVARIANT(arrival > tail,
+                    "link delivery at %lld would not follow the ring's "
+                    "tail at %lld", static_cast<long long>(arrival),
+                    static_cast<long long>(tail));
+    slot.ticket = sched_.reserve(1);
+  }
+  slot.pkt = std::move(pkt);
+  slot.arrival = arrival;
   ++queued_;
-  sched_.schedule_at(arrival, [this] {
-    ++counters_.delivered_packets;
-    // Take the packet out before delivering: the sink may re-enter
-    // transmit() and write (or grow) the ring.
-    net::Packet delivered = std::move(in_flight_[head_]);
-    head_ = (head_ + 1) & (in_flight_.size() - 1);
-    --queued_;
-    deliver_(std::move(delivered));
-  });
+}
+
+void Link::deliver_head() {
+  ++counters_.delivered_packets;
+  // Take the packet out and arm the next delivery before delivering: the
+  // sink may re-enter transmit(), which writes (or grows) the ring and,
+  // once it is empty, schedules afresh.
+  net::Packet delivered = std::move(in_flight_[head_].pkt);
+  head_ = (head_ + 1) & (in_flight_.size() - 1);
+  if (--queued_ > 0) {
+    const InFlight& next = in_flight_[head_];
+    sched_.schedule_reserved(next.arrival, next.ticket,
+                             [this] { deliver_head(); });
+  }
+  deliver_(std::move(delivered));
 }
 
 }  // namespace intox::sim

@@ -91,12 +91,26 @@ class Link {
   Time next_free_ = 0;  // when the transmitter finishes its current backlog
   Counters counters_;
   Rng red_rng_;  // forked per link in the constructor
+
+  struct InFlight {
+    net::Packet pkt;
+    Time arrival = 0;
+    /// The sequence number an eager schedule_at would have used at
+    /// transmit time (Scheduler::reserve).
+    std::uint64_t ticket = 0;
+  };
+  /// Pops the head, arms the next delivery, then hands the packet over.
+  void deliver_head();
+
   /// Packets between serialization and delivery, oldest first. A link
-  /// delivers in send order (`next_free_` strictly grows and
-  /// `prop_delay` is fixed), so each delivery event takes the head and
-  /// its closure captures only `this`. A power-of-two ring that doubles
-  /// when full; it allocates nothing until the first transmit.
-  std::vector<net::Packet> in_flight_;
+  /// delivers in send order: `next_free_` strictly grows and
+  /// `prop_delay` is fixed, so arrivals strictly increase. The scheduler
+  /// therefore holds one event per link, the head's delivery; the
+  /// others wait here under reserved tickets and fire at the same
+  /// (time, sequence) as one event per packet would. A power-of-two
+  /// ring that doubles when full; it allocates nothing until the first
+  /// transmit.
+  std::vector<InFlight> in_flight_;
   std::size_t head_ = 0;    // ring index of the oldest in-flight packet
   std::size_t queued_ = 0;  // packets in flight
 };

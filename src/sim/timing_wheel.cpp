@@ -133,10 +133,15 @@ TimingWheel::Ref TimingWheel::insert_reserved(Time t, std::uint64_t seq,
   const std::uint16_t b = bucket_for(t);
   n.bucket = b;
   Bucket& bucket = buckets_[b];
-  // Only events scheduled before the reservation can precede it: walk
-  // in from the head and link ahead of the first later one.
-  std::uint32_t next = bucket.head;
-  while (next != kNil && nodes_[next].seq <= seq) next = nodes_[next].next;
+  // Only events scheduled before the reservation can precede it. A seq
+  // newer than the tail's (a link's delivery chain, mostly) appends in
+  // O(1); any other walks in from the head and links ahead of the first
+  // later one.
+  std::uint32_t next = kNil;
+  if (bucket.tail != kNil && nodes_[bucket.tail].seq >= seq) {
+    next = bucket.head;
+    while (next != kNil && nodes_[next].seq <= seq) next = nodes_[next].next;
+  }
   n.next = next;
   n.prev = next == kNil ? bucket.tail : nodes_[next].prev;
   INTOX_INVARIANT(n.prev == kNil || nodes_[n.prev].seq < seq,

@@ -20,9 +20,10 @@
 // events fire in (time, scheduling order). Every bucket list is kept
 // sorted by the insertion sequence number:
 //   * direct inserts append at the tail (their seq is globally maximal);
-//   * a reserved insert carries a seq handed out earlier by reserve(),
-//     so it walks in from the bucket's head past the events older than
-//     the reservation;
+//   * a reserved insert carries a seq handed out earlier by reserve().
+//     One newer than the bucket's tail appends in O(1), which is the
+//     common case of a link's delivery chain; any other walks in from
+//     the bucket's head past the events older than the reservation;
 //   * a cascade empties one source bucket in list order into buckets
 //     that are provably empty (all lower levels have been drained before
 //     a higher-level bucket can cascade), preserving relative order.

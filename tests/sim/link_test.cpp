@@ -226,6 +226,59 @@ TEST(Link, DeliversInSendOrderWhileTheSinkRefillsAWrappedRing) {
   EXPECT_EQ(link.counters().delivered_packets, sent);
 }
 
+TEST(Link, KeepsOneSchedulerEventWhileABacklogDrains) {
+  // In-flight packets wait in the ring; only the head's delivery is a
+  // scheduler event, and each delivery arms the next.
+  Scheduler s;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;
+  cfg.prop_delay = millis(20);
+  cfg.queue_limit_bytes = 1 << 20;
+  std::vector<std::uint64_t> got;
+  Link link{s, cfg, [&](net::Packet p) { got.push_back(p.flow_tag); }};
+  for (std::uint64_t tag = 0; tag < 100; ++tag) {
+    net::Packet p = make_packet(972);
+    p.flow_tag = tag;
+    link.transmit(p);
+    ASSERT_EQ(s.pending(), 1u);
+  }
+  for (std::size_t delivered = 1; delivered <= 100; ++delivered) {
+    ASSERT_EQ(s.run(1), 1u);
+    ASSERT_EQ(got.size(), delivered);
+    EXPECT_EQ(s.pending(), delivered < 100 ? 1u : 0u);
+  }
+  std::vector<std::uint64_t> in_send_order(100);
+  std::iota(in_send_order.begin(), in_send_order.end(), std::uint64_t{0});
+  EXPECT_EQ(got, in_send_order);
+  EXPECT_EQ(s.now(), millis(120));  // 100 x 1 ms serialization + 20 ms
+}
+
+TEST(Link, SinkRefillingTheRingItJustEmptiedGetsItsPacketDelivered) {
+  // The delivery of the ring's last packet arms nothing; the sink's
+  // transmit then finds an idle link and schedules its delivery afresh.
+  Scheduler s;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;
+  cfg.prop_delay = millis(1);
+  std::vector<std::pair<std::uint64_t, Time>> got;
+  std::size_t pending_in_sink = 99;
+  Link link{s, cfg, [&](net::Packet p) {
+              got.emplace_back(p.flow_tag, s.now());
+              if (p.flow_tag == 0) {
+                pending_in_sink = s.pending();
+                p.flow_tag = 1;
+                link.transmit(p);
+              }
+            }};
+  link.transmit(make_packet(972));
+  s.run();
+  EXPECT_EQ(pending_in_sink, 0u);
+  // 1 ms serialization + 1 ms propagation, twice.
+  EXPECT_EQ(got, (std::vector<std::pair<std::uint64_t, Time>>{
+                     {0, millis(2)}, {1, millis(4)}}));
+  EXPECT_EQ(link.counters().delivered_packets, 2u);
+}
+
 class EchoNode : public Node {
  public:
   using Node::Node;

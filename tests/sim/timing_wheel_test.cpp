@@ -143,6 +143,49 @@ TEST(TimingWheel, ReservedInsertLandsBySeqAheadOfTheTail) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
+// Three same-instant events (a level-2 bucket from cursor 0), a reserved
+// insert under a ticket taken after the first `older` of them, then one
+// ordinary insert, which must still append behind everything. Returns
+// the fire order: 0-2 the first three, 3 the last, -1 the reserved one.
+std::vector<int> fire_order_with_ticket_after(int older) {
+  TimingWheel w;
+  std::vector<int> order;
+  std::uint64_t ticket = 0;
+  for (int i = 0; i <= 3; ++i) {
+    if (i == older) ticket = w.reserve(1);
+    if (i < 3) w.insert(70000, [&order, i] { order.push_back(i); });
+  }
+  const auto ref = w.insert_reserved(70000, ticket,
+                                     [&order] { order.push_back(-1); });
+  EXPECT_EQ(Peer::level_of(w, ref), 2);
+  w.insert(70000, [&order] { order.push_back(3); });
+  while (drain_next(w) >= 0) {
+  }
+  return order;
+}
+
+TEST(TimingWheel, ReservedInsertLandsInSeqOrderAnywhereInItsBucket) {
+  // Older than the head, between head and tail, newer than the tail
+  // (appended without a walk).
+  EXPECT_EQ(fire_order_with_ticket_after(0),
+            (std::vector<int>{-1, 0, 1, 2, 3}));
+  EXPECT_EQ(fire_order_with_ticket_after(1),
+            (std::vector<int>{0, -1, 1, 2, 3}));
+  EXPECT_EQ(fire_order_with_ticket_after(3),
+            (std::vector<int>{0, 1, 2, -1, 3}));
+}
+
+TEST(TimingWheel, ReservedSeqEqualToTheTailsIsCaught) {
+  // Not newer than the tail, so no append: the walk from the head finds
+  // the seq already linked.
+  TimingWheel w;
+  w.insert(70000, [] {});
+  const std::uint64_t ticket = w.reserve(1);
+  w.insert_reserved(70000, ticket, [] {});
+  EXPECT_THROW(w.insert_reserved(70000, ticket, [] {}),
+               validate::InvariantError);
+}
+
 TEST(TimingWheel, ReusedOrUnreservedSeqIsCaught) {
   TimingWheel w;
   const std::uint64_t first = w.reserve(1);
